@@ -93,8 +93,7 @@ class AlgebraPreset:
         q = np.asarray(q, dtype=dtype)
         layer = KroneckerLinear(self.n, self.n, self.n, dtype=dtype,
                                 train_mixing=False, mixing=self.matrices)
-        for i in range(self.n):
-            layer.weights[i].data[...] = q[i]
+        layer.blocks.data[...] = q[:, None, None]
         return layer
 
 

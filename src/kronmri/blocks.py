@@ -1,9 +1,9 @@
 """Network blocks: a small U-Net plus window attention and MLP blocks.
 
-Every weight-bearing layer is either dense or Kronecker-factorized with the
-same hypercomplex dimension n, so parameter budgets of the two builds can be
-compared directly. Checkpoints are a manifest JSON next to one KTEN file per
-parameter array.
+Every weight-bearing layer is a Kronecker layer with the same hypercomplex
+dimension n; a dense build is n=1 with the mixing frozen to [[1]], so
+parameter budgets of the two builds can be compared directly. Checkpoints
+are a manifest JSON next to one KTEN file per parameter array.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .kten import read_kten, write_kten
-from .layers import (DenseConv2d, KroneckerConv2d, KroneckerLinear,
-                     layer_from_arrays)
+from .layers import DENSE, KroneckerConv2d, KroneckerLinear, layer_from_arrays
 from .rng import Rng
 from .tensor import Tensor
 
@@ -89,6 +88,22 @@ class AttentionConfig:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by n {self.n}")
 
 
+def unet_convs(cfg: UNetConfig):
+    """(name, in, out, stride) of every U-Net conv, in call order."""
+    chans = [cfg.base_channels * m for m in cfg.channel_multiples]
+    yield "stem.conv1", cfg.in_channels, chans[0], 1
+    yield "stem.conv2", chans[0], chans[0], 1
+    for i in range(1, cfg.depth):
+        yield f"down{i}.pool", chans[i - 1], chans[i], 2
+        yield f"down{i}.conv1", chans[i], chans[i], 1
+        yield f"down{i}.conv2", chans[i], chans[i], 1
+    for i in range(cfg.depth - 1, 0, -1):
+        yield f"up{i}.up", chans[i], chans[i - 1], 1
+        yield f"up{i}.conv1", 2 * chans[i - 1], chans[i - 1], 1
+        yield f"up{i}.conv2", chans[i - 1], chans[i - 1], 1
+    yield "head", chans[0], cfg.out_channels, 1
+
+
 class UNet:
     """Encoder-decoder with skip concatenation and a residual output head.
 
@@ -103,47 +118,28 @@ class UNet:
         if rng is None and _store is None:
             raise ConfigError("UNet needs an rng")
         self.cfg = cfg
-        self.dtype = np.dtype(dtype) if _store is None else None
-        self._layers: list[tuple[str, object]] = []
-        self._fork = 0
-
-        def conv(name, cin, cout, *, stride=1):
-            if _store is not None:
-                layer = _store[name]
+        self._layers: list[tuple[str, KroneckerConv2d]] = []
+        for fork, (name, cin, cout, stride) in enumerate(unet_convs(cfg)):
+            if _store is None:
+                layer = KroneckerConv2d(cin, cout, 3, cfg.n, stride=stride, padding=1,
+                                        rng=rng.fork(fork), dtype=dtype,
+                                        **(DENSE if cfg.layer_kind == "dense" else {}))
             else:
-                child = rng.fork(self._fork)
-                self._fork += 1
-                if cfg.layer_kind == "kronecker":
-                    layer = KroneckerConv2d(cin, cout, 3, cfg.n, stride=stride,
-                                            padding=1, rng=child, dtype=self.dtype)
-                else:
-                    layer = DenseConv2d(cin, cout, 3, stride=stride, padding=1,
-                                        rng=child, dtype=self.dtype)
+                layer = _store.get(name)
+                want = (cin, cout, 3, stride, 1, cfg.n, cfg.layer_kind == "dense")
+                if not isinstance(layer, KroneckerConv2d) or want != (
+                        layer.in_channels, layer.out_channels, layer.kernel_size,
+                        layer.stride, layer.padding, layer.n, layer.dense):
+                    raise ConfigError(f"checkpoint layer {name!r} does not fit the config")
             self._layers.append((name, layer))
-            return layer
-
-        chans = [cfg.base_channels * m for m in cfg.channel_multiples]
-        self._stem = (conv("stem.conv1", cfg.in_channels, chans[0]),
-                      conv("stem.conv2", chans[0], chans[0]))
-        self._downs = []
-        for i in range(1, cfg.depth):
-            self._downs.append((conv(f"down{i}.pool", chans[i - 1], chans[i], stride=2),
-                                conv(f"down{i}.conv1", chans[i], chans[i]),
-                                conv(f"down{i}.conv2", chans[i], chans[i])))
-        self._ups = []
-        for i in range(cfg.depth - 1, 0, -1):
-            self._ups.append((conv(f"up{i}.up", chans[i], chans[i - 1]),
-                              conv(f"up{i}.conv1", 2 * chans[i - 1], chans[i - 1]),
-                              conv(f"up{i}.conv2", chans[i - 1], chans[i - 1])))
-        self._head = conv("head", chans[0], cfg.out_channels)
+        layers = iter(layer for _, layer in self._layers)
+        self._stem = (next(layers), next(layers))
+        self._downs = [(next(layers), next(layers), next(layers)) for _ in range(cfg.depth - 1)]
+        self._ups = [(next(layers), next(layers), next(layers)) for _ in range(cfg.depth - 1)]
+        self._head = next(layers)
         if _store is None:
-            if isinstance(self._head, KroneckerConv2d):
-                for t in self._head.kernels:
-                    t.data[...] = 0.0
-            else:
-                self._head.weight.data[...] = 0.0
-        if self.dtype is None:
-            self.dtype = self._layers[0][1].dtype
+            self._head.blocks.data[...] = 0.0
+        self.dtype = self._head.dtype
         self.residual = cfg.in_channels == cfg.out_channels
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -196,16 +192,33 @@ class UNet:
 
     @classmethod
     def load(cls, path: str) -> "UNet":
-        with open(os.path.join(path, MANIFEST_NAME)) as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != CHECKPOINT_FORMAT or manifest.get("model") != "unet":
+        """Read a checkpoint written by `save`. Every array must match its
+        layer manifest and every layer the config; array files must be
+        plain names inside `path`."""
+        try:
+            with open(os.path.join(path, MANIFEST_NAME)) as fh:
+                manifest = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: manifest is not JSON ({err})") from None
+        if (not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT
+                or manifest.get("model") != "unet"):
             raise ConfigError(f"not a recognizable checkpoint: {path}")
         store = {}
-        for entry in manifest["layers"]:
-            arrays = {aname: read_kten(os.path.join(path, fname))
-                      for aname, fname in entry["arrays"].items()}
-            store[entry["name"]] = layer_from_arrays(entry["manifest"], arrays)
-        return cls(UNetConfig.from_dict(manifest["config"]), _store=store)
+        try:
+            cfg = UNetConfig.from_dict(manifest["config"])
+            for entry in manifest["layers"]:
+                arrays = {aname: read_kten(_array_path(path, fname))
+                          for aname, fname in entry["arrays"].items()}
+                store[entry["name"]] = layer_from_arrays(entry["manifest"], arrays)
+        except (KeyError, TypeError, AttributeError) as err:
+            raise ConfigError(f"{path}: malformed checkpoint manifest ({err!r})") from None
+        return cls(cfg, _store=store)
+
+
+def _array_path(path: str, fname) -> str:
+    if not isinstance(fname, str) or fname in ("", ".", "..") or os.path.basename(fname) != fname:
+        raise ConfigError(f"{path}: array file {fname!r} is not a name inside the checkpoint")
+    return os.path.join(path, fname)
 
 
 def build_unet(cfg: UNetConfig, rng: Rng, dtype=np.float32) -> UNet:

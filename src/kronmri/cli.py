@@ -4,7 +4,8 @@ Subcommands cover dataset/mask generation, training, reconstruction,
 metric reporting, parameter accounting, algebra verification, gradient
 checking, and kernel benchmarking. Results go to stdout (JSON or CSV);
 errors go to stderr as one JSON line with exit codes 2 (config), 3
-(numeric), 4 (I/O).
+(numeric), 4 (I/O), and 1 for any other package error (such as a
+TapeError, which means kronmri misused its own autodiff tape).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import numpy as np
 from . import tensor as T
 from .algebra import preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig,
-                     WindowAttention, build_unet)
-from .errors import ConfigError, NumericError, ShapeError
+                     WindowAttention, build_unet, unet_convs)
+from .errors import ConfigError, KronMriError, NumericError, ShapeError
 from .kspace import (CENTER_FRACTION_DEFAULTS, complex_magnitude, fft2c,
                      gen_cartesian_mask, gen_phantom, ifft2c)
 from .kten import read_kten, write_kten, write_pgm
-from .layers import (DenseConv2d, DenseLinear, KroneckerConv2d,
-                     KroneckerLinear)
+from .layers import DENSE, KroneckerConv2d, KroneckerLinear, count_params
 from .losses import LossWeights, loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
@@ -215,42 +215,36 @@ def _count_unet(config: dict, path: str):
     kw = {k: v for k, v in config.items()
           if k not in ("model", "layer_kind", "n")}
     kind = _normalize_kind(config.get("layer_kind", "kronecker"))
-    n = config.get("n", 2 if kind == "kronecker" else 1)
-    dense = build_unet(UNetConfig(**kw, layer_kind="dense", n=1), Rng(0))
-    if kind == "dense":
-        target = dense
-    else:
-        target = build_unet(UNetConfig(**kw, layer_kind="kronecker", n=n),
-                            Rng(0))
-    rows = []
-    for (name, dl), (_, tl) in zip(dense._layers, target._layers):
-        rows.append((name, dl.param_count(), tl.param_count()))
-    return rows, dense.param_count(), target.param_count()
+    n = config.get("n", 2) if kind != "dense" else 1
+    cfg = UNetConfig(**kw, layer_kind=kind, n=n)
+    rows = [(name, count_params(1, cin, cout, 9, train_mixing=False),
+             count_params(n, cin, cout, 9, train_mixing=kind != "dense"))
+            for name, cin, cout, _ in unet_convs(cfg)]
+    return rows, sum(r[1] for r in rows), sum(r[2] for r in rows)
 
 
 def _count_attention(config: dict, path: str):
     blocks = config.get("blocks", 1)
-    hidden = config.get("mlp_hidden", 2 * config["embed_dim"])
+    embed = config["embed_dim"]
+    hidden = config.get("mlp_hidden", 2 * embed)
     n = config.get("n", 2)
+    AttentionConfig(embed_dim=embed, heads=config["heads"],
+                    window=config["window"], n=n)
+    if blocks < 1:
+        raise ConfigError(f"blocks must be >= 1, got {blocks}")
 
-    def stack(nn):
-        acfg = AttentionConfig(embed_dim=config["embed_dim"],
-                               heads=config["heads"],
-                               window=config["window"], n=nn)
-        rng = Rng(0)
-        parts = []
-        for b in range(blocks):
-            parts.append((f"block{b}.attn",
-                          WindowAttention(acfg, rng.fork(2 * b))))
-            parts.append((f"block{b}.mlp",
-                          PhmMlp(config["embed_dim"], hidden, nn,
-                                 rng.fork(2 * b + 1))))
-        return parts
+    def count(nn, train_mixing):
+        attn = 4 * count_params(nn, embed, embed, train_mixing=train_mixing)
+        mlp = (count_params(nn, embed, hidden, train_mixing=train_mixing)
+               + count_params(nn, hidden, embed, train_mixing=train_mixing))
+        return attn, mlp
 
-    dense, kron = stack(1), stack(n)
-    rows = [(name, d.param_count(), k.param_count())
-            for (name, d), (_, k) in zip(dense, kron)]
-    return (rows, sum(r[1] for r in rows), sum(r[2] for r in rows))
+    (dense_attn, dense_mlp), (kron_attn, kron_mlp) = count(1, False), count(n, True)
+    rows = []
+    for b in range(blocks):
+        rows += [(f"block{b}.attn", dense_attn, kron_attn),
+                 (f"block{b}.mlp", dense_mlp, kron_mlp)]
+    return rows, sum(r[1] for r in rows), sum(r[2] for r in rows)
 
 
 def cmd_count_params(args) -> int:
@@ -352,7 +346,7 @@ def _grad_targets(seed: int, h: float, tol: float):
         model = build_unet(cfg, rng.fork(10), dtype=np.float64)
         head_rng = rng.fork(11)
         for name, p in model.named_parameters():
-            if name.startswith("head.") and "kernels" in name:
+            if name == "head.blocks":
                 p.data[...] = head_rng.uniform(p.shape, -0.3, 0.3)
             if name.endswith("bias"):
                 p.data[...] = head_rng.uniform(p.shape, -0.2, 0.2)
@@ -392,9 +386,9 @@ def _bench_rows(args):
     if args.layer in ("linear", "both"):
         x = Tensor(rng.uniform((args.batch, args.in_features), -1, 1,
                                dtype=np.float32))
-        layers.append(("linear", x, lambda: DenseLinear(
-            args.in_features, args.out_features, rng=rng.fork(0),
-            dtype=np.float32)))
+        layers.append(("linear", x, lambda: KroneckerLinear(
+            args.in_features, args.out_features, 1, rng=rng.fork(0),
+            dtype=np.float32, **DENSE)))
         for n in ns:
             layers.append((f"linear", x, lambda n=n: KroneckerLinear(
                 args.in_features, args.out_features, n, rng=rng.fork(n),
@@ -402,9 +396,10 @@ def _bench_rows(args):
     if args.layer in ("conv", "both"):
         xc = Tensor(rng.uniform((args.batch, args.in_features, args.spatial,
                                  args.spatial), -1, 1, dtype=np.float32))
-        layers.append(("conv", xc, lambda: DenseConv2d(
-            args.in_features, args.out_features, args.kernel,
-            padding=args.kernel // 2, rng=rng.fork(100), dtype=np.float32)))
+        layers.append(("conv", xc, lambda: KroneckerConv2d(
+            args.in_features, args.out_features, args.kernel, 1,
+            padding=args.kernel // 2, rng=rng.fork(100), dtype=np.float32,
+            **DENSE)))
         for n in ns:
             layers.append((f"conv", xc, lambda n=n: KroneckerConv2d(
                 args.in_features, args.out_features, args.kernel, n,
@@ -412,8 +407,7 @@ def _bench_rows(args):
                 dtype=np.float32)))
     for label, x, factory in layers:
         layer = factory()
-        n = getattr(layer, "n", 1)
-        kind = layer.kind
+        n, kind = layer.n, layer.kind
         reset_mac_count()
         layer(x)
         macs = mac_count()
@@ -592,6 +586,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "OSError", "message": str(err)}),
               file=sys.stderr)
         return 4
+    except KronMriError as err:
+        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

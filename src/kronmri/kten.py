@@ -10,11 +10,13 @@ KTEN layout, all integers little-endian:
     rest        row-major payload, little-endian floats
 
 Round-trips are bit-exact; readers reject bad magic, unknown versions and
-truncated payloads.
+a payload whose declared size differs from the bytes left in the file,
+before allocating it.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -61,10 +63,12 @@ def read_kten(path) -> np.ndarray:
         count = 1
         for d in shape:
             count *= d
-        payload = fh.read(count * dtype.itemsize + 1)
-        if len(payload) != count * dtype.itemsize:
+        # Check the declared size against the file before allocating it.
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != count * dtype.itemsize:
             raise OSError(f"{path}: payload size mismatch "
-                          f"(expected {count * dtype.itemsize} bytes, got {len(payload)})")
+                          f"(expected {count * dtype.itemsize} bytes, got {left})")
+        payload = fh.read(left)
     arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     return arr.astype(arr.dtype.newbyteorder("="))
 

@@ -1,19 +1,21 @@
-"""Kronecker-factorized linear/conv layers and their dense baselines.
+"""Kronecker-factorized linear and conv layers (PHM and PHC).
 
-A factorized layer holds n mixing matrices (n x n) and n reduced weight
-blocks; the effective weight is the sum of their Kronecker products,
-materialized on every forward pass and fed to one dense matmul or conv.
-With n=1 and mixing [[1]] this reduces exactly to the dense layer.
+A layer of hypercomplex dimension n holds one mixing tensor A [n, n, n] and
+one block tensor S [n, out/n, in/n, *kernel], kernel () for linear and (k, k)
+for conv. Its weight sum_i kron(A[i], S[i]) is assembled by one `T.kron_sum`
+per forward pass. A dense layer is n=1 with A frozen to [[1]] (`**DENSE`):
+its weight is the block itself, with no assembly op and no assembly MACs.
 
-Parameter counts:
-    KroneckerLinear  n^3 + out*in/n + out
-    KroneckerConv2d  n^3 + out*in*k^2/n + out
-    DenseLinear      out*in + out
-    DenseConv2d      out*in*k^2 + out
+Parameter counts (`count_params`; mixing counts only when trainable):
+    factorized linear  n^3 + out*in/n + out
+    factorized conv    n^3 + out*in*k^2/n + out
+    dense linear       out*in + out
+    dense conv         out*in*k^2 + out
 
-Initialization: mixing entries uniform on [-1/sqrt(n), 1/sqrt(n)]; weight
-blocks (and dense weights) uniform on [-sqrt(1/fan_in), sqrt(1/fan_in)]
-with fan_in = in for linear and in*k^2 for conv; bias starts at zero.
+Init: mixing uniform on +/- 1/sqrt(n), drawn first; blocks uniform on
++/- sqrt(1/fan_in) with fan_in = in*k^2 (k=1 for linear); bias zero.
+Checkpoint kinds are dense_* (arrays weight, bias) and kron_* (A_i, then
+S_i for linear or F_i for conv, and bias).
 """
 
 from __future__ import annotations
@@ -25,65 +27,112 @@ from .errors import ConfigError, ShapeError
 from .rng import Rng
 from .tensor import Tensor
 
+DENSE = {"mixing": [[[1.0]]], "train_mixing": False}
 
-def _check_divisibility(n: int, in_features: int, out_features: int) -> None:
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+
+def count_params(n: int, in_features: int, out_features: int, taps: int = 1,
+                 train_mixing: bool = True) -> int:
+    """Parameters of a factorized layer with `taps` kernel positions per
+    block entry; a dense layer is n=1 with `train_mixing=False`."""
+    if n < 1 or min(in_features, out_features) < 1:
+        raise ConfigError(f"n, in and out must be >= 1, got {n}, {in_features}, {out_features}")
     if in_features % n or out_features % n:
         raise ConfigError(
             f"n={n} must divide both in={in_features} and out={out_features}")
+    mixing = n ** 3 if train_mixing else 0
+    return mixing + out_features * in_features * taps // n + out_features
 
 
-def _uniform_tensor(rng: Rng, shape, bound: float, dtype) -> Tensor:
-    return Tensor(rng.uniform(shape, -bound, bound, dtype=dtype), requires_grad=True)
+class _Factorized:
+    """Storage, init, counting and serialization shared by both layers.
+
+    Subclasses name their kind suffix in `_FAMILY`, their block array prefix
+    in `_BLOCK`, their size arguments in `_ARGS` (positional, before n) and
+    `_OPTS` (keywords), and define `__call__`.
+    """
+
+    def __init__(self, in_features: int, out_features: int, n: int, kernel: tuple,
+                 rng: Rng | None, dtype, train_mixing: bool, mixing):
+        taps = int(np.prod(kernel))
+        count_params(n, in_features, out_features, taps)
+        self.n = n
+        self.train_mixing = train_mixing
+        self.dtype = np.dtype(dtype)
+        if mixing is None:
+            if rng is None:
+                raise ConfigError(f"{type(self).__name__} needs an rng or explicit mixing")
+            mixing = rng.uniform((n, n, n), -1.0 / np.sqrt(n), 1.0 / np.sqrt(n), dtype=dtype)
+        mixing = np.array(mixing, dtype=dtype)
+        if mixing.shape != (n, n, n):
+            raise ShapeError(f"mixing must be {n} matrices of {n}x{n}, got {mixing.shape}")
+        self.mixing = Tensor(mixing, requires_grad=train_mixing)
+        self.dense = n == 1 and not train_mixing and mixing[0, 0, 0] == 1.0
+
+        shape = (n, out_features // n, in_features // n, *kernel)
+        if rng is not None:
+            bound = np.sqrt(1.0 / (in_features * taps))
+            blocks = rng.uniform(shape, -bound, bound, dtype=dtype)
+        else:
+            blocks = np.zeros(shape, dtype=dtype)
+        self.blocks = Tensor(blocks, requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
+
+    @property
+    def kind(self) -> str:
+        return ("dense_" if self.dense else "kron_") + self._FAMILY
+
+    def materialize_weight(self) -> Tensor:
+        """The full weight; for a dense layer the block itself."""
+        if self.dense:
+            return T.reshape(self.blocks, self.blocks.shape[1:])
+        return T.kron_sum(self.mixing, self.blocks)
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_parameters()]
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        named = [("mixing", self.mixing)] if self.train_mixing else []
+        return named + [("blocks", self.blocks), ("bias", self.bias)]
+
+    def param_count(self) -> int:
+        n, out_block, in_block, *kernel = self.blocks.shape
+        return count_params(n, n * in_block, n * out_block, int(np.prod(kernel)),
+                            self.train_mixing)
+
+    def manifest(self) -> dict:
+        out = {"kind": self.kind, "dtype": self.dtype.name}
+        out.update({key: getattr(self, key) for key in self._ARGS + self._OPTS})
+        if not self.dense:
+            out.update(n=self.n, train_mixing=self.train_mixing)
+        return out
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Checkpoint arrays by name, as views of the layer's storage."""
+        if self.dense:
+            out = {"weight": self.blocks.data[0]}
+        else:
+            out = {f"A_{i}": a for i, a in enumerate(self.mixing.data)}
+            out.update({f"{self._BLOCK}_{i}": s for i, s in enumerate(self.blocks.data)})
+        out["bias"] = self.bias.data
+        return out
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v}" for k, v in self.manifest().items() if k != "kind")
+        return f"{type(self).__name__}({fields}, params={self.param_count()})"
 
 
-class KroneckerLinear:
-    """Linear layer with weight W = sum_i kron(mixing[i], weights[i])."""
+class KroneckerLinear(_Factorized):
+    """Linear layer with weight W = sum_i kron(mixing[i], blocks[i])."""
 
-    kind = "kron_linear"
+    _FAMILY, _BLOCK = "linear", "S"
+    _ARGS, _OPTS = ("in_features", "out_features"), ()
 
     def __init__(self, in_features: int, out_features: int, n: int, *,
                  rng: Rng | None = None, dtype=np.float32,
                  train_mixing: bool = True, mixing=None):
-        _check_divisibility(n, in_features, out_features)
         self.in_features = in_features
         self.out_features = out_features
-        self.n = n
-        self.train_mixing = train_mixing
-        self.dtype = np.dtype(dtype)
-
-        if mixing is None:
-            if rng is None:
-                raise ConfigError("KroneckerLinear needs an rng or explicit mixing")
-            draw = rng.uniform((n, n, n), -1.0 / np.sqrt(n), 1.0 / np.sqrt(n), dtype=dtype)
-            self.mixing = [Tensor(draw[i], requires_grad=train_mixing) for i in range(n)]
-        else:
-            if len(mixing) != n:
-                raise ConfigError(f"expected {n} mixing matrices, got {len(mixing)}")
-            self.mixing = []
-            for m in mixing:
-                arr = np.asarray(m, dtype=dtype)
-                if arr.shape != (n, n):
-                    raise ShapeError(f"mixing matrix must be {n}x{n}, got {arr.shape}")
-                self.mixing.append(Tensor(arr, requires_grad=train_mixing))
-
-        if rng is not None:
-            bound = np.sqrt(1.0 / in_features)
-            draw = rng.uniform((n, out_features // n, in_features // n),
-                               -bound, bound, dtype=dtype)
-            self.weights = [Tensor(draw[i], requires_grad=True) for i in range(n)]
-        else:
-            block = (out_features // n, in_features // n)
-            self.weights = [Tensor(np.zeros(block, dtype=dtype), requires_grad=True)
-                            for _ in range(n)]
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
-
-    def materialize_weight(self) -> Tensor:
-        w = T.kron(self.mixing[0], self.weights[0])
-        for i in range(1, self.n):
-            w = T.add(w, T.kron(self.mixing[i], self.weights[i]))
-        return w
+        super().__init__(in_features, out_features, n, (), rng, dtype, train_mixing, mixing)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.in_features:
@@ -91,108 +140,16 @@ class KroneckerLinear:
         w = self.materialize_weight()
         return T.add_bias(T.matmul(x, T.transpose(w, (1, 0))), self.bias)
 
-    def parameters(self) -> list[Tensor]:
-        params = list(self.mixing) if self.train_mixing else []
-        return params + list(self.weights) + [self.bias]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named = [(f"mixing.{i}", m) for i, m in enumerate(self.mixing)] if self.train_mixing else []
-        named += [(f"weights.{i}", w) for i, w in enumerate(self.weights)]
-        named.append(("bias", self.bias))
-        return named
+class KroneckerConv2d(_Factorized):
+    """Conv layer whose kernel is sum_i kron(mixing[i], blocks[i]) (NCHW)."""
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def manifest(self) -> dict:
-        return {"kind": self.kind, "n": self.n,
-                "in_features": self.in_features, "out_features": self.out_features,
-                "train_mixing": self.train_mixing, "dtype": self.dtype.name}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {f"A_{i}": m.data for i, m in enumerate(self.mixing)}
-        out.update({f"S_{i}": w.data for i, w in enumerate(self.weights)})
-        out["bias"] = self.bias.data
-        return out
-
-    @classmethod
-    def from_arrays(cls, manifest: dict, arrays: dict[str, np.ndarray]) -> "KroneckerLinear":
-        n = manifest["n"]
-        layer = cls(manifest["in_features"], manifest["out_features"], n,
-                    dtype=manifest.get("dtype", "float32"),
-                    train_mixing=manifest.get("train_mixing", True),
-                    mixing=[arrays[f"A_{i}"] for i in range(n)])
-        for i in range(n):
-            layer.weights[i].data[...] = arrays[f"S_{i}"]
-        layer.bias.data[...] = arrays["bias"]
-        return layer
-
-    def __repr__(self):
-        return (f"KroneckerLinear(in={self.in_features}, out={self.out_features}, "
-                f"n={self.n}, params={self.param_count()})")
-
-
-class DenseLinear:
-    """Standard affine layer, the n=1 baseline."""
-
-    kind = "dense_linear"
-
-    def __init__(self, in_features: int, out_features: int, *,
-                 rng: Rng | None = None, dtype=np.float32):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.dtype = np.dtype(dtype)
-        if rng is not None:
-            bound = np.sqrt(1.0 / in_features)
-            self.weight = _uniform_tensor(rng, (out_features, in_features), bound, dtype)
-        else:
-            self.weight = Tensor(np.zeros((out_features, in_features), dtype=dtype),
-                                 requires_grad=True)
-        self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.in_features:
-            raise ShapeError(f"expected input [batch, {self.in_features}], got {x.shape}")
-        return T.add_bias(T.matmul(x, T.transpose(self.weight, (1, 0))), self.bias)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def param_count(self) -> int:
-        return self.weight.size + self.bias.size
-
-    def manifest(self) -> dict:
-        return {"kind": self.kind, "in_features": self.in_features,
-                "out_features": self.out_features, "dtype": self.dtype.name}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight.data, "bias": self.bias.data}
-
-    @classmethod
-    def from_arrays(cls, manifest: dict, arrays: dict[str, np.ndarray]) -> "DenseLinear":
-        layer = cls(manifest["in_features"], manifest["out_features"],
-                    dtype=manifest.get("dtype", "float32"))
-        layer.weight.data[...] = arrays["weight"]
-        layer.bias.data[...] = arrays["bias"]
-        return layer
-
-    def __repr__(self):
-        return (f"DenseLinear(in={self.in_features}, out={self.out_features}, "
-                f"params={self.param_count()})")
-
-
-class KroneckerConv2d:
-    """Conv layer whose kernel is sum_i kron(mixing[i], kernels[i]) (NCHW)."""
-
-    kind = "kron_conv"
+    _FAMILY, _BLOCK = "conv", "F"
+    _ARGS, _OPTS = ("in_channels", "out_channels", "kernel_size"), ("stride", "padding")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, n: int, *,
                  stride: int = 1, padding: int = 0, rng: Rng | None = None,
                  dtype=np.float32, train_mixing: bool = True, mixing=None):
-        _check_divisibility(n, in_channels, out_channels)
         if kernel_size < 1:
             raise ConfigError(f"kernel_size must be >= 1, got {kernel_size}")
         if stride < 1 or padding < 0:
@@ -200,42 +157,10 @@ class KroneckerConv2d:
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.n = n
         self.stride = stride
         self.padding = padding
-        self.train_mixing = train_mixing
-        self.dtype = np.dtype(dtype)
-
-        if mixing is None:
-            if rng is None:
-                raise ConfigError("KroneckerConv2d needs an rng or explicit mixing")
-            draw = rng.uniform((n, n, n), -1.0 / np.sqrt(n), 1.0 / np.sqrt(n), dtype=dtype)
-            self.mixing = [Tensor(draw[i], requires_grad=train_mixing) for i in range(n)]
-        else:
-            if len(mixing) != n:
-                raise ConfigError(f"expected {n} mixing matrices, got {len(mixing)}")
-            self.mixing = []
-            for m in mixing:
-                arr = np.asarray(m, dtype=dtype)
-                if arr.shape != (n, n):
-                    raise ShapeError(f"mixing matrix must be {n}x{n}, got {arr.shape}")
-                self.mixing.append(Tensor(arr, requires_grad=train_mixing))
-
-        block = (out_channels // n, in_channels // n, kernel_size, kernel_size)
-        if rng is not None:
-            bound = np.sqrt(1.0 / (in_channels * kernel_size * kernel_size))
-            draw = rng.uniform((n,) + block, -bound, bound, dtype=dtype)
-            self.kernels = [Tensor(draw[i], requires_grad=True) for i in range(n)]
-        else:
-            self.kernels = [Tensor(np.zeros(block, dtype=dtype), requires_grad=True)
-                            for _ in range(n)]
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-
-    def materialize_weight(self) -> Tensor:
-        w = T.kron4(self.mixing[0], self.kernels[0])
-        for i in range(1, self.n):
-            w = T.add(w, T.kron4(self.mixing[i], self.kernels[i]))
-        return w
+        super().__init__(in_channels, out_channels, n, (kernel_size, kernel_size), rng,
+                         dtype, train_mixing, mixing)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.shape[1] != self.in_channels:
@@ -243,124 +168,39 @@ class KroneckerConv2d:
         w = self.materialize_weight()
         return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)
 
-    def parameters(self) -> list[Tensor]:
-        params = list(self.mixing) if self.train_mixing else []
-        return params + list(self.kernels) + [self.bias]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named = [(f"mixing.{i}", m) for i, m in enumerate(self.mixing)] if self.train_mixing else []
-        named += [(f"kernels.{i}", k) for i, k in enumerate(self.kernels)]
-        named.append(("bias", self.bias))
-        return named
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def manifest(self) -> dict:
-        return {"kind": self.kind, "n": self.n,
-                "in_channels": self.in_channels, "out_channels": self.out_channels,
-                "kernel_size": self.kernel_size, "stride": self.stride,
-                "padding": self.padding, "train_mixing": self.train_mixing,
-                "dtype": self.dtype.name}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {f"A_{i}": m.data for i, m in enumerate(self.mixing)}
-        out.update({f"F_{i}": k.data for i, k in enumerate(self.kernels)})
-        out["bias"] = self.bias.data
-        return out
-
-    @classmethod
-    def from_arrays(cls, manifest: dict, arrays: dict[str, np.ndarray]) -> "KroneckerConv2d":
-        n = manifest["n"]
-        layer = cls(manifest["in_channels"], manifest["out_channels"],
-                    manifest["kernel_size"], n,
-                    stride=manifest.get("stride", 1), padding=manifest.get("padding", 0),
-                    dtype=manifest.get("dtype", "float32"),
-                    train_mixing=manifest.get("train_mixing", True),
-                    mixing=[arrays[f"A_{i}"] for i in range(n)])
-        for i in range(n):
-            layer.kernels[i].data[...] = arrays[f"F_{i}"]
-        layer.bias.data[...] = arrays["bias"]
-        return layer
-
-    def __repr__(self):
-        return (f"KroneckerConv2d(in={self.in_channels}, out={self.out_channels}, "
-                f"k={self.kernel_size}, n={self.n}, stride={self.stride}, "
-                f"padding={self.padding}, params={self.param_count()})")
-
-
-class DenseConv2d:
-    """Standard conv layer, the n=1 baseline (NCHW)."""
-
-    kind = "dense_conv"
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int, *,
-                 stride: int = 1, padding: int = 0, rng: Rng | None = None,
-                 dtype=np.float32):
-        if kernel_size < 1:
-            raise ConfigError(f"kernel_size must be >= 1, got {kernel_size}")
-        if stride < 1 or padding < 0:
-            raise ConfigError(f"bad stride/padding ({stride}, {padding})")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self.dtype = np.dtype(dtype)
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        if rng is not None:
-            bound = np.sqrt(1.0 / (in_channels * kernel_size * kernel_size))
-            self.weight = _uniform_tensor(rng, shape, bound, dtype)
-        else:
-            self.weight = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"expected input [B, {self.in_channels}, H, W], got {x.shape}")
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def param_count(self) -> int:
-        return self.weight.size + self.bias.size
-
-    def manifest(self) -> dict:
-        return {"kind": self.kind, "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel_size": self.kernel_size,
-                "stride": self.stride, "padding": self.padding, "dtype": self.dtype.name}
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight.data, "bias": self.bias.data}
-
-    @classmethod
-    def from_arrays(cls, manifest: dict, arrays: dict[str, np.ndarray]) -> "DenseConv2d":
-        layer = cls(manifest["in_channels"], manifest["out_channels"],
-                    manifest["kernel_size"], stride=manifest.get("stride", 1),
-                    padding=manifest.get("padding", 0),
-                    dtype=manifest.get("dtype", "float32"))
-        layer.weight.data[...] = arrays["weight"]
-        layer.bias.data[...] = arrays["bias"]
-        return layer
-
-    def __repr__(self):
-        return (f"DenseConv2d(in={self.in_channels}, out={self.out_channels}, "
-                f"k={self.kernel_size}, stride={self.stride}, padding={self.padding}, "
-                f"params={self.param_count()})")
-
-
-_LAYER_KINDS = {cls.kind: cls for cls in
-                (KroneckerLinear, DenseLinear, KroneckerConv2d, DenseConv2d)}
+_LAYER_KINDS = {f"{prefix}_{cls._FAMILY}": cls for cls in (KroneckerLinear, KroneckerConv2d)
+                for prefix in ("dense", "kron")}
 
 
 def layer_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]):
-    """Rebuild any layer from its manifest dict plus named arrays."""
-    kind = manifest.get("kind")
-    cls = _LAYER_KINDS.get(kind)
+    """Rebuild a layer from its manifest dict plus named arrays, checking
+    each array's shape and dtype against the manifest."""
+    cls = _LAYER_KINDS.get(manifest.get("kind"))
     if cls is None:
-        raise ConfigError(f"unknown layer kind {kind!r}")
-    return cls.from_arrays(manifest, arrays)
+        raise ConfigError(f"unknown layer kind {manifest.get('kind')!r}")
+    dense = manifest["kind"].startswith("dense_")
+    required = cls._ARGS + (() if dense else ("n",))
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise ConfigError(f"layer manifest lacks {missing}")
+    if any(type(manifest[key]) is not int or manifest[key] < 0
+           for key in required + cls._OPTS if key in manifest):
+        raise ConfigError(f"layer manifest sizes must be integers >= 0: {manifest}")
+    dtype = manifest.get("dtype", "float32")
+    train_mixing = manifest.get("train_mixing", True)
+    if dtype not in ("float32", "float64") or not isinstance(train_mixing, bool):
+        raise ConfigError(f"bad dtype or train_mixing in layer manifest {manifest}")
+    n = 1 if dense else manifest["n"]
+    options = DENSE if dense else {"train_mixing": train_mixing, "mixing": np.zeros((n, n, n))}
+    layer = cls(*(manifest[key] for key in cls._ARGS), n, dtype=dtype, **options,
+                **{key: manifest[key] for key in cls._OPTS if key in manifest})
+    for name, dst in layer.arrays().items():
+        src = arrays.get(name)
+        if src is None:
+            raise ConfigError(f"{manifest['kind']} layer lacks array {name!r}")
+        if src.shape != dst.shape or src.dtype != dst.dtype:
+            raise ShapeError(f"array {name!r} is {src.dtype.name}{list(src.shape)}, "
+                             f"the manifest needs {dst.dtype.name}{list(dst.shape)}")
+        dst[...] = src
+    return layer

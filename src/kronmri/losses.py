@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .kspace import fft2c
-from .layers import DenseConv2d
+from .layers import DENSE, KroneckerConv2d
 from .rng import Rng
 from .tensor import Tensor
 
@@ -56,8 +56,10 @@ class ConvFeatureExtractor:
 
     def __init__(self, seed: int = 0, channels: int = 8, dtype=np.float32):
         rng = Rng(seed)
-        self.conv1 = DenseConv2d(2, channels, 3, padding=1, rng=rng.fork(0), dtype=dtype)
-        self.conv2 = DenseConv2d(channels, channels, 3, padding=1, rng=rng.fork(1), dtype=dtype)
+        self.conv1 = KroneckerConv2d(2, channels, 3, 1, padding=1, rng=rng.fork(0),
+                                     dtype=dtype, **DENSE)
+        self.conv2 = KroneckerConv2d(channels, channels, 3, 1, padding=1, rng=rng.fork(1),
+                                     dtype=dtype, **DENSE)
         for layer in (self.conv1, self.conv2):
             for p in layer.parameters():
                 p.requires_grad = False

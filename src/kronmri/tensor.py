@@ -10,7 +10,7 @@ shapes, or a scalar (python number or 0-d tensor) against anything. Every op
 validates shapes and dtypes up front and checks its output for NaN/Inf, so a
 numerical problem surfaces at the op that created it.
 
-Multiply-accumulate counts for the contraction ops (matmul, bmm, kron, kron4,
+Multiply-accumulate counts for the contraction ops (matmul, bmm, kron_sum,
 conv2d) accumulate into a module-level counter, read with `mac_count()`.
 """
 
@@ -409,48 +409,35 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _apply("bmm", (a, b), out, vjp)
 
 
-def kron(a: Tensor, b: Tensor) -> Tensor:
-    """Kronecker product of two matrices: [p,q] x [r,s] -> [p*r, q*s]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"kron expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.data.dtype != b.data.dtype:
-        raise ShapeError(f"kron dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    p, q = a.shape
-    r, s = b.shape
-    _count_macs(p * q * r * s)
-    out = (a.data[:, None, :, None] * b.data[None, :, None, :]).reshape(p * r, q * s)
-    ad, bd = a.data, b.data
+def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
+    """Sum of Kronecker products, sum_i kron(mixing[i], blocks[i]):
+    [m,p,q] x [m,r,s,*kernel] -> [p*r, q*s, *kernel].
+
+    Trailing kernel axes of the blocks ride along, so one op assembles a
+    linear weight ([r,s] blocks) or a conv kernel ([r,s,k,k] blocks). The
+    m terms are contracted in one matmul rather than summed one by one.
+    """
+    if mixing.data.ndim != 3 or blocks.data.ndim < 3 or mixing.shape[0] != blocks.shape[0]:
+        raise ShapeError(f"kron_sum expects [m,p,q] and [m,r,s,...] operands, "
+                         f"got {mixing.shape} and {blocks.shape}")
+    if mixing.data.dtype != blocks.data.dtype:
+        raise ShapeError(f"kron_sum dtype mismatch {mixing.data.dtype} vs {blocks.data.dtype}")
+    m, p, q = mixing.shape
+    _, r, s, *kernel = blocks.shape
+    _count_macs(p * q * blocks.size)
+    ad = mixing.data.reshape(m, p * q)
+    bd = blocks.data.reshape(m, -1)
+    # [p*q, r*s*K] -> [p, r, q, s, K]: row block u, column block v.
+    out = (ad.T @ bd).reshape(p, q, r, s, -1).transpose(0, 2, 1, 3, 4)
+    out = out.reshape((p * r, q * s, *kernel))
 
     def vjp(g, needs):
-        g4 = g.reshape(p, r, q, s)
-        ga = np.einsum("iujv,uv->ij", g4, bd) if needs[0] else None
-        gb = np.einsum("iujv,ij->uv", g4, ad) if needs[1] else None
+        gt = g.reshape(p, r, q, s, -1).transpose(0, 2, 1, 3, 4).reshape(p * q, -1)
+        ga = (bd @ gt.T).reshape(m, p, q) if needs[0] else None
+        gb = (ad @ gt).reshape(blocks.shape) if needs[1] else None
         return (ga, gb)
 
-    return _apply("kron", (a, b), out, vjp)
-
-
-def kron4(a: Tensor, f: Tensor) -> Tensor:
-    """Kronecker product of a matrix with a conv kernel stack:
-    [n,n] x [o,i,k,k] -> [n*o, n*i, k, k]."""
-    if a.data.ndim != 2 or f.data.ndim != 4:
-        raise ShapeError(f"kron4 expects 2-D and 4-D operands, got {a.shape} and {f.shape}")
-    if a.data.dtype != f.data.dtype:
-        raise ShapeError(f"kron4 dtype mismatch {a.data.dtype} vs {f.data.dtype}")
-    n, n2 = a.shape
-    o, ci, kh, kw = f.shape
-    _count_macs(n * n2 * o * ci * kh * kw)
-    out = (a.data[:, None, :, None, None, None]
-           * f.data[None, :, None, :, :, :]).reshape(n * o, n2 * ci, kh, kw)
-    ad, fd = a.data, f.data
-
-    def vjp(g, needs):
-        g6 = g.reshape(n, o, n2, ci, kh, kw)
-        ga = np.einsum("upvqij,pqij->uv", g6, fd) if needs[0] else None
-        gf = np.einsum("upvqij,uv->pqij", g6, ad) if needs[1] else None
-        return (ga, gf)
-
-    return _apply("kron4", (a, f), out, vjp)
+    return _apply("kron_sum", (mixing, blocks), out, vjp)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

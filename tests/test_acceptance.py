@@ -20,7 +20,7 @@ from kronmri.algebra import preset, verify_algebra
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri.cli import _grad_targets
 from kronmri.kspace import fft2c, gen_cartesian_mask, ifft2c
-from kronmri.layers import DenseConv2d, KroneckerConv2d, KroneckerLinear
+from kronmri.layers import DENSE, KroneckerConv2d, KroneckerLinear
 from kronmri.metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, psnr,
                              ssim)
 from kronmri.rng import Rng
@@ -56,7 +56,7 @@ class TestStructure:
         worst = (0.0, "")
         for c in (64, 128, 256):
             for k in (1, 3):
-                dense = DenseConv2d(c, c, k, padding=k // 2, rng=Rng(2))
+                dense = KroneckerConv2d(c, c, k, 1, padding=k // 2, rng=Rng(2), **DENSE)
                 counts = {}
                 for n in (1, 2, 4):
                     layer = KroneckerConv2d(c, c, k, n, padding=k // 2,
@@ -85,8 +85,8 @@ class TestStructure:
             x = rng.fork(2 * trial + 1).uniform((3, i), -1.0, 1.0)
             got = layer(Tensor(x)).data
             w = np.zeros((o, i))
-            for a, s in zip(layer.mixing, layer.weights):
-                w += np.kron(a.data, s.data)
+            for a, s in zip(layer.mixing.data, layer.blocks.data):
+                w += np.kron(a, s)
             want = x @ w.T + layer.bias.data[None, :]
             worst = max(worst, float(np.abs(got - want).max()))
         for trial in range(500):
@@ -101,11 +101,11 @@ class TestStructure:
             got = layer(Tensor(x)).data
             bo, bi = c // n, c // n
             w = np.zeros((c, c, k, k))
-            for a, f in zip(layer.mixing, layer.kernels):
+            for a, f in zip(layer.mixing.data, layer.blocks.data):
                 for u in range(n):
                     for v in range(n):
                         w[u * bo:(u + 1) * bo, v * bi:(v + 1) * bi] += (
-                            a.data[u, v] * f.data)
+                            a[u, v] * f)
             xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
             side = 5 + 2 * pad - k + 1
             want = np.empty((2, c, side, side))

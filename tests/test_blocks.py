@@ -22,7 +22,7 @@ def randomize_head(model: UNet, seed: int = 99, scale: float = 0.3):
     reach every layer."""
     rng = Rng(seed)
     for name, p in model.named_parameters():
-        if name.startswith("head.") and ("kernels" in name or name.endswith("weight")):
+        if name == "head.blocks":
             p.data[...] = rng.uniform(p.shape, -scale, scale, dtype=p.data.dtype)
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from kronmri.blocks import UNetConfig, build_unet
+from kronmri import cli
 from kronmri.cli import build_parser, main
+from kronmri.errors import TapeError
 from kronmri.kspace import apply_mask, fft2c, gen_cartesian_mask, gen_phantom, ifft2c
 from kronmri.kten import read_kten, write_kten
 from kronmri.rng import Rng
@@ -104,6 +106,29 @@ class TestExitCodes:
                                "--truth", str(tmp_path / "missing.kten"))
         assert code == 4
         assert stderr_json(err)["error"] == "OSError"
+
+    def test_other_package_error_is_one(self, capsys, monkeypatch):
+        def misuse(args):
+            raise TapeError("backward called twice on the same tape")
+        monkeypatch.setattr(cli, "cmd_metrics", misuse)
+        code, _, err = run_cli(capsys, "metrics", "--recon", "r.kten",
+                               "--truth", "t.kten")
+        assert code == 1
+        payload = stderr_json(err)
+        assert payload["error"] == "TapeError"
+        assert "backward" in payload["message"]
+
+    def test_corrupt_checkpoint_is_two(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=4,
+                              layer_kind="kronecker", n=2), Rng(0)).save(ckpt)
+        write_kten(os.path.join(ckpt, "000_F_0.kten"), np.array([7.0]))
+        kspace = str(tmp_path / "k.kten")
+        write_kten(kspace, np.zeros((2, 8, 8), dtype=np.float32))
+        code, _, err = run_cli(capsys, "reconstruct", "--input", kspace,
+                               "--checkpoint", ckpt, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert stderr_json(err)["error"] == "ShapeError"
 
 
 class TestGenData:
@@ -229,6 +254,20 @@ class TestCountParams:
             _, out, _ = run_cli(capsys, "count-params", "--config", cfg)
             ratios[n] = parse_table(out)[-1][3]
         assert ratios[4] < ratios[2]
+
+    def test_attention_dense_column_is_plain_affine_count(self, capsys, tmp_path):
+        cfg = self.write_cfg(tmp_path, {
+            "model": "attention", "embed_dim": 16, "heads": 2, "window": 2,
+            "n": 2, "mlp_hidden": 32})
+        code, out, _ = run_cli(capsys, "count-params", "--config", cfg)
+        assert code == 0
+        rows = {r[0]: r[1] for r in parse_table(out)}
+
+        def affine(fan_in, fan_out):
+            return fan_out * fan_in + fan_out
+        assert rows["block0.attn"] == 4 * affine(16, 16) == 1088
+        assert rows["block0.mlp"] == affine(16, 32) + affine(32, 16) == 1072
+        assert rows["total"] == 1088 + 1072
 
     def test_not_json_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

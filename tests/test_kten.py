@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kronmri.errors import ShapeError
 from kronmri.kten import read_kten, write_kten, write_pgm
@@ -75,6 +77,25 @@ class TestReadValidation:
         padded.write_bytes(good.read_bytes() + b"\x00")
         with pytest.raises(OSError):
             read_kten(padded)
+
+    def test_huge_declared_payload_fails_before_allocating(self, tmp_path):
+        # 15 bytes: a rank-1 float64 header declaring 2**40 elements (8 TiB)
+        path = tmp_path / "h.kten"
+        path.write_bytes(b"KTEN" + bytes([1, 2, 1]) + struct.pack("<Q", 2**40))
+        assert path.stat().st_size == 15
+        with pytest.raises(OSError, match="payload size mismatch"):
+            read_kten(path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.integers(0, 7 + 2 * 8 + 6 * 4 - 1))
+    def test_every_truncation_is_rejected(self, tmp_path, cut):
+        good = tmp_path / "g.kten"
+        write_kten(good, np.ones((2, 3), dtype=np.float32))
+        clipped = tmp_path / "c.kten"
+        clipped.write_bytes(good.read_bytes()[:cut])
+        with pytest.raises(OSError):
+            read_kten(clipped)
 
 
 class TestPgm:

@@ -5,8 +5,8 @@ import pytest
 
 from kronmri import tensor as T
 from kronmri.errors import ConfigError, ShapeError
-from kronmri.layers import (DenseConv2d, DenseLinear, KroneckerConv2d,
-                            KroneckerLinear, layer_from_arrays)
+from kronmri.layers import (DENSE, KroneckerConv2d, KroneckerLinear,
+                            count_params, layer_from_arrays)
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward, grad_check
 
@@ -25,8 +25,8 @@ class TestKroneckerLinearForward:
     def test_n1_with_unit_mixing_matches_dense_bitwise(self):
         rng = Rng(100)
         kl = KroneckerLinear(6, 4, 1, rng=rng, dtype=np.float64, mixing=[np.array([[1.0]])])
-        dense = DenseLinear(6, 4, dtype=np.float64)
-        dense.weight.data[...] = kl.materialize_weight().data
+        dense = KroneckerLinear(6, 4, 1, dtype=np.float64, **DENSE)
+        dense.blocks.data[0] = kl.materialize_weight().data
         x = Tensor(Rng(101).uniform((3, 6), -1, 1))
         assert np.array_equal(kl(x).data, dense(x).data)
 
@@ -38,8 +38,8 @@ class TestKroneckerLinearForward:
         wi = rng.uniform((3, 2), -1, 1)
         kl = KroneckerLinear(4, 6, 2, dtype=np.float64,
                              mixing=[np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
-        kl.weights[0].data[...] = wr
-        kl.weights[1].data[...] = wi
+        kl.blocks.data[0] = wr
+        kl.blocks.data[1] = wi
         a = rng.uniform((5, 2), -1, 1)
         b = rng.uniform((5, 2), -1, 1)
         x = np.concatenate([a, b], axis=1)           # (real || imag) layout
@@ -83,14 +83,14 @@ class TestMaterialize:
     def test_n1_returns_block_unchanged(self):
         kl = KroneckerLinear(3, 3, 1, rng=Rng(109), dtype=np.float64,
                              mixing=[np.array([[1.0]])])
-        assert np.array_equal(kl.materialize_weight().data, kl.weights[0].data)
+        assert np.array_equal(kl.materialize_weight().data, kl.blocks.data[0])
 
     def test_zero_mixing_contributes_nothing(self):
         kl = KroneckerLinear(4, 4, 2, dtype=np.float64,
                              mixing=[np.eye(2), np.zeros((2, 2))])
         s = Rng(110).uniform((2, 2), -1, 1)
-        kl.weights[0].data[...] = s
-        kl.weights[1].data[...] = Rng(111).uniform((2, 2), -1, 1)
+        kl.blocks.data[0] = s
+        kl.blocks.data[1] = Rng(111).uniform((2, 2), -1, 1)
         w = kl.materialize_weight().data
         assert np.array_equal(w, kron_np(np.eye(2), s))
 
@@ -101,8 +101,8 @@ class TestMaterialize:
         assert w.shape == (6, 4, 3, 3)
         expect = np.zeros_like(w)
         for i in range(2):
-            a = kc.mixing[i].data
-            f = kc.kernels[i].data
+            a = kc.mixing.data[i]
+            f = kc.blocks.data[i]
             for y in range(3):
                 for x in range(3):
                     expect[:, :, y, x] += kron_np(a, f[:, :, y, x])
@@ -111,7 +111,7 @@ class TestMaterialize:
 
 class TestParamCounts:
     def test_dense_linear_128(self):
-        assert DenseLinear(128, 128, rng=Rng(0)).param_count() == 16512
+        assert KroneckerLinear(128, 128, 1, rng=Rng(0), **DENSE).param_count() == 16512
 
     def test_kron_linear_n2_128(self):
         kl = KroneckerLinear(128, 128, 2, rng=Rng(0))
@@ -122,14 +122,14 @@ class TestParamCounts:
         assert kl.param_count() == 4 * 16 + 4 * 32 * 32 + 128 == 4288
 
     def test_conv_counts(self):
-        assert DenseConv2d(16, 32, 3, rng=Rng(0)).param_count() == 32 * 16 * 9 + 32
+        assert KroneckerConv2d(16, 32, 3, 1, rng=Rng(0), **DENSE).param_count() == 32 * 16 * 9 + 32
         kc = KroneckerConv2d(16, 32, 3, 2, rng=Rng(0))
         assert kc.param_count() == 8 + (32 * 16 * 9) // 2 + 32
 
     def test_frozen_mixing_excluded(self):
         kl = KroneckerLinear(8, 8, 2, rng=Rng(0), train_mixing=False)
         assert kl.param_count() == 2 * 4 * 4 + 8
-        assert all(not p.data.shape == (2, 2) for p in kl.parameters())
+        assert all(not p.data.shape == (2, 2, 2) for p in kl.parameters())
 
     @pytest.mark.parametrize("size", [64, 128, 256])
     @pytest.mark.parametrize("k", [1, 3])
@@ -137,7 +137,7 @@ class TestParamCounts:
     def test_ratio_band(self, size, k, n):
         rng = Rng(1)
         kron = KroneckerConv2d(size, size, k, n, rng=rng)
-        dense = DenseConv2d(size, size, k, rng=rng)
+        dense = KroneckerConv2d(size, size, k, 1, rng=rng, **DENSE)
         ratio = kron.param_count() / dense.param_count()
         assert 1.0 / n < ratio < 1.0 / n + 0.05
 
@@ -152,7 +152,7 @@ class TestInit:
 
     def test_bias_exactly_zero(self):
         for layer in (KroneckerLinear(8, 8, 2, rng=Rng(1)),
-                      DenseConv2d(4, 4, 3, rng=Rng(2))):
+                      KroneckerConv2d(4, 4, 3, 1, rng=Rng(2), **DENSE)):
             assert np.all(layer.bias.data == 0.0)
 
     def test_n1_block_variance_matches_dense(self):
@@ -160,10 +160,10 @@ class TestInit:
         # bound as a dense weight; empirical variances agree within 10%.
         draws_k = np.concatenate(
             [KroneckerLinear(64, 64, 1, rng=Rng(1000 + i), dtype=np.float64)
-             .weights[0].data.reshape(-1) for i in range(3)])
+             .blocks.data[0].reshape(-1) for i in range(3)])
         draws_d = np.concatenate(
-            [DenseLinear(64, 64, rng=Rng(2000 + i), dtype=np.float64)
-             .weight.data.reshape(-1) for i in range(3)])
+            [KroneckerLinear(64, 64, 1, rng=Rng(2000 + i), dtype=np.float64, **DENSE)
+             .blocks.data.reshape(-1) for i in range(3)])
         assert draws_k.size >= 10_000 and draws_d.size >= 10_000
         ratio = draws_k.var() / draws_d.var()
         assert 0.9 < ratio < 1.1
@@ -171,14 +171,14 @@ class TestInit:
     def test_mixing_bound(self):
         kl = KroneckerLinear(8, 8, 4, rng=Rng(3), dtype=np.float64)
         bound = 1.0 / np.sqrt(4)
-        for m in kl.mixing:
-            assert np.all(np.abs(m.data) <= bound)
+        for m in kl.mixing.data:
+            assert np.all(np.abs(m) <= bound)
 
     def test_block_bound(self):
         kc = KroneckerConv2d(8, 8, 3, 2, rng=Rng(4), dtype=np.float64)
         bound = np.sqrt(1.0 / (8 * 9))
-        for f in kc.kernels:
-            assert np.all(np.abs(f.data) <= bound)
+        for f in kc.blocks.data:
+            assert np.all(np.abs(f) <= bound)
 
 
 class TestConvForward:
@@ -186,8 +186,8 @@ class TestConvForward:
         rng = Rng(120)
         kc = KroneckerConv2d(3, 5, 3, 1, rng=rng, padding=1, dtype=np.float64,
                              mixing=[np.array([[1.0]])])
-        dense = DenseConv2d(3, 5, 3, padding=1, dtype=np.float64)
-        dense.weight.data[...] = kc.kernels[0].data
+        dense = KroneckerConv2d(3, 5, 3, 1, padding=1, dtype=np.float64, **DENSE)
+        dense.blocks.data[0] = kc.blocks.data[0]
         x = Tensor(Rng(121).uniform((2, 3, 6, 6), -1, 1))
         assert np.array_equal(kc(x).data, dense(x).data)
 
@@ -196,8 +196,8 @@ class TestConvForward:
         kc = KroneckerConv2d(2, 2, 1, 2, dtype=np.float64,
                              mixing=[np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])])
         wr, wi = 0.8, -1.7
-        kc.kernels[0].data[...] = wr
-        kc.kernels[1].data[...] = wi
+        kc.blocks.data[0] = wr
+        kc.blocks.data[1] = wi
         rng = Rng(122)
         re = rng.uniform((1, 1, 4, 4), -1, 1)
         im = rng.uniform((1, 1, 4, 4), -1, 1)
@@ -259,18 +259,16 @@ class TestGradients:
         with Tape():
             loss = T.sum_(kl(x))
         grads = backward(loss)
-        for m in kl.mixing:
-            assert m not in grads
-        for w in kl.weights:
-            assert w in grads
+        assert kl.mixing not in grads
+        assert kl.blocks in grads
 
 
 class TestSerialization:
     @pytest.mark.parametrize("make", [
         lambda: KroneckerLinear(8, 4, 2, rng=Rng(140)),
-        lambda: DenseLinear(8, 4, rng=Rng(141)),
+        lambda: KroneckerLinear(8, 4, 1, rng=Rng(141), **DENSE),
         lambda: KroneckerConv2d(4, 8, 3, 2, rng=Rng(142), stride=2, padding=1),
-        lambda: DenseConv2d(4, 8, 3, rng=Rng(143), padding=1),
+        lambda: KroneckerConv2d(4, 8, 3, 1, rng=Rng(143), padding=1, **DENSE),
     ])
     def test_roundtrip_through_arrays(self, make):
         layer = make()
@@ -288,3 +286,72 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             layer_from_arrays({"kind": "mystery"}, {})
+
+
+class TestDenseCase:
+    def test_kind_and_manifest(self):
+        dense = KroneckerConv2d(4, 8, 3, 1, padding=1, rng=Rng(150), **DENSE)
+        assert dense.kind == "dense_conv"
+        assert dense.manifest() == {"kind": "dense_conv", "in_channels": 4,
+                                    "out_channels": 8, "kernel_size": 3, "stride": 1,
+                                    "padding": 1, "dtype": "float32"}
+        assert set(dense.arrays()) == {"weight", "bias"}
+        assert dense.parameters() == [dense.blocks, dense.bias]
+        # trainable or non-unit n=1 mixing stays a factorized layer
+        assert KroneckerLinear(4, 4, 1, rng=Rng(151)).kind == "kron_linear"
+        assert KroneckerLinear(4, 4, 1, mixing=[[[2.0]]],
+                               train_mixing=False).kind == "kron_linear"
+
+    def test_weight_is_the_block_with_no_assembly_macs(self):
+        dense = KroneckerLinear(6, 4, 1, rng=Rng(152), dtype=np.float64, **DENSE)
+        T.reset_mac_count()
+        w = dense.materialize_weight()
+        assert T.mac_count() == 0
+        assert np.array_equal(w.data, dense.blocks.data[0])
+
+    def test_factorized_weight_is_one_tape_node(self):
+        kc = KroneckerConv2d(4, 8, 3, 4, rng=Rng(153), dtype=np.float64)
+        with Tape() as tape:
+            kc.materialize_weight()
+        assert [node.name for node in tape.nodes] == ["kron_sum"]
+
+    @pytest.mark.parametrize("n,taps,train", [(1, 1, False), (1, 9, False), (2, 1, True),
+                                              (4, 9, True), (2, 9, False)])
+    def test_count_params_matches_parameters(self, n, taps, train):
+        options = DENSE if (n, train) == (1, False) else {"train_mixing": train}
+        if taps == 1:
+            layer = KroneckerLinear(8, 16, n, rng=Rng(154), **options)
+        else:
+            layer = KroneckerConv2d(8, 16, 3, n, rng=Rng(154), **options)
+        assert layer.param_count() == count_params(n, 8, 16, taps, train)
+        assert layer.param_count() == sum(p.size for p in layer.parameters())
+
+
+class TestFromArraysValidation:
+    def test_wrong_shape_or_dtype_is_shape_error(self):
+        layer = KroneckerConv2d(4, 8, 3, 2, rng=Rng(160), padding=1)
+        for bad in (np.full((1,), 7.0), layer.arrays()["F_0"].astype(np.float64)):
+            arrays = dict(layer.arrays(), F_0=bad)
+            with pytest.raises(ShapeError):
+                layer_from_arrays(layer.manifest(), arrays)
+
+    def test_missing_manifest_key_is_config_error(self):
+        layer = KroneckerConv2d(4, 8, 3, 2, rng=Rng(161))
+        for key in ("kernel_size", "n", "in_channels"):
+            manifest = layer.manifest()
+            del manifest[key]
+            with pytest.raises(ConfigError):
+                layer_from_arrays(manifest, layer.arrays())
+
+    def test_missing_array_is_config_error(self):
+        layer = KroneckerLinear(4, 4, 1, rng=Rng(162), **DENSE)
+        with pytest.raises(ConfigError):
+            layer_from_arrays(layer.manifest(), {"bias": layer.bias.data})
+
+    @pytest.mark.parametrize("field,value", [("n", "2"), ("stride", -1),
+                                             ("dtype", "int8"), ("train_mixing", 1)])
+    def test_bad_manifest_value_is_config_error(self, field, value):
+        layer = KroneckerConv2d(4, 8, 3, 2, rng=Rng(163))
+        manifest = dict(layer.manifest(), **{field: value})
+        with pytest.raises(ConfigError):
+            layer_from_arrays(manifest, layer.arrays())

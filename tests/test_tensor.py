@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmri import tensor as T
 from kronmri.errors import NumericError, ShapeError, TapeError
@@ -19,6 +21,11 @@ def kron_oracle(a, b):
         for j in range(q):
             out[i * r:(i + 1) * r, j * s:(j + 1) * s] = a[i, j] * b
     return out
+
+
+def kron(a: Tensor, b: Tensor) -> Tensor:
+    """One Kronecker product, as a one-term kron_sum."""
+    return T.kron_sum(T.reshape(a, (1,) + a.shape), T.reshape(b, (1,) + b.shape))
 
 
 def matmul_oracle(a, b):
@@ -239,26 +246,26 @@ class TestKron:
         rng = Rng(6)
         a = rng.uniform((2, 3), -1, 1)
         b = rng.uniform((4, 2), -1, 1)
-        out = T.kron(Tensor(a), Tensor(b))
+        out = kron(Tensor(a), Tensor(b))
         assert out.shape == (8, 6)
         assert np.array_equal(out.data, kron_oracle(a, b))
 
     def test_identity_blocks(self):
         b = Rng(7).uniform((2, 2), -1, 1)
-        out = T.kron(Tensor(np.eye(2)), Tensor(b)).data
+        out = kron(Tensor(np.eye(2)), Tensor(b)).data
         assert np.array_equal(out[:2, :2], b)
         assert np.array_equal(out[2:, 2:], b)
         assert np.all(out[:2, 2:] == 0) and np.all(out[2:, :2] == 0)
 
     def test_scalar_factor(self):
         b = Rng(8).uniform((3, 3), -1, 1)
-        assert np.array_equal(T.kron(Tensor([[2.0]]), Tensor(b)).data, 2.0 * b)
+        assert np.array_equal(kron(Tensor([[2.0]]), Tensor(b)).data, 2.0 * b)
 
     def test_associativity(self):
         rng = Rng(9)
         a, b, c = (rng.uniform((2, 2), -1, 1) for _ in range(3))
-        left = T.kron(T.kron(Tensor(a), Tensor(b)), Tensor(c)).data
-        right = T.kron(Tensor(a), T.kron(Tensor(b), Tensor(c))).data
+        left = kron(kron(Tensor(a), Tensor(b)), Tensor(c)).data
+        right = kron(Tensor(a), kron(Tensor(b), Tensor(c))).data
         assert np.allclose(left, right, atol=1e-12)
 
     def test_mixed_product(self):
@@ -268,7 +275,7 @@ class TestKron:
         lhs = kron_oracle(a, b) @ kron_oracle(c, d)
         rhs = kron_oracle(a @ c, b @ d)
         assert np.allclose(lhs, rhs, atol=1e-12)
-        assert np.allclose(T.kron(Tensor(a), Tensor(b)).data @ T.kron(Tensor(c), Tensor(d)).data,
+        assert np.allclose(kron(Tensor(a), Tensor(b)).data @ kron(Tensor(c), Tensor(d)).data,
                            rhs, atol=1e-12)
 
     def test_grad_vs_fd(self):
@@ -278,7 +285,7 @@ class TestKron:
         w = rng.uniform((6, 4), -1, 1)  # weighting so the gradient is nontrivial
         ta, tb = leaf(a.copy()), leaf(b.copy())
         with Tape():
-            loss = T.sum_(T.mul(T.kron(ta, tb), Tensor(w)))
+            loss = T.sum_(T.mul(kron(ta, tb), Tensor(w)))
         grads = backward(loss)
         num = fd_grad(lambda: float((kron_oracle(ta.data, tb.data) * w).sum()),
                       [ta.data, tb.data])
@@ -291,7 +298,7 @@ class TestKron4:
         rng = Rng(15)
         a = rng.uniform((2, 2), -1, 1)
         f = rng.uniform((3, 2, 3, 3), -1, 1)
-        out = T.kron4(Tensor(a), Tensor(f)).data
+        out = kron(Tensor(a), Tensor(f)).data
         assert out.shape == (6, 4, 3, 3)
         for i in range(3):
             for j in range(3):
@@ -299,14 +306,14 @@ class TestKron4:
 
     def test_identity_mixing(self):
         f = Rng(16).uniform((2, 2, 3, 3), -1, 1)
-        out = T.kron4(Tensor(np.eye(2)), Tensor(f)).data
+        out = kron(Tensor(np.eye(2)), Tensor(f)).data
         assert np.array_equal(out[:2, :2], f)
         assert np.all(out[:2, 2:] == 0)
 
     def test_sign_pattern(self):
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
         f = np.ones((1, 1, 1, 1))
-        out = T.kron4(Tensor(j), Tensor(f)).data
+        out = kron(Tensor(j), Tensor(f)).data
         assert np.array_equal(out[:, :, 0, 0], j)
 
     def test_grad_vs_fd(self):
@@ -316,7 +323,7 @@ class TestKron4:
         w = rng.uniform((4, 2, 2, 2), -1, 1)
         ta, tf = leaf(a.copy()), leaf(f.copy())
         with Tape():
-            loss = T.sum_(T.mul(T.kron4(ta, tf), Tensor(w)))
+            loss = T.sum_(T.mul(kron(ta, tf), Tensor(w)))
         grads = backward(loss)
 
         def scalar():
@@ -329,6 +336,39 @@ class TestKron4:
         num = fd_grad(scalar, [ta.data, tf.data])
         assert np.allclose(grads[ta].data, num[0], atol=1e-6)
         assert np.allclose(grads[tf].data, num[1], atol=1e-6)
+
+
+class TestKronSum:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([1, 2, 4]), r=st.integers(1, 3), s=st.integers(1, 3),
+           k=st.sampled_from([0, 1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_np_kron_sum_and_grad_check(self, n, r, s, k, seed):
+        # k == 0 stands for a linear block (no kernel axes)
+        kernel = (k, k) if k else ()
+        rng = Rng(seed)
+        a = rng.uniform((n, n, n), -1, 1)
+        b = rng.uniform((n, r, s) + kernel, -1, 1)
+        out = T.kron_sum(Tensor(a), Tensor(b)).data
+        want = sum(np.kron(a[i].reshape((n, n) + (1,) * len(kernel)), b[i])
+                   for i in range(n))
+        assert out.shape == (n * r, n * s) + kernel
+        assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+
+        ta, tb = leaf(a), leaf(b)
+        w = Tensor(rng.uniform(want.shape, -1, 1))
+        report = grad_check(lambda: T.sum_(T.mul(T.kron_sum(ta, tb), w)), [ta, tb])
+        assert report.passed, repr(report)
+
+    def test_mac_count(self):
+        reset_mac_count()
+        T.kron_sum(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 3, 4, 3, 3))))
+        assert mac_count() == 2 * (2 * 2) * (3 * 4 * 9)
+
+    def test_rejects_mismatched_terms(self):
+        with pytest.raises(ShapeError):
+            T.kron_sum(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((3, 1, 1))))
+        with pytest.raises(ShapeError):
+            T.kron_sum(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1, 1))))
 
 
 class TestConv2d:
@@ -588,7 +628,7 @@ class TestMacCounting:
 
     def test_kron_count_and_reset(self):
         reset_mac_count()
-        T.kron(Tensor(np.ones((2, 2))), Tensor(np.ones((8, 16))))
+        kron(Tensor(np.ones((2, 2))), Tensor(np.ones((8, 16))))
         assert mac_count() == 2 * 2 * 8 * 16
         reset_mac_count()
         assert mac_count() == 0
