@@ -17,7 +17,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .kten import read_kten, write_kten
-from .layers import DENSE, KroneckerConv2d, KroneckerLinear, layer_from_arrays
+from .layers import (DENSE, KroneckerConv2d, KroneckerLinear, Module, layer_from_arrays,
+                     nested)
 from .rng import Rng
 from .tensor import Tensor
 
@@ -67,10 +68,6 @@ class UNetConfig:
                 "layer_kind": self.layer_kind, "n": self.n,
                 "in_channels": self.in_channels, "out_channels": self.out_channels}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "UNetConfig":
-        return cls(**d)
-
 
 @dataclass
 class AttentionConfig:
@@ -104,7 +101,7 @@ def unet_convs(cfg: UNetConfig):
     yield "head", chans[0], cfg.out_channels, 1
 
 
-class UNet:
+class UNet(Module):
     """Encoder-decoder with skip concatenation and a residual output head.
 
     Downsampling is a stride-2 conv, upsampling nearest-neighbor x2 followed
@@ -165,26 +162,25 @@ class UNet:
             out = T.add(out, x)
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, layer in self._layers for p in layer.parameters()]
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(f"{lname}.{pname}", p) for lname, layer in self._layers
-                for pname, p in layer.named_parameters()]
-
-    def param_count(self) -> int:
-        return sum(layer.param_count() for _, layer in self._layers)
+        return nested(self._layers)
 
     def save(self, path: str) -> None:
+        """Write the checkpoint into `path`. Array files that a checkpoint
+        already there names, and this one does not, are deleted first. A
+        name there that leaves `path` is a ConfigError before any file is
+        deleted or written."""
+        entries = [{"name": name, "manifest": layer.manifest(),
+                    "arrays": {aname: f"{idx:03d}_{aname}.kten" for aname in layer.arrays()}}
+                   for idx, (name, layer) in enumerate(self._layers)]
         os.makedirs(path, exist_ok=True)
-        entries = []
-        for idx, (name, layer) in enumerate(self._layers):
-            entry = {"name": name, "manifest": layer.manifest(), "arrays": {}}
+        keep = {fname for entry in entries for fname in entry["arrays"].values()}
+        for stale in [_array_path(path, fname) for fname in _named_arrays(path) - keep]:
+            if os.path.isfile(stale):
+                os.remove(stale)
+        for entry, (_, layer) in zip(entries, self._layers):
             for aname, arr in layer.arrays().items():
-                fname = f"{idx:03d}_{aname}.kten"
-                write_kten(os.path.join(path, fname), arr)
-                entry["arrays"][aname] = fname
-            entries.append(entry)
+                write_kten(os.path.join(path, entry["arrays"][aname]), arr)
         manifest = {"format": CHECKPOINT_FORMAT, "model": "unet",
                     "config": self.cfg.to_dict(), "layers": entries}
         with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
@@ -205,7 +201,7 @@ class UNet:
             raise ConfigError(f"not a recognizable checkpoint: {path}")
         store = {}
         try:
-            cfg = UNetConfig.from_dict(manifest["config"])
+            cfg = UNetConfig(**manifest["config"])
             for entry in manifest["layers"]:
                 arrays = {aname: read_kten(_array_path(path, fname))
                           for aname, fname in entry["arrays"].items()}
@@ -213,6 +209,17 @@ class UNet:
         except (KeyError, TypeError, AttributeError) as err:
             raise ConfigError(f"{path}: malformed checkpoint manifest ({err!r})") from None
         return cls(cfg, _store=store)
+
+
+def _named_arrays(path: str) -> set:
+    """Array file names the manifest in `path` lists; none if there is no
+    readable checkpoint manifest."""
+    try:
+        with open(os.path.join(path, MANIFEST_NAME)) as fh:
+            manifest = json.load(fh)
+        return {fname for entry in manifest["layers"] for fname in entry["arrays"].values()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return set()
 
 
 def _array_path(path: str, fname) -> str:
@@ -225,7 +232,7 @@ def build_unet(cfg: UNetConfig, rng: Rng, dtype=np.float32) -> UNet:
     return UNet(cfg, rng=rng, dtype=dtype)
 
 
-class WindowAttention:
+class WindowAttention(Module):
     """Non-shifted window self-attention with factorized projections.
 
     Input is [batch, tokens, embed] where tokens split into consecutive
@@ -275,23 +282,11 @@ class WindowAttention:
         out = self.wo(T.reshape(ctx, (batch * tokens, embed)))
         return T.reshape(out, (batch, tokens, embed))
 
-    def parameters(self) -> list[Tensor]:
-        return [p for proj in (self.wq, self.wk, self.wv, self.wo)
-                for p in proj.parameters()]
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for label, proj in (("wq", self.wq), ("wk", self.wk),
-                            ("wv", self.wv), ("wo", self.wo)):
-            named += [(f"{label}.{pname}", p) for pname, p in proj.named_parameters()]
-        return named
-
-    def param_count(self) -> int:
-        return sum(proj.param_count()
-                   for proj in (self.wq, self.wk, self.wv, self.wo))
+        return nested(zip(("wq", "wk", "wv", "wo"), (self.wq, self.wk, self.wv, self.wo)))
 
 
-class PhmMlp:
+class PhmMlp(Module):
     """Two factorized linear layers with a ReLU between, on [batch, features]."""
 
     def __init__(self, features: int, hidden: int, n: int, rng: Rng,
@@ -302,12 +297,5 @@ class PhmMlp:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.relu(self.fc1(x)))
 
-    def parameters(self) -> list[Tensor]:
-        return self.fc1.parameters() + self.fc2.parameters()
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return ([(f"fc1.{n}", p) for n, p in self.fc1.named_parameters()]
-                + [(f"fc2.{n}", p) for n, p in self.fc2.named_parameters()])
-
-    def param_count(self) -> int:
-        return self.fc1.param_count() + self.fc2.param_count()
+        return nested((("fc1", self.fc1), ("fc2", self.fc2)))

@@ -4,8 +4,8 @@ Subcommands cover dataset/mask generation, training, reconstruction,
 metric reporting, parameter accounting, algebra verification, gradient
 checking, and kernel benchmarking. Results go to stdout (JSON or CSV);
 errors go to stderr as one JSON line with exit codes 2 (config), 3
-(numeric), 4 (I/O), and 1 for any other package error (such as a
-TapeError, which means kronmri misused its own autodiff tape).
+(numeric), 4 (I/O or out of memory), and 1 for any other package error
+(such as a TapeError, which means kronmri misused its own autodiff tape).
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ _UNET_KEYS = {"channel_multiples", "base_channels", "layer_kind", "n",
 _ATTN_KEYS = {"embed_dim", "heads", "window", "n", "blocks", "mlp_hidden"}
 
 
-def _count_unet(config: dict, path: str):
+def _count_unet(config: dict):
     kw = {k: v for k, v in config.items()
           if k not in ("model", "layer_kind", "n")}
     kind = _normalize_kind(config.get("layer_kind", "kronecker"))
@@ -223,7 +223,7 @@ def _count_unet(config: dict, path: str):
     return rows, sum(r[1] for r in rows), sum(r[2] for r in rows)
 
 
-def _count_attention(config: dict, path: str):
+def _count_attention(config: dict):
     blocks = config.get("blocks", 1)
     embed = config["embed_dim"]
     hidden = config.get("mlp_hidden", 2 * embed)
@@ -266,7 +266,7 @@ def cmd_count_params(args) -> int:
         if key != "model" and key not in allowed:
             raise ConfigError(f"{args.config}: unknown field {key!r}")
     try:
-        rows, dense_total, kron_total = counter(config, args.config)
+        rows, dense_total, kron_total = counter(config)
     except TypeError as err:
         raise ConfigError(f"{args.config}: {err}")
     except KeyError as err:
@@ -294,43 +294,29 @@ def cmd_verify_algebra(args) -> int:
 def _grad_targets(seed: int, h: float, tol: float):
     rng = Rng(seed)
 
+    def mean_square(model, x):
+        def f():
+            y = model(x)
+            return T.mean_(T.mul(y, y))
+        return f, model.parameters(), tol
+
     def linear():
         layer = KroneckerLinear(8, 8, 2, rng=rng.fork(0), dtype=np.float64)
-        x = Tensor(rng.fork(1).uniform((3, 8), -1, 1))
-
-        def f():
-            y = layer(x)
-            return T.mean_(T.mul(y, y))
-        return f, layer.parameters(), tol
+        return mean_square(layer, Tensor(rng.fork(1).uniform((3, 8), -1, 1)))
 
     def conv():
         layer = KroneckerConv2d(2, 4, 3, 2, padding=1, rng=rng.fork(2),
                                 dtype=np.float64)
-        x = Tensor(rng.fork(3).uniform((1, 2, 6, 6), -1, 1))
-
-        def f():
-            y = layer(x)
-            return T.mean_(T.mul(y, y))
-        return f, layer.parameters(), tol
+        return mean_square(layer, Tensor(rng.fork(3).uniform((1, 2, 6, 6), -1, 1)))
 
     def mlp():
         block = PhmMlp(4, 8, 2, rng.fork(4), dtype=np.float64)
-        x = Tensor(rng.fork(5).uniform((3, 4), -1, 1))
-
-        def f():
-            y = block(x)
-            return T.mean_(T.mul(y, y))
-        return f, block.parameters(), tol
+        return mean_square(block, Tensor(rng.fork(5).uniform((3, 4), -1, 1)))
 
     def attention():
         cfg = AttentionConfig(embed_dim=4, heads=2, window=2, n=2)
         block = WindowAttention(cfg, rng.fork(6), dtype=np.float64)
-        x = Tensor(rng.fork(7).uniform((1, 4, 4), -1, 1))
-
-        def f():
-            y = block(x)
-            return T.mean_(T.mul(y, y))
-        return f, block.parameters(), tol
+        return mean_square(block, Tensor(rng.fork(7).uniform((1, 4, 4), -1, 1)))
 
     def loss():
         xhat = Tensor(rng.fork(8).uniform((2, 6, 6), -1, 1), requires_grad=True)
@@ -381,33 +367,26 @@ def cmd_grad_check(args) -> int:
 def _bench_rows(args):
     rng = Rng(args.seed)
     ns = _parse_multiples(args.n_list)
-    rows = []
+    # (n, fork tag, options): the dense layer, then one per --n-list entry.
+    # Layers are built lazily so that every input is drawn before any fork.
+    builds = [(1, 0, DENSE)] + [(n, n, {}) for n in ns]
     layers = []
     if args.layer in ("linear", "both"):
         x = Tensor(rng.uniform((args.batch, args.in_features), -1, 1,
                                dtype=np.float32))
-        layers.append(("linear", x, lambda: KroneckerLinear(
-            args.in_features, args.out_features, 1, rng=rng.fork(0),
-            dtype=np.float32, **DENSE)))
-        for n in ns:
-            layers.append((f"linear", x, lambda n=n: KroneckerLinear(
-                args.in_features, args.out_features, n, rng=rng.fork(n),
-                dtype=np.float32)))
+        layers += [("linear", x, lambda n=n, tag=tag, opts=opts: KroneckerLinear(
+            args.in_features, args.out_features, n, rng=rng.fork(tag),
+            dtype=np.float32, **opts)) for n, tag, opts in builds]
     if args.layer in ("conv", "both"):
         xc = Tensor(rng.uniform((args.batch, args.in_features, args.spatial,
                                  args.spatial), -1, 1, dtype=np.float32))
-        layers.append(("conv", xc, lambda: KroneckerConv2d(
-            args.in_features, args.out_features, args.kernel, 1,
-            padding=args.kernel // 2, rng=rng.fork(100), dtype=np.float32,
-            **DENSE)))
-        for n in ns:
-            layers.append((f"conv", xc, lambda n=n: KroneckerConv2d(
-                args.in_features, args.out_features, args.kernel, n,
-                padding=args.kernel // 2, rng=rng.fork(100 + n),
-                dtype=np.float32)))
+        layers += [("conv", xc, lambda n=n, tag=tag, opts=opts: KroneckerConv2d(
+            args.in_features, args.out_features, args.kernel, n,
+            padding=args.kernel // 2, rng=rng.fork(100 + tag),
+            dtype=np.float32, **opts)) for n, tag, opts in builds]
+    rows = []
     for label, x, factory in layers:
         layer = factory()
-        n, kind = layer.n, layer.kind
         reset_mac_count()
         layer(x)
         macs = mac_count()
@@ -416,7 +395,7 @@ def _bench_rows(args):
             t0 = time.perf_counter()
             layer(x)
             times.append(time.perf_counter() - t0)
-        rows.append({"layer": label, "kind": kind, "n": n,
+        rows.append({"layer": label, "kind": layer.kind, "n": layer.n,
                      "params": layer.param_count(), "macs": macs,
                      "median_ms": round(float(np.median(times)) * 1e3, 4)})
     return rows
@@ -582,9 +561,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "NumericError", "message": str(err)}),
               file=sys.stderr)
         return 3
-    except OSError as err:
-        print(json.dumps({"error": "OSError", "message": str(err)}),
-              file=sys.stderr)
+    except (OSError, MemoryError) as err:
+        name = "MemoryError" if isinstance(err, MemoryError) else "OSError"
+        print(json.dumps({"error": name, "message": str(err)}), file=sys.stderr)
         return 4
     except KronMriError as err:
         print(json.dumps({"error": type(err).__name__, "message": str(err)}),

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .rng import Rng
-from .tensor import Tensor, record_op
+from .tensor import Tensor
 
 CENTER_FRACTION_DEFAULTS = {8: 0.04, 16: 0.02}
 
@@ -45,7 +46,7 @@ def fft2c(img: Tensor) -> Tensor:
     def vjp(g, needs):
         return (_fft2c_data(g, inverse=True),)
 
-    return record_op("fft2c", (img,), out, vjp)
+    return T._apply("fft2c", (img,), out, vjp)
 
 
 def ifft2c(k: Tensor) -> Tensor:
@@ -56,7 +57,7 @@ def ifft2c(k: Tensor) -> Tensor:
     def vjp(g, needs):
         return (_fft2c_data(g, inverse=False),)
 
-    return record_op("ifft2c", (k,), out, vjp)
+    return T._apply("ifft2c", (k,), out, vjp)
 
 
 def complex_magnitude(img: Tensor | np.ndarray) -> np.ndarray:
@@ -135,12 +136,7 @@ def apply_mask(k: Tensor, mask: CartesianMask) -> Tensor:
     def vjp(g, needs):
         return (np.where(keep, g, g.dtype.type(0.0)),)
 
-    return record_op("apply_mask", (k,), out, vjp)
-
-
-def zero_filled(k_under: Tensor) -> Tensor:
-    """Baseline reconstruction: inverse transform of the undersampled grid."""
-    return ifft2c(k_under)
+    return T._apply("apply_mask", (k,), out, vjp)
 
 
 def gen_phantom(height: int, width: int, n_ellipses: int, rng: Rng,

@@ -6,7 +6,8 @@ for conv. Its weight sum_i kron(A[i], S[i]) is assembled by one `T.kron_sum`
 per forward pass. A dense layer is n=1 with A frozen to [[1]] (`**DENSE`):
 its weight is the block itself, with no assembly op and no assembly MACs.
 
-Parameter counts (`count_params`; mixing counts only when trainable):
+Parameter counts (`count_params`, which a layer's `param_count()` equals;
+mixing counts only when trainable):
     factorized linear  n^3 + out*in/n + out
     factorized conv    n^3 + out*in*k^2/n + out
     dense linear       out*in + out
@@ -43,7 +44,24 @@ def count_params(n: int, in_features: int, out_features: int, taps: int = 1,
     return mixing + out_features * in_features * taps // n + out_features
 
 
-class _Factorized:
+class Module:
+    """Parameter protocol: a model defines `named_parameters()`; its
+    `parameters()` and `param_count()` (the sum of their sizes) follow."""
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_parameters()]
+
+    def param_count(self) -> int:
+        return sum(p.size for p in self.parameters())
+
+
+def nested(children) -> list[tuple[str, Tensor]]:
+    """Named parameters of (label, module) pairs, each as "label.name"."""
+    return [(f"{label}.{name}", p) for label, child in children
+            for name, p in child.named_parameters()]
+
+
+class _Factorized(Module):
     """Storage, init, counting and serialization shared by both layers.
 
     Subclasses name their kind suffix in `_FAMILY`, their block array prefix
@@ -87,17 +105,9 @@ class _Factorized:
             return T.reshape(self.blocks, self.blocks.shape[1:])
         return T.kron_sum(self.mixing, self.blocks)
 
-    def parameters(self) -> list[Tensor]:
-        return [p for _, p in self.named_parameters()]
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         named = [("mixing", self.mixing)] if self.train_mixing else []
         return named + [("blocks", self.blocks), ("bias", self.bias)]
-
-    def param_count(self) -> int:
-        n, out_block, in_block, *kernel = self.blocks.shape
-        return count_params(n, n * in_block, n * out_block, int(np.prod(kernel)),
-                            self.train_mixing)
 
     def manifest(self) -> dict:
         out = {"kind": self.kind, "dtype": self.dtype.name}

@@ -84,9 +84,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -169,11 +166,6 @@ def _apply(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
             out.node = node
             out.requires_grad = True
     return out
-
-
-def record_op(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
-    """Public hook for ops defined outside this module (e.g. FFT wrappers)."""
-    return _apply(name, inputs, out_data, vjp)
 
 
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
@@ -338,16 +330,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * mask,)
 
     return _apply("relu", (x,), out, vjp)
-
-
-def abs_(x: Tensor) -> Tensor:
-    out = np.abs(x.data)
-    sign = np.sign(x.data)
-
-    def vjp(g, needs):
-        return (g * sign,)
-
-    return _apply("abs", (x,), out, vjp)
 
 
 def sqrt_(x: Tensor) -> Tensor:

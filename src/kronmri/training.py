@@ -17,6 +17,7 @@ from . import tensor as T
 from .errors import ConfigError, NumericError
 from .kspace import (apply_mask, complex_magnitude, fft2c, gen_cartesian_mask,
                      gen_phantom, ifft2c)
+from .layers import Module
 from .losses import LossWeights, loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
@@ -132,7 +133,7 @@ def _stack(samples: list[Sample], attr: str) -> Tensor:
     return Tensor(np.stack([getattr(s, attr) for s in samples]))
 
 
-class ConsistentModel:
+class ConsistentModel(Module):
     """Image-to-image model followed by a measurement-consistency step.
 
     A zero-filled input is its own measurement record: its spectrum holds
@@ -163,14 +164,8 @@ class ConsistentModel:
                      T.mul(k_meas, Tensor(keep)))
         return ifft2c(k_dc)
 
-    def parameters(self):
-        return self.model.parameters()
-
     def named_parameters(self):
         return self.model.named_parameters()
-
-    def param_count(self) -> int:
-        return self.model.param_count()
 
     @property
     def dtype(self):
@@ -255,8 +250,3 @@ def write_history(path: str, history: list[dict]) -> None:
     with open(path, "w") as fh:
         for rec in history:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_history(path: str) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

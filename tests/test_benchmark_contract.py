@@ -1,0 +1,84 @@
+"""What the benchmark in perfbench/ needs from kronmri.
+
+perfbench/ imports kronmri's modules and names, patches `tensor._apply` and
+a set of methods by name, and finds the tensor ops by the names their code
+refers to. These tests read perfbench/ as it is, without editing it, and
+fail when a change to kronmri would break the benchmark.
+"""
+
+import ast
+import importlib
+import os
+import sys
+
+import numpy as np
+
+from kronmri import kspace
+from kronmri import tensor as T
+from kronmri.tensor import Tape, Tensor, backward
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+sys.path.insert(0, PERFBENCH)
+import harness  # noqa: E402
+import replay  # noqa: E402,F401  (importing it resolves its kronmri names)
+import workloads  # noqa: E402
+
+sys.path.remove(PERFBENCH)
+
+
+def kronmri_imports():
+    """(module, name) for every `from kronmri... import name` in perfbench/,
+    including the imports inside functions."""
+    found = []
+    for fname in sorted(os.listdir(PERFBENCH)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(PERFBENCH, fname)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kronmri"):
+                found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_every_kronmri_name_perfbench_imports_resolves():
+    names = kronmri_imports()
+    assert ("kronmri.tensor", "mac_count") in names  # run.py imports it in a function
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_tensor_ops_finds_the_ops_it_traces():
+    ops = set(workloads.tensor_ops().values())
+    assert {"kspace.fft2c", "kspace.ifft2c", "kspace.apply_mask",
+            "tensor.conv2d", "tensor.kron_sum"} <= ops
+
+
+def test_patched_apply_sees_the_fft2c_node(monkeypatch):
+    seen = []
+    apply = T._apply
+
+    def spy(name, inputs, out_data, vjp):
+        seen.append(name)
+        return apply(name, inputs, out_data, vjp)
+
+    monkeypatch.setattr(T, "_apply", spy)
+    x = Tensor(np.ones((2, 4, 4)), requires_grad=True)
+    with Tape():
+        kspace.fft2c(x)
+    assert seen == ["fft2c"]
+
+
+def test_instrumented_traces_fft_forward_and_backward():
+    tr = harness.Tracer()
+    apply = T._apply
+    x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
+    with workloads.instrumented(tr), tr.op():
+        with Tape():
+            loss = T.sum_(kspace.ifft2c(kspace.fft2c(x)))
+        backward(loss)
+    kinds = {(s.name, s.kind) for s in tr.spans}
+    assert {("kspace.fft2c", "fwd"), ("kspace.ifft2c", "fwd"),
+            ("tensor.vjp.fft2c", "bwd"), ("tensor.vjp.ifft2c", "bwd")} <= kinds
+    assert T._apply is apply  # restored on exit

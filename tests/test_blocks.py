@@ -29,7 +29,7 @@ def randomize_head(model: UNet, seed: int = 99, scale: float = 0.3):
 class TestUNetConfig:
     def test_defaults_round_trip(self):
         cfg = small_cfg("kronecker", 2)
-        assert UNetConfig.from_dict(cfg.to_dict()) == cfg
+        assert UNetConfig(**cfg.to_dict()) == cfg
 
     def test_depth(self):
         assert UNetConfig(channel_multiples=[1, 2, 4, 8], base_channels=64).depth == 4

@@ -129,3 +129,46 @@ class TestLoadValidation:
             fh.write("{nope")
         with pytest.raises(ConfigError):
             UNet.load(ckpt)
+
+
+def manifest_files(path: str) -> set[str]:
+    with open(os.path.join(path, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    return {f for entry in manifest["layers"] for f in entry["arrays"].values()}
+
+
+def small_unet(kind: str, n: int):
+    cfg = UNetConfig(channel_multiples=[1, 2], base_channels=2, layer_kind=kind, n=n)
+    return build_unet(cfg, Rng(0))
+
+
+class TestSaveOverExisting:
+    def test_stale_arrays_of_the_old_checkpoint_are_deleted(self, tmp_path):
+        path, fresh = str(tmp_path / "ckpt"), str(tmp_path / "fresh")
+        small_unet("kronecker", 2).save(path)
+        old = manifest_files(path)
+        small_unet("dense", 1).save(path)
+        assert old - manifest_files(path)  # the n=2 build had A_i/F_i files
+        assert set(os.listdir(path)) == manifest_files(path) | {"manifest.json"}
+        small_unet("dense", 1).save(fresh)
+        assert files(path) == files(fresh)
+
+    def test_files_the_old_manifest_does_not_name_are_kept(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        small_unet("kronecker", 2).save(path)
+        with open(os.path.join(path, "notes.kten"), "w") as fh:
+            fh.write("mine")
+        small_unet("dense", 1).save(path)
+        assert "notes.kten" in os.listdir(path)
+
+    def test_old_manifest_naming_a_file_outside_is_config_error(self, tmp_path):
+        path = str(tmp_path / "ckpt")
+        small_unet("kronecker", 2).save(path)
+        outside = tmp_path / "outside.kten"
+        outside.write_text("keep")
+        edit_manifest(path, lambda m: m["layers"][0]["arrays"].update(F_0="../outside.kten"))
+        before = files(path)
+        with pytest.raises(ConfigError):
+            small_unet("dense", 1).save(path)
+        assert outside.read_text() == "keep"
+        assert files(path) == before

@@ -107,6 +107,17 @@ class TestExitCodes:
         assert code == 4
         assert stderr_json(err)["error"] == "OSError"
 
+    def test_memory_error_is_four(self, capsys, monkeypatch, tmp_path):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr(cli, "make_sample", exhausted)
+        code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                                 "--count", "1")
+        assert code == 4 and out == ""
+        payload = stderr_json(err)
+        assert payload["error"] == "MemoryError"
+        assert "allocate" in payload["message"]
+
     def test_other_package_error_is_one(self, capsys, monkeypatch):
         def misuse(args):
             raise TapeError("backward called twice on the same tape")

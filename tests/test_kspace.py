@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmri import tensor as T
 from kronmri.errors import ConfigError, ShapeError
 from kronmri.kspace import (CENTER_FRACTION_DEFAULTS, apply_mask,
                             complex_magnitude, fft2c, gen_cartesian_mask,
-                            gen_phantom, ifft2c, zero_filled)
+                            gen_phantom, ifft2c)
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
 
@@ -118,6 +120,32 @@ class TestFft2c:
         assert np.allclose(g, 2 * x.data, atol=1e-10)
 
 
+class TestFft2cProperties:
+    @staticmethod
+    def pair(rng, batch, h, w):
+        shape = (2, h, w) if batch is None else (batch, 2, h, w)
+        return Tensor(rng.uniform(shape, -1, 1))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(batch=st.sampled_from([None, 1, 3]), h=st.integers(1, 9), w=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_mutual_inverses(self, batch, h, w, seed):
+        x = self.pair(Rng(seed), batch, h, w)
+        assert np.max(np.abs(ifft2c(fft2c(x)).data - x.data)) < 1e-12
+        assert np.max(np.abs(fft2c(ifft2c(x)).data - x.data)) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(batch=st.sampled_from([None, 1, 3]), h=st.integers(1, 9), w=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint(self, batch, h, w, seed):
+        # <F x, y> == <x, F^H y> in the real inner product of the channel pairs
+        rng = Rng(seed)
+        x, y = self.pair(rng, batch, h, w), self.pair(rng, batch, h, w)
+        lhs = float(np.sum(fft2c(x).data * y.data))
+        rhs = float(np.sum(x.data * ifft2c(y).data))
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, x.data.size)
+
+
 class TestCartesianMask:
     def test_center_columns_always_on(self):
         for seed in range(20):
@@ -217,14 +245,14 @@ class TestZeroFilled:
         k = fft2c(img)
         m = gen_cartesian_mask(32, 8, rng=Rng(6))
         m.sampled = np.ones(32)
-        recon = zero_filled(apply_mask(k, m)).data
+        recon = ifft2c(apply_mask(k, m)).data
         assert np.max(np.abs(recon - img.data)) < 1e-4
 
     def test_linearity(self):
         rng = Rng(601)
         k1, k2 = rand_image(rng), rand_image(rng)
-        lhs = zero_filled(T.add(k1, k2)).data
-        rhs = zero_filled(k1).data + zero_filled(k2).data
+        lhs = ifft2c(T.add(k1, k2)).data
+        rhs = ifft2c(k1).data + ifft2c(k2).data
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_center_only_mask_blurs(self):
@@ -232,7 +260,7 @@ class TestZeroFilled:
         k = fft2c(img)
         m = gen_cartesian_mask(64, 8, center_fraction=0.125, rng=Rng(7))
         assert m.sampled.sum() == m.center_columns
-        recon = zero_filled(apply_mask(k, m))
+        recon = ifft2c(apply_mask(k, m))
         err_low = np.linalg.norm(complex_magnitude(recon) - complex_magnitude(img))
         assert err_low > 1e-3  # genuinely lossy on a structured phantom
 

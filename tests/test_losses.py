@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from kronmri import tensor as T
 from kronmri.errors import ConfigError, ShapeError
 from kronmri.kspace import fft2c, gen_phantom
-from kronmri.losses import (CHARBONNIER_EPS, ConvFeatureExtractor, LossWeights,
-                            charbonnier, loss_total)
+from kronmri.losses import CHARBONNIER_EPS, LossWeights, charbonnier, loss_total
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward, grad_check
 
@@ -71,10 +69,9 @@ class TestCharbonnier:
 class TestLossWeights:
     def test_defaults(self):
         w = LossWeights()
-        assert (w.alpha, w.beta, w.gamma) == (15.0, 0.1, 0.0025)
+        assert (w.alpha, w.beta) == (15.0, 0.1)
 
-    @pytest.mark.parametrize("bad", [
-        dict(alpha=-1.0), dict(beta=-0.1), dict(gamma=-1e-9)])
+    @pytest.mark.parametrize("bad", [dict(alpha=-1.0), dict(beta=-0.1)])
     def test_negative_rejected(self, bad):
         with pytest.raises(ConfigError):
             LossWeights(**bad)
@@ -88,45 +85,30 @@ class TestLossTotal:
         val = loss_total(Tensor(x.data.copy()), x, w).item()
         assert val == pytest.approx((w.alpha + w.beta) * CHARBONNIER_EPS, rel=1e-6)
 
-    def test_equal_inputs_floor_with_extractor(self):
-        x = gen_phantom(16, 16, 4, Rng(7))
-        w = LossWeights()
-        f = ConvFeatureExtractor(seed=0, dtype=np.float64)
-        val = loss_total(Tensor(x.data.copy()), x, w, extractor=f).item()
-        assert val == pytest.approx((w.alpha + w.beta) * CHARBONNIER_EPS, rel=1e-6)
-
     @pytest.mark.parametrize("seed", [4, 12])
     def test_matches_term_by_term_oracle(self, seed):
         xhat, x = rand_pair(seed)
         w = LossWeights()
-        f = ConvFeatureExtractor(seed=1, dtype=np.float64)
         img = charbonnier(xhat, x).item()
         freq = charbonnier(fft2c(xhat), fft2c(x)).item()
-        perc = T.mean_(T.abs_(T.sub(f(xhat), f(x)))).item()
-        expect = w.alpha * img + w.beta * freq + w.gamma * perc
-        got = loss_total(xhat, x, w, extractor=f).item()
+        expect = w.alpha * img + w.beta * freq
+        got = loss_total(xhat, x, w).item()
         assert abs(got - expect) < 1e-9
 
     def test_alpha_finite_difference_recovers_image_term(self):
         xhat, x = rand_pair(21)
         img = charbonnier(xhat, x).item()
         da = 1.0
-        lo = loss_total(xhat, x, LossWeights(alpha=15.0, beta=0.1, gamma=0.0)).item()
-        hi = loss_total(xhat, x, LossWeights(alpha=15.0 + da, beta=0.1, gamma=0.0)).item()
+        lo = loss_total(xhat, x, LossWeights(alpha=15.0, beta=0.1)).item()
+        hi = loss_total(xhat, x, LossWeights(alpha=15.0 + da, beta=0.1)).item()
         assert (hi - lo) / da == pytest.approx(img, rel=1e-9)
 
     def test_doubling_alpha_doubles_image_contribution(self):
         xhat, x = rand_pair(22)
-        base = loss_total(xhat, x, LossWeights(alpha=0.0, beta=0.1, gamma=0.0)).item()
-        one = loss_total(xhat, x, LossWeights(alpha=7.0, beta=0.1, gamma=0.0)).item()
-        two = loss_total(xhat, x, LossWeights(alpha=14.0, beta=0.1, gamma=0.0)).item()
+        base = loss_total(xhat, x, LossWeights(alpha=0.0, beta=0.1)).item()
+        one = loss_total(xhat, x, LossWeights(alpha=7.0, beta=0.1)).item()
+        two = loss_total(xhat, x, LossWeights(alpha=14.0, beta=0.1)).item()
         assert two - base == pytest.approx(2.0 * (one - base), rel=1e-9)
-
-    def test_gamma_ignored_without_extractor(self):
-        xhat, x = rand_pair(23)
-        a = loss_total(xhat, x, LossWeights(gamma=0.0025)).item()
-        b = loss_total(xhat, x, LossWeights(gamma=99.0)).item()
-        assert a == b
 
     def test_non_negative(self):
         for seed in range(6):
@@ -141,36 +123,7 @@ class TestLossTotal:
         report = grad_check(lambda: loss_total(xhat, x, w), [xhat])
         assert report.passed, repr(report)
 
-    def test_gradient_with_extractor_passes_grad_check(self):
-        rng = Rng(32)
-        xhat = Tensor(rng.uniform((2, 6, 6), -1, 1), requires_grad=True)
-        x = Tensor(rng.uniform((2, 6, 6), -1, 1))
-        w = LossWeights()
-        f = ConvFeatureExtractor(seed=2, channels=4, dtype=np.float64)
-        report = grad_check(lambda: loss_total(xhat, x, w, extractor=f), [xhat])
-        assert report.passed, repr(report)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             loss_total(Tensor(np.zeros((2, 8, 8))), Tensor(np.zeros((2, 8, 9))))
 
-
-class TestConvFeatureExtractor:
-    def test_frozen(self):
-        f = ConvFeatureExtractor(seed=0)
-        for layer in (f.conv1, f.conv2):
-            assert all(not p.requires_grad for p in layer.parameters())
-
-    def test_handles_batched_and_unbatched(self):
-        f = ConvFeatureExtractor(seed=0)
-        img = Tensor(Rng(1).uniform((2, 8, 8), -1, 1, dtype=np.float32))
-        single = f(img)
-        batched = f(T.reshape(img, (1, 2, 8, 8)))
-        assert single.shape == batched.shape
-        assert np.array_equal(single.data, batched.data)
-
-    def test_deterministic_per_seed(self):
-        img = Tensor(Rng(2).uniform((2, 8, 8), -1, 1, dtype=np.float32))
-        a = ConvFeatureExtractor(seed=5)(img)
-        b = ConvFeatureExtractor(seed=5)(img)
-        assert np.array_equal(a.data, b.data)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronmri import tensor as T
@@ -130,9 +130,6 @@ class TestElementwise:
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         assert out.data.tolist() == [0.0, 0.0, 2.0]
 
-    def test_abs_values(self):
-        assert T.abs_(Tensor([-3.0, 4.0])).data.tolist() == [3.0, 4.0]
-
     def test_mul_vs_loop(self):
         rng = Rng(3)
         a = rng.uniform((4, 5), -1, 1)
@@ -167,14 +164,11 @@ class TestElementwiseGradients:
 
     @pytest.mark.parametrize("op,ref", [
         (T.relu, lambda x: np.maximum(x, 0)),
-        (T.abs_, np.abs),
         (T.sqrt_, np.sqrt),
     ])
     def test_unary_vjp_matches_fd(self, op, ref):
         rng = Rng(13)
         raw = rng.uniform((3, 3), 0.2, 1.5)  # away from kinks and zero
-        if op is T.abs_:
-            raw = raw * np.where(Rng(14).uniform((3, 3)) > 0.5, 1.0, -1.0)
         x = leaf(raw.copy())
         with Tape():
             loss = T.sum_(op(x))
@@ -428,6 +422,28 @@ class TestConv2d:
         assert np.allclose(grads[tx].data, num[0], atol=1e-5)
         assert np.allclose(grads[tw].data, num[1], atol=1e-5)
         assert np.allclose(grads[tb].data, num[2], atol=1e-5)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(bsz=st.integers(1, 2), c=st.integers(1, 3), o=st.integers(1, 3),
+           h=st.integers(1, 6), w=st.integers(1, 6), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_vs_loop_oracle_and_grad_check(self, bsz, c, o, h, w, k, stride,
+                                                     padding, seed):
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = Rng(seed)
+        tx = leaf(rng.uniform((bsz, c, h, w), -1, 1))
+        tw = leaf(rng.uniform((o, c, k, k), -1, 1))
+        tb = leaf(rng.uniform((o,), -1, 1))
+        out = T.conv2d(tx, tw, tb, stride=stride, padding=padding).data
+        expect = conv_oracle(tx.data, tw.data, tb.data, stride, padding)
+        assert out.shape == expect.shape
+        assert np.max(np.abs(out - expect)) < 1e-12
+
+        mix = Tensor(rng.uniform(expect.shape, -1, 1))
+        report = grad_check(lambda: T.sum_(T.mul(
+            T.conv2d(tx, tw, tb, stride=stride, padding=padding), mix)), [tx, tw, tb])
+        assert report.passed, repr(report)
 
 
 class TestReductionsAndShapes:
