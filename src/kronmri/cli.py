@@ -87,6 +87,8 @@ def _magnitude_image(path: str) -> np.ndarray:
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_data(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"count must be >= 1, got {args.count}")
     spec = DatasetSpec(height=args.height, width=args.width,
                        n_ellipses=args.ellipses)
     os.makedirs(args.out, exist_ok=True)

@@ -109,6 +109,10 @@ def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None
 
     center = int(np.ceil(center_fraction * width))
     rest = width - center
+    if rest == 0:
+        raise ConfigError(
+            f"center_fraction {center_fraction} covers all {width} columns; "
+            f"nothing is left to undersample")
     p = (width / af - center) / rest
     if not 0.0 <= p <= 1.0:
         raise ConfigError(

@@ -12,12 +12,16 @@ numerical problem surfaces at the op that created it.
 
 Multiply-accumulate counts for the contraction ops (matmul, bmm, kron_sum,
 conv2d) accumulate into a module-level counter, read with `mac_count()`.
+
+conv2d takes and returns NCHW but pads channels-last inside. Its im2col
+columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
+so the forward stays bit-identical to a plain NCHW im2col GEMM; its VJP is
+a channel-major col2im (see `conv2d`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericError, ShapeError, TapeError
 
@@ -438,11 +442,34 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _apply("add_bias", (x, b), out, vjp)
 
 
+# Byte budget of one block of im2col rows in `_conv_windows`: a quarter of
+# a 2 MB L2 cache, so a block stays cache-resident while all k*k taps are
+# written into it. On a 2-core Xeon, 256 KB to 1 MB blocks timed alike.
+_GATHER_BLOCK_BYTES = 1 << 19
+
+
 def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    bsz, c = xp.shape[:2]
-    sb, sc, sh, sw = xp.strides
-    return as_strided(xp, (bsz, c, ho, wo, k, k),
-                      (sb, sc, sh * stride, sw * stride, sh, sw))
+    """im2col matrix [B*Ho*Wo, C*k*k] of a channels-last padded input [B,Hp,Wp,C].
+
+    Row (b, y, x) holds the window at output pixel (y, x), its columns in
+    (c, i, j) order: the order of a row of the [O, C*k*k] kernel. The
+    windows are copied one tap (i, j) at a time, so each copy reads whole
+    C-long pixel vectors from the channels-last buffer; the copies run over
+    blocks of output rows so the block being written stays in cache.
+    """
+    bsz, _, _, c = xp.shape
+    cols = np.empty((bsz, ho, wo, c, k, k), dtype=xp.dtype)
+    rows = max(1, _GATHER_BLOCK_BYTES // cols[0, 0].nbytes)
+    span = stride * (wo - 1) + 1
+    for b in range(bsz):
+        for y in range(0, ho, rows):
+            dst = cols[b, y:y + rows]
+            n = dst.shape[0]
+            for i in range(k):
+                src = xp[b, y * stride + i:(y + n - 1) * stride + i + 1:stride]
+                for j in range(k):
+                    dst[..., i, j] = src[:, j:j + span:stride]
+    return cols.reshape(bsz * ho * wo, c * k * k)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
@@ -450,6 +477,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     """2-D cross-correlation, NCHW layout.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1 per axis.
+
+    Internally the input is padded in one copy into a channels-last
+    [B,Hp,Wp,C] buffer, gathered into (c,i,j)-ordered im2col columns
+    (`_conv_windows`) and multiplied as `cols @ w.reshape(O, C*k*k).T`.
+    The K order and the GEMM orientation are fixed: BLAS rounds a product
+    by how it blocks it, so any other order changes float32 outputs in the
+    last bits, and saved fixtures pin them. The VJP reuses `cols` for the
+    kernel gradient and forms the input gradient as a channel-major col2im:
+    one [C,O] @ [O,B*Ho*Wo] GEMM per tap, each added with one strided slice
+    into a [C,B,Hp,Wp] buffer, and one transpose back to NCHW.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,C,H,W] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -478,12 +515,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             raise ShapeError("conv2d bias dtype mismatch")
 
     _count_macs(bsz * o * ho * wo * c * k * k)
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    win = _conv_windows(xp, k, stride, ho, wo)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bsz * ho * wo, c * k * k)
+    xp = np.zeros((bsz, hp, wp, c), dtype=x.data.dtype)
+    xp[:, padding:padding + h, padding:padding + wd, :] = x.data.transpose(0, 2, 3, 1)
+    cols = _conv_windows(xp, k, stride, ho, wo)
+    del xp  # not alive alongside the GEMM output: peak memory is cols + out
     wr = w.data.reshape(o, c * k * k)
     out = (cols @ wr.T).reshape(bsz, ho, wo, o).transpose(0, 3, 1, 2)
     if bias is not None:
@@ -494,23 +529,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g, needs):
-        g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, bsz * ho * wo)
-        gw = None
+        gx = gw = None
+        if needs[0] or needs[1]:
+            g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, bsz * ho * wo)
         if needs[1]:
             gw = (g2 @ cols).reshape(o, c, k, k)
-        gx = None
         if needs[0]:
-            gxp = np.zeros_like(xp)
+            wt = np.ascontiguousarray(wd_arr.transpose(2, 3, 1, 0))
+            gxp = np.zeros((c, bsz, hp, wp), dtype=g.dtype)
             for i in range(k):
                 for j in range(k):
-                    t = np.tensordot(g, wd_arr[:, :, i, j], axes=([1], [0]))
                     gxp[:, :,
                         i:i + stride * (ho - 1) + 1:stride,
-                        j:j + stride * (wo - 1) + 1:stride] += t.transpose(0, 3, 1, 2)
-            if padding:
-                gx = np.ascontiguousarray(gxp[:, :, padding:padding + h, padding:padding + wd])
-            else:
-                gx = gxp
+                        j:j + stride * (wo - 1) + 1:stride] += (wt[i, j] @ g2).reshape(c, bsz, ho, wo)
+            gx = np.ascontiguousarray(
+                gxp[:, :, padding:padding + h, padding:padding + wd].transpose(1, 0, 2, 3))
         if bias is None:
             return (gx, gw)
         gb = g.sum(axis=(0, 2, 3)) if needs[2] else None

@@ -177,6 +177,14 @@ class TestGenData:
         assert manifest["count"] == 2 and manifest["seed"] == 4
         assert manifest["af"] == 16
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_config_error(self, capsys, tmp_path, count):
+        out = tmp_path / "d"
+        code, _, err = run_cli(capsys, "gen-data", "--out", str(out), "--count", count)
+        assert code == 2
+        assert stderr_json(err)["error"] == "ConfigError"
+        assert not out.exists()
+
 
 class TestGenMask:
     def test_deterministic_and_binary(self, capsys, tmp_path):
@@ -209,6 +217,14 @@ class TestGenMask:
         assert data.startswith(b"P5")
         assert b"64 1" in data
         assert b"\n1\n" in data
+
+    def test_center_covering_every_column_is_config_error(self, capsys, tmp_path):
+        p = tmp_path / "m.kten"
+        code, _, err = run_cli(capsys, "gen-mask", "--out", str(p), "--width", "16",
+                               "--center-fraction", "0.999")
+        assert code == 2
+        assert "covers all 16 columns" in stderr_json(err)["message"]
+        assert not p.exists()
 
 
 def parse_table(text: str):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,38 @@ def conv_oracle(x, w, bias, stride, padding):
                                 acc += xp[b, ic, y * stride + i, xx * stride + j] * w[oc, ic, i, j]
                     out[b, oc, y, xx] = acc + (bias[oc] if bias is not None else 0.0)
     return out
+
+
+def im2col_nchw(x, k, stride, padding):
+    """Reference im2col: NCHW padded windows transposed to [B*Ho*Wo, C*k*k]."""
+    bsz, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    sb, sc, sh, sw = xp.strides
+    win = as_strided(xp, (bsz, c, ho, wo, k, k),
+                     (sb, sc, sh * stride, sw * stride, sh, sw))
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    return cols.reshape(bsz * ho * wo, c * k * k), ho, wo
+
+
+def conv_vjp_tensordot(g, x, w, stride, padding):
+    """Reference conv VJP: kernel gradient from the im2col GEMM, input
+    gradient scattered tap by tap with `np.tensordot`."""
+    bsz, c, h, wd = x.shape
+    o, _, k, _ = w.shape
+    cols, ho, wo = im2col_nchw(x, k, stride, padding)
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, bsz * ho * wo)
+    gw = (g2 @ cols).reshape(o, c, k, k)
+    gxp = np.zeros((bsz, c, h + 2 * padding, wd + 2 * padding), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            t = np.tensordot(g, w[:, :, i, j], axes=([1], [0]))
+            gxp[:, :,
+                i:i + stride * (ho - 1) + 1:stride,
+                j:j + stride * (wo - 1) + 1:stride] += t.transpose(0, 3, 1, 2)
+    gx = gxp[:, :, padding:padding + h, padding:padding + wd]
+    return gx, gw, g.sum(axis=(0, 2, 3))
 
 
 def fd_grad(f, arrs, h=1e-6):
@@ -444,6 +477,52 @@ class TestConv2d:
         report = grad_check(lambda: T.sum_(T.mul(
             T.conv2d(tx, tw, tb, stride=stride, padding=padding), mix)), [tx, tw, tb])
         assert report.passed, repr(report)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(bsz=st.integers(1, 2), c=st.integers(1, 8), o=st.integers(1, 8),
+           h=st.integers(1, 9), w=st.integers(1, 9), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_forward_bitwise_and_vjp_vs_im2col_reference(
+            self, bsz, c, o, h, w, k, stride, padding, seed):
+        """The forward is bit-for-bit the NCHW im2col GEMM `cols @ w.T` in
+        both float dtypes; the float32 VJP agrees with the tensordot scatter."""
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = Rng(seed)
+        x64 = rng.uniform((bsz, c, h, w), -1, 1)
+        w64 = rng.uniform((o, c, k, k), -1, 1)
+        b64 = rng.uniform((o,), -1, 1)
+        for dtype in (np.float32, np.float64):
+            x, wk = x64.astype(dtype), w64.astype(dtype)
+            cols, ho, wo = im2col_nchw(x, k, stride, padding)
+            expect = (cols @ wk.reshape(o, -1).T).reshape(bsz, ho, wo, o).transpose(0, 3, 1, 2)
+            out = T.conv2d(Tensor(x), Tensor(wk), stride=stride, padding=padding).data
+            assert out.dtype == dtype
+            assert np.array_equal(out, expect)
+
+        x, wk, b = x64.astype(np.float32), w64.astype(np.float32), b64.astype(np.float32)
+        g = rng.uniform((bsz, o, ho, wo), -1, 1).astype(np.float32)
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wk, b))
+        with Tape():
+            loss = T.sum_(T.mul(T.conv2d(tx, tw, tb, stride=stride, padding=padding),
+                                Tensor(g)))
+        grads = backward(loss)
+        for got, ref in zip((grads[tx], grads[tw], grads[tb]),
+                            conv_vjp_tensordot(g, x, wk, stride, padding)):
+            assert got.data.dtype == np.float32
+            assert np.allclose(got.data, ref, rtol=1e-5, atol=1e-5)
+
+    def test_vjp_skips_gradients_not_needed(self):
+        rng = Rng(21)
+        x = leaf(rng.uniform((2, 3, 5, 5), -1, 1))
+        w = leaf(rng.uniform((4, 3, 3, 3), -1, 1))
+        with Tape():
+            out = T.conv2d(x, w, padding=1)
+        g = np.ones_like(out.data)
+        gx, gw = out.node.vjp(g, (False, True))
+        assert gx is None and gw.shape == w.shape
+        gx, gw = out.node.vjp(g, (True, False))
+        assert gw is None and gx.shape == x.shape
 
 
 class TestReductionsAndShapes:
