@@ -108,6 +108,10 @@ class UNet(Module):
     by a conv; no normalization layers. The final 3x3 head starts zeroed, so
     with in_channels == out_channels a freshly built model is the identity,
     and training learns a correction on top of its input.
+
+    The model takes and returns [B,C,H,W]. Inside, activations are
+    channels-last [B,H,W,C], the layout of `T.conv2d`: the input is
+    transposed once on the way in and the head's output once on the way out.
     """
 
     def __init__(self, cfg: UNetConfig, rng: Rng | None = None,
@@ -147,7 +151,7 @@ class UNet(Module):
             raise ShapeError(f"spatial dims {x.shape[2:]} must be divisible by {step}")
         act = lambda t: T.scale(T.relu(t), ACT_GAIN)
         c1, c2 = self._stem
-        h = act(c2(act(c1(x))))
+        h = act(c2(act(c1(T.transpose(x, (0, 2, 3, 1))))))
         skips = [h]
         for pool, d1, d2 in self._downs:
             h = act(pool(h))
@@ -155,9 +159,9 @@ class UNet(Module):
             skips.append(h)
         for (up, u1, u2), skip in zip(self._ups, reversed(skips[:-1])):
             h = act(up(T.upsample2x(h)))
-            h = T.concat([skip, h], axis=1)
+            h = T.concat([skip, h], axis=3)
             h = act(u2(act(u1(h))))
-        out = self._head(h)
+        out = T.transpose(self._head(h), (0, 3, 1, 2))
         if self.residual:
             out = T.add(out, x)
         return out

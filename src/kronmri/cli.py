@@ -255,6 +255,9 @@ def cmd_count_params(args) -> int:
             config = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{args.config}: not valid JSON ({err})")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{args.config}: expected a JSON object, "
+                          f"got {type(config).__name__}")
     model = config.get("model", "unet")
     if model == "unet":
         allowed = _UNET_KEYS
@@ -309,7 +312,8 @@ def _grad_targets(seed: int, h: float, tol: float):
     def conv():
         layer = KroneckerConv2d(2, 4, 3, 2, padding=1, rng=rng.fork(2),
                                 dtype=np.float64)
-        return mean_square(layer, Tensor(rng.fork(3).uniform((1, 2, 6, 6), -1, 1)))
+        x = rng.fork(3).uniform((1, 2, 6, 6), -1, 1)
+        return mean_square(layer, Tensor(x.transpose(0, 2, 3, 1)))
 
     def mlp():
         block = PhmMlp(4, 8, 2, rng.fork(4), dtype=np.float64)
@@ -350,6 +354,9 @@ def _grad_targets(seed: int, h: float, tol: float):
 
 
 def cmd_grad_check(args) -> int:
+    for name, value in (("h", args.h), ("tol", args.tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
     targets = _grad_targets(args.seed, args.h, args.tol)
     names = list(targets) if args.target == "all" else [args.target]
     results = []
@@ -381,7 +388,8 @@ def _bench_rows(args):
             dtype=np.float32, **opts)) for n, tag, opts in builds]
     if args.layer in ("conv", "both"):
         xc = Tensor(rng.uniform((args.batch, args.in_features, args.spatial,
-                                 args.spatial), -1, 1, dtype=np.float32))
+                                 args.spatial), -1, 1, dtype=np.float32)
+                    .transpose(0, 2, 3, 1))
         layers += [("conv", xc, lambda n=n, tag=tag, opts=opts: KroneckerConv2d(
             args.in_features, args.out_features, args.kernel, n,
             padding=args.kernel // 2, rng=rng.fork(100 + tag),

@@ -152,7 +152,8 @@ class KroneckerLinear(_Factorized):
 
 
 class KroneckerConv2d(_Factorized):
-    """Conv layer whose kernel is sum_i kron(mixing[i], blocks[i]) (NCHW)."""
+    """Conv layer whose kernel is sum_i kron(mixing[i], blocks[i]); channels-last
+    activations, [B,H,W,C] in and [B,Ho,Wo,O] out (see `T.conv2d`)."""
 
     _FAMILY, _BLOCK = "conv", "F"
     _ARGS, _OPTS = ("in_channels", "out_channels", "kernel_size"), ("stride", "padding")
@@ -173,8 +174,8 @@ class KroneckerConv2d(_Factorized):
                          dtype, train_mixing, mixing)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"expected input [B, {self.in_channels}, H, W], got {x.shape}")
+        if x.data.ndim != 4 or x.shape[3] != self.in_channels:
+            raise ShapeError(f"expected input [B, H, W, {self.in_channels}], got {x.shape}")
         w = self.materialize_weight()
         return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)
 

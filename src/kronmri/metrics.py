@@ -8,7 +8,6 @@ code: pure numpy in float64, no autodiff involvement.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
@@ -43,21 +42,28 @@ def psnr(xhat, x, data_range: float) -> float:
     return 10.0 * np.log10(data_range * data_range / mse)
 
 
-def _gaussian_window() -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
     half = (SSIM_WINDOW - 1) / 2.0
     coords = np.arange(SSIM_WINDOW) - half
     g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-_WINDOW = _gaussian_window()
+_TAPS = _gaussian_taps()
 
 
 def _local_means(img: np.ndarray) -> np.ndarray:
-    # Weighted mean over every valid 11x11 window.
-    views = sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW))
-    return np.tensordot(views, _WINDOW, axes=([2, 3], [0, 1]))
+    """Weighted mean over every valid 11x11 window. The normalized Gaussian
+    window is the outer product of `_TAPS` with itself, so it is applied
+    as two 1-D passes, 11 shifted multiply-adds along each axis."""
+    ho, wo = img.shape[0] - SSIM_WINDOW + 1, img.shape[1] - SSIM_WINDOW + 1
+    rows = _TAPS[0] * img[:, :wo]
+    for j in range(1, SSIM_WINDOW):
+        rows += _TAPS[j] * img[:, j:j + wo]
+    out = _TAPS[0] * rows[:ho]
+    for i in range(1, SSIM_WINDOW):
+        out += _TAPS[i] * rows[i:i + ho]
+    return out
 
 
 def ssim(xhat, x, data_range: float) -> float:

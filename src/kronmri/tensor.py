@@ -13,17 +13,19 @@ numerical problem surfaces at the op that created it.
 Multiply-accumulate counts for the contraction ops (matmul, bmm, kron_sum,
 conv2d) accumulate into a module-level counter, read with `mac_count()`.
 
-conv2d takes and returns NCHW but pads channels-last inside. Its im2col
+Image ops are channels-last: conv2d and upsample2x take and return
+[B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
+with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
 columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
 so the forward stays bit-identical to a plain NCHW im2col GEMM; its VJP is
-a channel-major col2im (see `conv2d`).
+a per-tap col2im (see `conv2d`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, TapeError
+from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -328,10 +330,9 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
-    mask = x.data > 0
 
     def vjp(g, needs):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _apply("relu", (x,), out, vjp)
 
@@ -474,25 +475,27 @@ def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.n
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation, NCHW layout.
+    """2-D cross-correlation, channels-last: [B,H,W,C] input and [O,C,k,k]
+    kernel give a [B,Ho,Wo,O] output.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1 per axis.
 
-    Internally the input is padded in one copy into a channels-last
-    [B,Hp,Wp,C] buffer, gathered into (c,i,j)-ordered im2col columns
-    (`_conv_windows`) and multiplied as `cols @ w.reshape(O, C*k*k).T`.
-    The K order and the GEMM orientation are fixed: BLAS rounds a product
-    by how it blocks it, so any other order changes float32 outputs in the
-    last bits, and saved fixtures pin them. The VJP reuses `cols` for the
-    kernel gradient and forms the input gradient as a channel-major col2im:
-    one [C,O] @ [O,B*Ho*Wo] GEMM per tap, each added with one strided slice
-    into a [C,B,Hp,Wp] buffer, and one transpose back to NCHW.
+    The input is copied into a [B,Hp,Wp,C] buffer whose border alone is
+    zeroed (no copy without padding), gathered into (c,i,j)-ordered im2col
+    columns (`_conv_windows`) and multiplied as `cols @ w.reshape(O, C*k*k).T`;
+    that [B*Ho*Wo, O] product, bias added in place, is the output. The K
+    order and the GEMM orientation are fixed: BLAS rounds a product by how
+    it blocks it, so any other order changes float32 outputs in the last
+    bits, and saved fixtures pin them. The VJP reads `g` as [B*Ho*Wo, O]
+    rows: the kernel gradient is `(cols.T @ g).T`, and the input gradient a
+    per-tap col2im, one [B*Ho*Wo, O] @ [O, C] GEMM per tap added with one
+    strided slice into a [B,Hp,Wp,C] buffer.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError(f"conv2d expects [B,C,H,W] and [O,C,k,k], got {x.shape} and {w.shape}")
+        raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
     if x.data.dtype != w.data.dtype:
         raise ShapeError(f"conv2d dtype mismatch {x.data.dtype} vs {w.data.dtype}")
-    bsz, c, h, wd = x.shape
+    bsz, h, wd, c = x.shape
     o, cw, kh, kw = w.shape
     if cw != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {cw}")
@@ -515,41 +518,42 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             raise ShapeError("conv2d bias dtype mismatch")
 
     _count_macs(bsz * o * ho * wo * c * k * k)
-    xp = np.zeros((bsz, hp, wp, c), dtype=x.data.dtype)
-    xp[:, padding:padding + h, padding:padding + wd, :] = x.data.transpose(0, 2, 3, 1)
+    xp = x.data
+    if padding:
+        xp = np.empty((bsz, hp, wp, c), dtype=x.data.dtype)
+        xp[:, :padding] = xp[:, hp - padding:] = 0
+        xp[:, :, :padding] = xp[:, :, wp - padding:] = 0
+        xp[:, padding:padding + h, padding:padding + wd] = x.data
     cols = _conv_windows(xp, k, stride, ho, wo)
-    del xp  # not alive alongside the GEMM output: peak memory is cols + out
+    del xp  # no padded buffer alongside the GEMM output: peak memory is cols + out
     wr = w.data.reshape(o, c * k * k)
-    out = (cols @ wr.T).reshape(bsz, ho, wo, o).transpose(0, 3, 1, 2)
+    out = cols @ wr.T
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    out = np.ascontiguousarray(out)
+        out += bias.data
     wd_arr = w.data
 
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g, needs):
         gx = gw = None
-        if needs[0] or needs[1]:
-            g2 = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(o, bsz * ho * wo)
+        rows = g.reshape(bsz * ho * wo, o)
         if needs[1]:
-            gw = (g2 @ cols).reshape(o, c, k, k)
+            gw = (cols.T @ rows).T.reshape(o, c, k, k)
         if needs[0]:
-            wt = np.ascontiguousarray(wd_arr.transpose(2, 3, 1, 0))
-            gxp = np.zeros((c, bsz, hp, wp), dtype=g.dtype)
+            wt = np.ascontiguousarray(wd_arr.transpose(2, 3, 0, 1))
+            gxp = np.zeros((bsz, hp, wp, c), dtype=g.dtype)
             for i in range(k):
                 for j in range(k):
-                    gxp[:, :,
-                        i:i + stride * (ho - 1) + 1:stride,
-                        j:j + stride * (wo - 1) + 1:stride] += (wt[i, j] @ g2).reshape(c, bsz, ho, wo)
-            gx = np.ascontiguousarray(
-                gxp[:, :, padding:padding + h, padding:padding + wd].transpose(1, 0, 2, 3))
+                    tap = (rows @ wt[i, j]).reshape(bsz, ho, wo, c)
+                    gxp[:, i:i + stride * (ho - 1) + 1:stride,
+                        j:j + stride * (wo - 1) + 1:stride] += tap
+            gx = gxp[:, padding:padding + h, padding:padding + wd]
         if bias is None:
             return (gx, gw)
-        gb = g.sum(axis=(0, 2, 3)) if needs[2] else None
+        gb = rows.sum(axis=0) if needs[2] else None
         return (gx, gw, gb)
 
-    return _apply("conv2d", inputs, out, vjp)
+    return _apply("conv2d", inputs, out.reshape(bsz, ho, wo, o), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +659,20 @@ def concat(parts, axis: int) -> Tensor:
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling, NCHW."""
+    """Nearest-neighbour 2x spatial upsampling, channels-last [B,H,W,C]."""
     if x.data.ndim != 4:
-        raise ShapeError(f"upsample2x expects [B,C,H,W], got {x.shape}")
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3)
-    bsz, c, h, w = x.shape
+        raise ShapeError(f"upsample2x expects [B,H,W,C], got {x.shape}")
+    bsz, h, w, c = x.shape
+    out = np.empty((bsz, h, 2, w, 2, c), dtype=x.data.dtype)
+    out[...] = x.data[:, :, None, :, None, :]
 
     def vjp(g, needs):
-        return (g.reshape(bsz, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        gx = g[:, 0::2, 0::2] + g[:, 0::2, 1::2]
+        gx += g[:, 1::2, 0::2]
+        gx += g[:, 1::2, 1::2]
+        return (gx,)
 
-    return _apply("upsample2x", (x,), out, vjp)
+    return _apply("upsample2x", (x,), out.reshape(bsz, 2 * h, 2 * w, c), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -709,8 +717,12 @@ def grad_check(f, params: list[Tensor], h: float = 1e-6, tol: float = 1e-4) -> G
     `f` is a closure over `params` returning a scalar Tensor; it is called
     once under a fresh tape for the analytic pass and twice per coordinate
     (no tape) for the numeric pass. Use float64 parameters; float32 cannot
-    meet a 1e-4 relative tolerance on nontrivial graphs.
+    meet a 1e-4 relative tolerance on nontrivial graphs. `h` and `tol`
+    must be finite and > 0 (ConfigError otherwise).
     """
+    for name, value in (("h", h), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"grad_check: {name} must be finite and > 0, got {value}")
     for i, p in enumerate(params):
         if not p.requires_grad:
             raise TapeError(f"grad_check: params[{i}] does not require grad")

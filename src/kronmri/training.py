@@ -34,8 +34,8 @@ class Adam:
 
     def __init__(self, named_params, lr: float = 2e-5, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {lr}")
+        if not (np.isfinite(lr) and lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {lr}")
         if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
             raise ConfigError(f"betas must lie in (0, 1), got ({beta1}, {beta2})")
         if eps <= 0:

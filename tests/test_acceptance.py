@@ -98,7 +98,7 @@ class TestStructure:
             layer = KroneckerConv2d(c, c, k, n, padding=pad, rng=fi,
                                     dtype=np.float64)
             x = rng.fork(10_001 + 2 * trial).uniform((2, c, 5, 5), -1.0, 1.0)
-            got = layer(Tensor(x)).data
+            got = layer(Tensor(x.transpose(0, 2, 3, 1))).data.transpose(0, 3, 1, 2)
             bo, bi = c // n, c // n
             w = np.zeros((c, c, k, k))
             for a, f in zip(layer.mixing.data, layer.blocks.data):

@@ -100,6 +100,14 @@ class TestExitCodes:
         assert code == 3
         assert stderr_json(err)["error"] == "NumericError"
 
+    @pytest.mark.parametrize("extra", [["--h", "0"], ["--h", "nan"], ["--tol", "inf"],
+                                       ["--target", "unet", "--tol", "-1"]])
+    def test_grad_check_bad_step_or_tolerance_is_config_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, "grad-check", *extra)
+        assert code == 2
+        assert out == ""
+        assert stderr_json(err)["error"] == "ConfigError"
+
     def test_io_error_is_four(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metrics",
                                "--recon", str(tmp_path / "missing.kten"),
@@ -300,6 +308,13 @@ class TestCountParams:
         path = tmp_path / "cfg.json"
         path.write_text("{nope")
         code, _, err = run_cli(capsys, "count-params", "--config", str(path))
+        assert code == 2
+        assert stderr_json(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("payload", [[1, 2], "unet", 3, None])
+    def test_config_not_an_object_is_config_error(self, capsys, tmp_path, payload):
+        cfg = self.write_cfg(tmp_path, payload)
+        code, _, err = run_cli(capsys, "count-params", "--config", cfg)
         assert code == 2
         assert stderr_json(err)["error"] == "ConfigError"
 
@@ -516,6 +531,16 @@ class TestTrainCmd:
             with open(os.path.join(outs[0][0], name), "rb") as fa, \
                  open(os.path.join(outs[1][0], name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_config_error(self, capsys, lr):
+        code, out, err = run_cli(
+            capsys, "train", "--steps", "1", "--batch", "2", "--size", "16",
+            "--ellipses", "3", "--dataset-size", "2", "--eval-size", "2",
+            "--multiples", "1", "--base", "4", "--lr", lr)
+        assert code == 2
+        assert out == ""
+        assert "lr" in stderr_json(err)["message"]
 
     def test_dense_kind_forces_n_one(self, capsys, tmp_path):
         code, stdout, _ = run_cli(

@@ -11,6 +11,11 @@ from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward, grad_check
 
 
+def nhwc(a):
+    """An NCHW array in the channels-last layout conv layers take."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
 def kron_np(a, b):
     p, q = a.shape
     r, s = b.shape
@@ -188,7 +193,7 @@ class TestConvForward:
                              mixing=[np.array([[1.0]])])
         dense = KroneckerConv2d(3, 5, 3, 1, padding=1, dtype=np.float64, **DENSE)
         dense.blocks.data[0] = kc.blocks.data[0]
-        x = Tensor(Rng(121).uniform((2, 3, 6, 6), -1, 1))
+        x = Tensor(nhwc(Rng(121).uniform((2, 3, 6, 6), -1, 1)))
         assert np.array_equal(kc(x).data, dense(x).data)
 
     def test_complex_pointwise_product(self):
@@ -202,7 +207,7 @@ class TestConvForward:
         re = rng.uniform((1, 1, 4, 4), -1, 1)
         im = rng.uniform((1, 1, 4, 4), -1, 1)
         x = np.concatenate([re, im], axis=1)
-        out = kc(Tensor(x)).data
+        out = kc(Tensor(nhwc(x))).data.transpose(0, 3, 1, 2)
         z = (re + 1j * im) * (wr + 1j * wi)
         assert np.max(np.abs(out[:, :1] - z.real)) < 1e-12
         assert np.max(np.abs(out[:, 1:] - z.imag)) < 1e-12
@@ -211,7 +216,7 @@ class TestConvForward:
         rng = Rng(123)
         kc = KroneckerConv2d(4, 8, 3, 2, rng=rng, padding=1, dtype=np.float64)
         kc.bias.data[...] = Rng(124).uniform((8,), -1, 1)
-        x = Tensor(Rng(125).uniform((1, 4, 5, 5), -1, 1))
+        x = Tensor(nhwc(Rng(125).uniform((1, 4, 5, 5), -1, 1)))
         direct = kc(x).data
         via = T.conv2d(x, Tensor(kc.materialize_weight().data),
                        Tensor(kc.bias.data), stride=1, padding=1).data
@@ -234,7 +239,7 @@ class TestGradients:
     def test_kron_conv_all_params(self):
         rng = Rng(132)
         kc = KroneckerConv2d(2, 4, 3, 2, rng=rng, padding=1, stride=2, dtype=np.float64)
-        x = Tensor(Rng(133).uniform((2, 2, 4, 4), -1, 1))
+        x = Tensor(nhwc(Rng(133).uniform((2, 2, 4, 4), -1, 1)))
 
         def f():
             out = kc(x)

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from kronmri.errors import ConfigError, ShapeError
 from kronmri.kspace import complex_magnitude, gen_phantom
 from kronmri.metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW,
-                             psnr, ssim)
+                             _local_means, psnr, ssim)
 from kronmri.rng import Rng
 from kronmri.tensor import Tensor
 
@@ -137,6 +141,22 @@ class TestSsim:
             a = rng.uniform((16, 16))
             b = rng.uniform((16, 16))
             assert -1.0 <= ssim(a, b, 1.0) <= 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(img=st.tuples(st.integers(11, 40), st.integers(11, 40)).flatmap(
+        lambda shape: arrays(np.float64, shape,
+                             elements=st.floats(0.0, 1e3, allow_subnormal=False))))
+    def test_separable_local_means_match_2d_window(self, img):
+        """The two 1-D passes against the 2-D form they replaced: every
+        11x11 window view contracted with the normalized 2-D Gaussian. On
+        nonnegative (magnitude) images each mean matches to 1e-12 relative;
+        the floor at the smallest normal float64 covers subnormal products."""
+        window = gaussian_window_oracle()
+        ref = np.tensordot(sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW)),
+                           window, axes=([2, 3], [0, 1]))
+        got = _local_means(img)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + np.finfo(np.float64).tiny)
 
     def test_window_constants(self):
         assert (SSIM_WINDOW, SSIM_SIGMA, SSIM_K1, SSIM_K2) == (11, 1.5, 0.01, 0.03)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kronmri import tensor as T
-from kronmri.errors import NumericError, ShapeError, TapeError
+from kronmri.errors import ConfigError, NumericError, ShapeError, TapeError
 from kronmri.rng import Rng
 from kronmri.tensor import (GradCheckReport, Tape, Tensor, backward, grad_check,
                             mac_count, reset_mac_count)
@@ -114,6 +114,16 @@ def fd_grad(f, arrs, h=1e-6):
 
 def leaf(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
+
+
+def nhwc(a):
+    """An NCHW array in the channels-last layout conv2d and upsample2x take."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    """A channels-last result viewed back in the NCHW layout of the oracles."""
+    return a.transpose(0, 3, 1, 2)
 
 
 class TestConstruction:
@@ -402,14 +412,14 @@ class TestConv2d:
     def test_one_by_one_identity(self):
         x = Rng(18).uniform((1, 1, 4, 4), -1, 1)
         w = np.ones((1, 1, 1, 1))
-        out = T.conv2d(Tensor(x), Tensor(w))
-        assert np.array_equal(out.data, x)
+        out = T.conv2d(Tensor(nhwc(x)), Tensor(w))
+        assert np.array_equal(nchw(out.data), x)
 
     def test_box_filter_on_constant(self):
         c = 0.7
         x = np.full((1, 1, 5, 5), c)
         w = np.ones((1, 1, 3, 3))
-        out = T.conv2d(Tensor(x), Tensor(w)).data
+        out = nchw(T.conv2d(Tensor(nhwc(x)), Tensor(w)).data)
         assert np.allclose(out, 9 * c)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
@@ -418,23 +428,24 @@ class TestConv2d:
         x = rng.uniform((2, 3, 6, 7), -1, 1)
         w = rng.uniform((4, 3, 3, 3), -1, 1)
         bias = rng.uniform((4,), -1, 1)
-        out = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=stride, padding=padding)
+        out = nchw(T.conv2d(Tensor(nhwc(x)), Tensor(w), Tensor(bias),
+                            stride=stride, padding=padding).data)
         expect = conv_oracle(x, w, bias, stride, padding)
         assert out.shape == expect.shape
-        assert np.max(np.abs(out.data - expect)) < 1e-12
+        assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_output_size_formula(self):
-        x = Tensor(np.zeros((1, 1, 64, 64)))
+        x = Tensor(nhwc(np.zeros((1, 1, 64, 64))))
         w = Tensor(np.zeros((1, 1, 3, 3)))
-        assert T.conv2d(x, w, stride=2, padding=1).shape == (1, 1, 32, 32)
+        assert nchw(T.conv2d(x, w, stride=2, padding=1).data).shape == (1, 1, 32, 32)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            T.conv2d(Tensor(nhwc(np.zeros((1, 2, 4, 4)))), Tensor(np.zeros((1, 3, 3, 3))))
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            T.conv2d(Tensor(nhwc(np.zeros((1, 1, 2, 2)))), Tensor(np.zeros((1, 1, 5, 5))))
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
     def test_grad_vs_fd(self, stride, padding):
@@ -442,14 +453,14 @@ class TestConv2d:
         x = rng.uniform((1, 2, 4, 4), -1, 1)
         w = rng.uniform((2, 2, 3, 3), -1, 1)
         bias = rng.uniform((2,), -1, 1)
-        tx, tw, tb = leaf(x.copy()), leaf(w.copy()), leaf(bias.copy())
+        tx, tw, tb = leaf(nhwc(x)), leaf(w.copy()), leaf(bias.copy())
         mix = Rng(99).uniform(
             conv_oracle(x, w, bias, stride, padding).shape, -1, 1)
         with Tape():
             loss = T.sum_(T.mul(T.conv2d(tx, tw, tb, stride=stride, padding=padding),
-                                Tensor(mix)))
+                                Tensor(nhwc(mix))))
         grads = backward(loss)
-        num = fd_grad(lambda: float((conv_oracle(tx.data, tw.data, tb.data,
+        num = fd_grad(lambda: float((conv_oracle(nchw(tx.data), tw.data, tb.data,
                                                  stride, padding) * mix).sum()),
                       [tx.data, tw.data, tb.data])
         assert np.allclose(grads[tx].data, num[0], atol=1e-5)
@@ -465,15 +476,15 @@ class TestConv2d:
                                                      padding, seed):
         assume(k <= h + 2 * padding and k <= w + 2 * padding)
         rng = Rng(seed)
-        tx = leaf(rng.uniform((bsz, c, h, w), -1, 1))
+        tx = leaf(nhwc(rng.uniform((bsz, c, h, w), -1, 1)))
         tw = leaf(rng.uniform((o, c, k, k), -1, 1))
         tb = leaf(rng.uniform((o,), -1, 1))
-        out = T.conv2d(tx, tw, tb, stride=stride, padding=padding).data
-        expect = conv_oracle(tx.data, tw.data, tb.data, stride, padding)
+        out = nchw(T.conv2d(tx, tw, tb, stride=stride, padding=padding).data)
+        expect = conv_oracle(nchw(tx.data), tw.data, tb.data, stride, padding)
         assert out.shape == expect.shape
         assert np.max(np.abs(out - expect)) < 1e-12
 
-        mix = Tensor(rng.uniform(expect.shape, -1, 1))
+        mix = Tensor(nhwc(rng.uniform(expect.shape, -1, 1)))
         report = grad_check(lambda: T.sum_(T.mul(
             T.conv2d(tx, tw, tb, stride=stride, padding=padding), mix)), [tx, tw, tb])
         assert report.passed, repr(report)
@@ -486,7 +497,8 @@ class TestConv2d:
     def test_property_forward_bitwise_and_vjp_vs_im2col_reference(
             self, bsz, c, o, h, w, k, stride, padding, seed):
         """The forward is bit-for-bit the NCHW im2col GEMM `cols @ w.T` in
-        both float dtypes; the float32 VJP agrees with the tensordot scatter."""
+        both float dtypes; the float32 VJP agrees with the tensordot scatter.
+        Inputs are drawn NCHW and transposed at the call."""
         assume(k <= h + 2 * padding and k <= w + 2 * padding)
         rng = Rng(seed)
         x64 = rng.uniform((bsz, c, h, w), -1, 1)
@@ -496,25 +508,25 @@ class TestConv2d:
             x, wk = x64.astype(dtype), w64.astype(dtype)
             cols, ho, wo = im2col_nchw(x, k, stride, padding)
             expect = (cols @ wk.reshape(o, -1).T).reshape(bsz, ho, wo, o).transpose(0, 3, 1, 2)
-            out = T.conv2d(Tensor(x), Tensor(wk), stride=stride, padding=padding).data
+            out = T.conv2d(Tensor(nhwc(x)), Tensor(wk), stride=stride, padding=padding).data
             assert out.dtype == dtype
-            assert np.array_equal(out, expect)
+            assert np.array_equal(nchw(out), expect)
 
         x, wk, b = x64.astype(np.float32), w64.astype(np.float32), b64.astype(np.float32)
         g = rng.uniform((bsz, o, ho, wo), -1, 1).astype(np.float32)
-        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, wk, b))
+        tx, tw, tb = (Tensor(a, requires_grad=True) for a in (nhwc(x), wk, b))
         with Tape():
             loss = T.sum_(T.mul(T.conv2d(tx, tw, tb, stride=stride, padding=padding),
-                                Tensor(g)))
+                                Tensor(nhwc(g))))
         grads = backward(loss)
-        for got, ref in zip((grads[tx], grads[tw], grads[tb]),
+        for got, ref in zip((nchw(grads[tx].data), grads[tw].data, grads[tb].data),
                             conv_vjp_tensordot(g, x, wk, stride, padding)):
-            assert got.data.dtype == np.float32
-            assert np.allclose(got.data, ref, rtol=1e-5, atol=1e-5)
+            assert got.dtype == np.float32
+            assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
 
     def test_vjp_skips_gradients_not_needed(self):
         rng = Rng(21)
-        x = leaf(rng.uniform((2, 3, 5, 5), -1, 1))
+        x = leaf(nhwc(rng.uniform((2, 3, 5, 5), -1, 1)))
         w = leaf(rng.uniform((4, 3, 3, 3), -1, 1))
         with Tape():
             out = T.conv2d(x, w, padding=1)
@@ -570,14 +582,24 @@ class TestReductionsAndShapes:
         assert np.array_equal(grads[b].data, w[:, 2:])
 
     def test_upsample_values_and_grad(self):
-        x = leaf(np.arange(4.0).reshape(1, 1, 2, 2))
+        x = leaf(nhwc(np.arange(4.0).reshape(1, 1, 2, 2)))
         with Tape():
             y = T.upsample2x(x)
             loss = T.sum_(y)
-        assert y.shape == (1, 1, 4, 4)
-        assert np.array_equal(y.data[0, 0, :2, :2], np.full((2, 2), 0.0))
-        assert np.array_equal(y.data[0, 0, 2:, 2:], np.full((2, 2), 3.0))
+        up = nchw(y.data)
+        assert up.shape == (1, 1, 4, 4)
+        assert np.array_equal(up[0, 0, :2, :2], np.full((2, 2), 0.0))
+        assert np.array_equal(up[0, 0, 2:, 2:], np.full((2, 2), 3.0))
         assert np.allclose(backward(loss)[x].data, 4.0)
+
+    def test_upsample_vjp_sums_each_2x2_block(self):
+        rng = Rng(29)
+        x = leaf(rng.uniform((2, 3, 4, 5), -1, 1))
+        g = rng.uniform((2, 6, 8, 5), -1, 1)
+        with Tape():
+            loss = T.sum_(T.mul(T.upsample2x(x), Tensor(g)))
+        expect = g.reshape(2, 3, 2, 4, 2, 5).sum(axis=(2, 4))
+        assert np.allclose(backward(loss)[x].data, expect, rtol=0, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         x = Rng(26).uniform((5, 7), -5, 5)
@@ -671,6 +693,13 @@ class TestTapeSemantics:
 
 
 class TestGradCheck:
+    @pytest.mark.parametrize("kwargs", [dict(h=0.0), dict(h=-1e-6), dict(h=float("nan")),
+                                        dict(tol=0.0), dict(tol=float("inf"))])
+    def test_bad_step_or_tolerance_is_config_error(self, kwargs):
+        x = leaf(np.arange(3.0))
+        with pytest.raises(ConfigError):
+            grad_check(lambda: T.sum_(x), [x], **kwargs)
+
     def test_linear_function_near_zero_error(self):
         x = leaf(np.arange(3.0))
         report = grad_check(lambda: T.sum_(x), [x])
@@ -718,7 +747,7 @@ class TestMacCounting:
 
     def test_conv_count(self):
         reset_mac_count()
-        T.conv2d(Tensor(np.ones((2, 3, 8, 8))), Tensor(np.ones((4, 3, 3, 3))), padding=1)
+        T.conv2d(Tensor(nhwc(np.ones((2, 3, 8, 8)))), Tensor(np.ones((4, 3, 3, 3))), padding=1)
         assert mac_count() == 2 * 4 * 8 * 8 * 3 * 9
 
     def test_kron_count_and_reset(self):

@@ -94,7 +94,8 @@ class TestAdam:
         assert opt.m[0].shape == (3, 4) and opt.v[0].shape == (3, 4)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(lr=-1.0), dict(beta1=1.0), dict(beta2=0.0), dict(eps=0.0)])
+        dict(lr=-1.0), dict(beta1=1.0), dict(beta2=0.0), dict(eps=0.0),
+        dict(lr=float("nan")), dict(lr=float("inf"))])
     def test_bad_settings_rejected(self, kwargs):
         p = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ConfigError):
