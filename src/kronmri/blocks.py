@@ -2,8 +2,10 @@
 
 Every weight-bearing layer is a Kronecker layer with the same hypercomplex
 dimension n; a dense build is n=1 with the mixing frozen to [[1]], so
-parameter budgets of the two builds can be compared directly. Checkpoints
-are a manifest JSON next to one KTEN file per parameter array.
+parameter budgets of the two builds can be compared directly. A checkpoint
+is a manifest JSON, holding the config and each layer's manifest, next to
+one KTEN file per parameter array; `UNet.load` builds the model from the
+config and fills it from the arrays.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .kten import read_kten, write_kten
-from .layers import (DENSE, KroneckerConv2d, KroneckerLinear, Module, layer_from_arrays,
-                     nested)
+from .layers import DENSE, KroneckerConv2d, KroneckerLinear, Module, check_sizes, nested
 from .rng import Rng
 from .tensor import Tensor
 
@@ -47,14 +48,12 @@ class UNetConfig:
     def __post_init__(self):
         if not self.channel_multiples:
             raise ConfigError("channel_multiples must be non-empty")
-        if any(int(m) != m or m < 1 for m in self.channel_multiples):
-            raise ConfigError(f"bad channel_multiples {self.channel_multiples}")
-        if self.base_channels < 1 or self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("channel counts must be >= 1")
-        if self.layer_kind not in ("dense", "kronecker"):
+        for m in self.channel_multiples:
+            check_sizes(channel_multiple=m)
+        check_sizes(base_channels=self.base_channels, n=self.n,
+                    in_channels=self.in_channels, out_channels=self.out_channels)
+        if not isinstance(self.layer_kind, str) or self.layer_kind not in ("dense", "kronecker"):
             raise ConfigError(f"layer_kind must be dense or kronecker, got {self.layer_kind!r}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.layer_kind == "dense" and self.n != 1:
             raise ConfigError("dense build takes n=1; n only shapes kronecker layers")
 
@@ -77,8 +76,7 @@ class AttentionConfig:
     n: int = 1
 
     def __post_init__(self):
-        if min(self.embed_dim, self.heads, self.window, self.n) < 1:
-            raise ConfigError("attention config fields must be >= 1")
+        check_sizes(embed_dim=self.embed_dim, heads=self.heads, window=self.window, n=self.n)
         if self.embed_dim % self.heads:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.embed_dim % self.n:
@@ -114,32 +112,20 @@ class UNet(Module):
     transposed once on the way in and the head's output once on the way out.
     """
 
-    def __init__(self, cfg: UNetConfig, rng: Rng | None = None,
-                 dtype=np.float32, _store: dict | None = None):
-        if rng is None and _store is None:
+    def __init__(self, cfg: UNetConfig, rng: Rng | None = None, dtype=np.float32):
+        if rng is None:
             raise ConfigError("UNet needs an rng")
         self.cfg = cfg
-        self._layers: list[tuple[str, KroneckerConv2d]] = []
-        for fork, (name, cin, cout, stride) in enumerate(unet_convs(cfg)):
-            if _store is None:
-                layer = KroneckerConv2d(cin, cout, 3, cfg.n, stride=stride, padding=1,
-                                        rng=rng.fork(fork), dtype=dtype,
-                                        **(DENSE if cfg.layer_kind == "dense" else {}))
-            else:
-                layer = _store.get(name)
-                want = (cin, cout, 3, stride, 1, cfg.n, cfg.layer_kind == "dense")
-                if not isinstance(layer, KroneckerConv2d) or want != (
-                        layer.in_channels, layer.out_channels, layer.kernel_size,
-                        layer.stride, layer.padding, layer.n, layer.dense):
-                    raise ConfigError(f"checkpoint layer {name!r} does not fit the config")
-            self._layers.append((name, layer))
+        self._layers = [(name, KroneckerConv2d(cin, cout, 3, cfg.n, stride=stride, padding=1,
+                                               rng=rng.fork(fork), dtype=dtype,
+                                               **(DENSE if cfg.layer_kind == "dense" else {})))
+                        for fork, (name, cin, cout, stride) in enumerate(unet_convs(cfg))]
         layers = iter(layer for _, layer in self._layers)
         self._stem = (next(layers), next(layers))
         self._downs = [(next(layers), next(layers), next(layers)) for _ in range(cfg.depth - 1)]
         self._ups = [(next(layers), next(layers), next(layers)) for _ in range(cfg.depth - 1)]
         self._head = next(layers)
-        if _store is None:
-            self._head.blocks.data[...] = 0.0
+        self._head.blocks.data[...] = 0.0
         self.dtype = self._head.dtype
         self.residual = cfg.in_channels == cfg.out_channels
 
@@ -192,9 +178,14 @@ class UNet(Module):
 
     @classmethod
     def load(cls, path: str) -> "UNet":
-        """Read a checkpoint written by `save`. Every array must match its
-        layer manifest and every layer the config; array files must be
-        plain names inside `path`."""
+        """Read a checkpoint written by `save`. The model is built from the
+        stored config by the constructor, in the first layer's dtype
+        (float32 or float64), and the stored layers must be the built ones:
+        the same names in order, each with the built layer's `manifest()`
+        (types included, so true is not 1) and the names of its `arrays()`.
+        Each array file is then read into its view; a shape or dtype other
+        than the view's is a ShapeError. Array files must be plain names
+        inside `path`."""
         try:
             with open(os.path.join(path, MANIFEST_NAME)) as fh:
                 manifest = json.load(fh)
@@ -203,16 +194,31 @@ class UNet(Module):
         if (not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT
                 or manifest.get("model") != "unet"):
             raise ConfigError(f"not a recognizable checkpoint: {path}")
-        store = {}
         try:
             cfg = UNetConfig(**manifest["config"])
-            for entry in manifest["layers"]:
-                arrays = {aname: read_kten(_array_path(path, fname))
-                          for aname, fname in entry["arrays"].items()}
-                store[entry["name"]] = layer_from_arrays(entry["manifest"], arrays)
-        except (KeyError, TypeError, AttributeError) as err:
+            entries = manifest["layers"]
+            dtype = entries[0]["manifest"]["dtype"]
+            if dtype not in ("float32", "float64"):
+                raise ConfigError(f"{path}: layer dtype {dtype!r} is not float32 or float64")
+            model = cls(cfg, Rng(0), dtype)
+            if [entry["name"] for entry in entries] != [name for name, _ in model._layers]:
+                raise ConfigError(f"{path}: the stored layers are not those of the config")
+            for entry, (name, layer) in zip(entries, model._layers):
+                views = layer.arrays()
+                stored = json.dumps(entry["manifest"], sort_keys=True)
+                if (stored != json.dumps(layer.manifest(), sort_keys=True)
+                        or set(entry["arrays"]) != set(views)):
+                    raise ConfigError(f"{path}: layer {name!r} does not fit the config")
+                for aname, dst in views.items():
+                    src = read_kten(_array_path(path, entry["arrays"][aname]))
+                    if src.shape != dst.shape or src.dtype != dst.dtype:
+                        raise ShapeError(f"{path}: layer {name!r} array {aname!r} is "
+                                         f"{src.dtype.name}{list(src.shape)}, the config "
+                                         f"needs {dst.dtype.name}{list(dst.shape)}")
+                    dst[...] = src
+        except (KeyError, IndexError, TypeError, AttributeError) as err:
             raise ConfigError(f"{path}: malformed checkpoint manifest ({err!r})") from None
-        return cls(cfg, _store=store)
+        return model
 
 
 def _named_arrays(path: str) -> set:

@@ -28,7 +28,7 @@ from .errors import ConfigError, KronMriError, NumericError, ShapeError
 from .kspace import (CENTER_FRACTION_DEFAULTS, complex_magnitude, fft2c,
                      gen_cartesian_mask, gen_phantom, ifft2c)
 from .kten import read_kten, write_kten, write_pgm
-from .layers import DENSE, KroneckerConv2d, KroneckerLinear, count_params
+from .layers import DENSE, KroneckerConv2d, KroneckerLinear, check_sizes, count_params
 from .losses import LossWeights, loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
@@ -171,15 +171,17 @@ def cmd_reconstruct(args) -> int:
         cols = read_kten(args.mask)
         if cols.ndim != 1 or cols.shape[0] != k.shape[2]:
             raise ShapeError(f"mask has {cols.shape}, k-space width is {k.shape[2]}")
+        if not np.isin(cols, (0, 1)).all():
+            raise ConfigError(f"{args.mask}: mask values must be 0 or 1")
         # same zeroing semantics as the library mask op, so the no-model
         # path stays bit-identical to a zero-filled reconstruction
         k = np.where(cols.astype(bool), k, k.dtype.type(0.0))
     zf = ifft2c(Tensor(k)).data
-    if args.checkpoint:
-        model = ConsistentModel(UNet.load(args.checkpoint))
-        recon = model(Tensor(zf[None].astype(model.dtype))).data[0]
-    else:
-        recon = zf
+    model = ConsistentModel(UNet.load(args.checkpoint)) if args.checkpoint else None
+    if model is not None and k.dtype != model.dtype:
+        raise ShapeError(f"{args.input}: k-space is {k.dtype.name}, "
+                         f"the checkpoint is {model.dtype.name}")
+    recon = zf if model is None else model(Tensor(zf[None].astype(model.dtype))).data[0]
     os.makedirs(args.out, exist_ok=True)
     write_kten(os.path.join(args.out, "recon.kten"), recon)
     mag = complex_magnitude(recon)
@@ -232,8 +234,7 @@ def _count_attention(config: dict):
     n = config.get("n", 2)
     AttentionConfig(embed_dim=embed, heads=config["heads"],
                     window=config["window"], n=n)
-    if blocks < 1:
-        raise ConfigError(f"blocks must be >= 1, got {blocks}")
+    check_sizes(blocks=blocks, mlp_hidden=hidden)
 
     def count(nn, train_mixing):
         attn = 4 * count_params(nn, embed, embed, train_mixing=train_mixing)

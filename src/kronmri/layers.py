@@ -15,8 +15,10 @@ mixing counts only when trainable):
 
 Init: mixing uniform on +/- 1/sqrt(n), drawn first; blocks uniform on
 +/- sqrt(1/fan_in) with fan_in = in*k^2 (k=1 for linear); bias zero.
-Checkpoint kinds are dense_* (arrays weight, bias) and kron_* (A_i, then
-S_i for linear or F_i for conv, and bias).
+A layer's checkpoint entry is its `manifest()` plus its `arrays()`: kind
+dense_* stores weight and bias, kind kron_* A_i, then S_i for linear or F_i
+for conv, and bias. `UNet.load` builds the model from its config and copies
+the stored arrays into these views.
 """
 
 from __future__ import annotations
@@ -31,12 +33,19 @@ from .tensor import Tensor
 DENSE = {"mixing": [[[1.0]]], "train_mixing": False}
 
 
+def check_sizes(**sizes) -> None:
+    """ConfigError unless every size is a plain int >= 1: a bool, a float or
+    an infinity is not a size."""
+    for name, value in sizes.items():
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def count_params(n: int, in_features: int, out_features: int, taps: int = 1,
                  train_mixing: bool = True) -> int:
     """Parameters of a factorized layer with `taps` kernel positions per
     block entry; a dense layer is n=1 with `train_mixing=False`."""
-    if n < 1 or min(in_features, out_features) < 1:
-        raise ConfigError(f"n, in and out must be >= 1, got {n}, {in_features}, {out_features}")
+    check_sizes(n=n, in_features=in_features, out_features=out_features, taps=taps)
     if in_features % n or out_features % n:
         raise ConfigError(
             f"n={n} must divide both in={in_features} and out={out_features}")
@@ -179,39 +188,3 @@ class KroneckerConv2d(_Factorized):
         w = self.materialize_weight()
         return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)
 
-
-_LAYER_KINDS = {f"{prefix}_{cls._FAMILY}": cls for cls in (KroneckerLinear, KroneckerConv2d)
-                for prefix in ("dense", "kron")}
-
-
-def layer_from_arrays(manifest: dict, arrays: dict[str, np.ndarray]):
-    """Rebuild a layer from its manifest dict plus named arrays, checking
-    each array's shape and dtype against the manifest."""
-    cls = _LAYER_KINDS.get(manifest.get("kind"))
-    if cls is None:
-        raise ConfigError(f"unknown layer kind {manifest.get('kind')!r}")
-    dense = manifest["kind"].startswith("dense_")
-    required = cls._ARGS + (() if dense else ("n",))
-    missing = [key for key in required if key not in manifest]
-    if missing:
-        raise ConfigError(f"layer manifest lacks {missing}")
-    if any(type(manifest[key]) is not int or manifest[key] < 0
-           for key in required + cls._OPTS if key in manifest):
-        raise ConfigError(f"layer manifest sizes must be integers >= 0: {manifest}")
-    dtype = manifest.get("dtype", "float32")
-    train_mixing = manifest.get("train_mixing", True)
-    if dtype not in ("float32", "float64") or not isinstance(train_mixing, bool):
-        raise ConfigError(f"bad dtype or train_mixing in layer manifest {manifest}")
-    n = 1 if dense else manifest["n"]
-    options = DENSE if dense else {"train_mixing": train_mixing, "mixing": np.zeros((n, n, n))}
-    layer = cls(*(manifest[key] for key in cls._ARGS), n, dtype=dtype, **options,
-                **{key: manifest[key] for key in cls._OPTS if key in manifest})
-    for name, dst in layer.arrays().items():
-        src = arrays.get(name)
-        if src is None:
-            raise ConfigError(f"{manifest['kind']} layer lacks array {name!r}")
-        if src.shape != dst.shape or src.dtype != dst.dtype:
-            raise ShapeError(f"array {name!r} is {src.dtype.name}{list(src.shape)}, "
-                             f"the manifest needs {dst.dtype.name}{list(dst.shape)}")
-        dst[...] = src
-    return layer

@@ -233,7 +233,8 @@ def _as_pair(a, b, op: str):
     """Resolve operands for a binary elementwise op.
 
     Returns (a_data, b_data, inputs, mode) with mode one of
-    'equal', 'scalar_right', 'scalar_left'.
+    'equal' (two tensors of one shape and dtype), 'const_right' and
+    'const_left' (a tensor and a Python number).
     """
     a_t = isinstance(a, Tensor)
     b_t = isinstance(b, Tensor)
@@ -244,12 +245,8 @@ def _as_pair(a, b, op: str):
             raise ShapeError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
         if a.shape == b.shape:
             return a.data, b.data, (a, b), "equal"
-        if b.data.size == 1 and b.data.ndim == 0:
-            return a.data, b.data, (a, b), "scalar_right"
-        if a.data.size == 1 and a.data.ndim == 0:
-            return a.data, b.data, (a, b), "scalar_left"
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match "
-                         "(only equal-shape or scalar broadcasting is supported)")
+                         "(tensor operands must have equal shapes)")
     if a_t:
         if not isinstance(b, (int, float)):
             raise ShapeError(f"{op}: unsupported operand type {type(b).__name__}")
@@ -257,13 +254,6 @@ def _as_pair(a, b, op: str):
     if not isinstance(a, (int, float)):
         raise ShapeError(f"{op}: unsupported operand type {type(a).__name__}")
     return b.data.dtype.type(a), b.data, (b,), "const_left"
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # Reduce a broadcast gradient back to a 0-d scalar operand.
-    if shape == ():
-        return np.asarray(g.sum(), dtype=g.dtype)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +267,7 @@ def add(a, b) -> Tensor:
     def vjp(g, needs):
         if mode in ("const_right", "const_left"):
             return (g,)
-        ga = _reduce_to(g, inputs[0].shape) if needs[0] else None
-        gb = _reduce_to(g, inputs[1].shape) if needs[1] else None
-        return (ga, gb)
+        return (g if needs[0] else None, g if needs[1] else None)
 
     return _apply("add", inputs, out, vjp)
 
@@ -293,9 +281,7 @@ def sub(a, b) -> Tensor:
             return (g,)
         if mode == "const_left":
             return (-g,)
-        ga = _reduce_to(g, inputs[0].shape) if needs[0] else None
-        gb = _reduce_to(-g, inputs[1].shape) if needs[1] else None
-        return (ga, gb)
+        return (g if needs[0] else None, -g if needs[1] else None)
 
     return _apply("sub", inputs, out, vjp)
 
@@ -309,9 +295,7 @@ def mul(a, b) -> Tensor:
             return (g * bd,)
         if mode == "const_left":
             return (g * ad,)
-        ga = _reduce_to(g * bd, inputs[0].shape) if needs[0] else None
-        gb = _reduce_to(g * ad, inputs[1].shape) if needs[1] else None
-        return (ga, gb)
+        return (g * bd if needs[0] else None, g * ad if needs[1] else None)
 
     return _apply("mul", inputs, out, vjp)
 

@@ -2,8 +2,8 @@
 
 Datasets are synthetic phantoms generated on the fly from (seed, index),
 so a (config, seed) pair fixes the whole run: masks, batches, parameter
-trajectory, history. No files are read; history is returned and optionally
-written as JSON lines.
+trajectory, history. No files are read; `train` returns the history and
+`write_history` writes it as JSON lines.
 """
 
 from __future__ import annotations
@@ -202,8 +202,7 @@ def evaluate(model, spec: DatasetSpec, af: int, seed: int, count: int) -> dict:
                 "samples": records}
 
 
-def train(model, spec: DatasetSpec, cfg: TrainConfig,
-          history_path: str | None = None) -> list[dict]:
+def train(model, spec: DatasetSpec, cfg: TrainConfig) -> list[dict]:
     """Mini-batch Adam training; returns the history record list.
 
     Batches cycle through a seeded shuffle of the dataset. Aborts with a
@@ -241,8 +240,6 @@ def train(model, spec: DatasetSpec, cfg: TrainConfig,
             rec["ssim"] = scores["ssim_mean"]
         history.append(rec)
 
-    if history_path is not None:
-        write_history(history_path, history)
     return history
 
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from kronmri import kspace
 from kronmri import tensor as T
+from kronmri.blocks import UNet, UNetConfig, build_unet
+from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -82,3 +84,18 @@ def test_instrumented_traces_fft_forward_and_backward():
     assert {("kspace.fft2c", "fwd"), ("kspace.ifft2c", "fwd"),
             ("tensor.vjp.fft2c", "bwd"), ("tensor.vjp.ifft2c", "bwd")} <= kinds
     assert T._apply is apply  # restored on exit
+
+
+def test_instrumented_traces_checkpoint_load_and_its_array_reads(tmp_path):
+    path = str(tmp_path / "ckpt")
+    model = build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=2), Rng(0))
+    model.save(path)
+    tr = harness.Tracer()
+    load = UNet.load
+    with workloads.instrumented(tr), tr.op():
+        loaded = UNet.load(path)
+    names = [s.name for s in tr.spans]
+    assert names.count("blocks.checkpoint_load") == 1
+    assert names.count("kten.read") == sum(len(layer.arrays()) for _, layer in loaded._layers)
+    assert tr.counts[0]["kten.bytes"] == sum(p.data.nbytes for p in model.parameters())
+    assert UNet.load == load  # restored on exit

@@ -42,6 +42,14 @@ class TestUNetConfig:
         dict(layer_kind="dense", n=2),
         dict(n=0),
         dict(in_channels=0),
+        dict(channel_multiples=[True, 2]),
+        dict(channel_multiples=[1.0, 2]),
+        dict(base_channels=8.0),
+        dict(base_channels=float("inf")),
+        dict(n=True),
+        dict(layer_kind="dense", n=True),
+        dict(out_channels=float("nan")),
+        dict(layer_kind=["dense"]),
     ])
     def test_invalid_rejected(self, bad):
         kwargs = dict(channel_multiples=[1, 2], base_channels=8,
@@ -60,6 +68,10 @@ class TestAttentionConfig:
         dict(embed_dim=10, heads=2, n=4),
         dict(heads=0),
         dict(window=0),
+        dict(embed_dim=8.0),
+        dict(heads=True),
+        dict(window=float("inf")),
+        dict(n=2.0),
     ])
     def test_invalid_rejected(self, bad):
         kwargs = dict(embed_dim=8, heads=2, window=2, n=1)

@@ -11,9 +11,12 @@ import hashlib
 import json
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronmri.blocks import UNet, UNetConfig, build_unet
 from kronmri.errors import ConfigError, ShapeError
@@ -73,16 +76,29 @@ class TestFormatStability:
         assert files(str(tmp_path)) == files(src)
 
 
-@pytest.fixture
-def ckpt(tmp_path):
-    path = str(tmp_path / "ckpt")
-    shutil.copytree(os.path.join(FIXTURES, "unet_kron2"), path)
+def fixture_copy(tmp_path, tag: str, name: str) -> str:
+    path = str(tmp_path / name)
+    shutil.copytree(os.path.join(FIXTURES, f"unet_{tag}"), path)
     return path
 
 
-def edit_manifest(path: str, edit) -> None:
+@pytest.fixture
+def ckpt(tmp_path):
+    return fixture_copy(tmp_path, "kron2", "ckpt")
+
+
+@pytest.fixture
+def dense_ckpt(tmp_path):
+    return fixture_copy(tmp_path, "dense", "dense")
+
+
+def read_manifest(path: str) -> dict:
     with open(os.path.join(path, "manifest.json")) as fh:
-        manifest = json.load(fh)
+        return json.load(fh)
+
+
+def edit_manifest(path: str, edit) -> None:
+    manifest = read_manifest(path)
     edit(manifest)
     with open(os.path.join(path, "manifest.json"), "w") as fh:
         json.dump(manifest, fh)
@@ -124,6 +140,82 @@ class TestLoadValidation:
         with pytest.raises(ConfigError):
             UNet.load(ckpt)
 
+    def test_wrong_shape_or_dtype_is_shape_error(self, tmp_path):
+        for layer in (0, -1):
+            for change in ("shape", "dtype"):
+                path = fixture_copy(tmp_path, "kron2", f"{change}{layer}")
+                fname = os.path.join(path, read_manifest(path)["layers"][layer]["arrays"]["F_0"])
+                arr = read_kten(fname)
+                write_kten(fname, arr[..., :2] if change == "shape" else arr.astype(np.float64))
+                with pytest.raises(ShapeError):
+                    UNet.load(path)
+
+    def test_missing_manifest_key_is_config_error(self, tmp_path):
+        for key in ("kind", "in_channels", "out_channels", "kernel_size", "stride",
+                    "padding", "dtype", "n", "train_mixing"):
+            path = fixture_copy(tmp_path, "kron2", key)
+            edit_manifest(path, lambda m: m["layers"][1]["manifest"].pop(key))
+            with pytest.raises(ConfigError):
+                UNet.load(path)
+
+    def test_missing_array_is_config_error(self, tmp_path):
+        for tag, array in (("kron2", "A_1"), ("kron2", "F_0"), ("kron2", "bias"),
+                           ("dense", "weight"), ("dense", "bias")):
+            path = fixture_copy(tmp_path, tag, f"{tag}-{array}")
+            edit_manifest(path, lambda m: m["layers"][-1]["arrays"].pop(array))
+            with pytest.raises(ConfigError):
+                UNet.load(path)
+
+    @pytest.mark.parametrize("field,value", [("n", "2"), ("stride", -1), ("dtype", "int8"),
+                                             ("train_mixing", 1), ("kind", "dense_conv"),
+                                             ("padding", 1.0)])
+    def test_bad_manifest_value_is_config_error(self, tmp_path, field, value):
+        for layer in (0, -1):
+            path = fixture_copy(tmp_path, "kron2", str(layer))
+            edit_manifest(path, lambda m: m["layers"][layer]["manifest"].update({field: value}))
+            with pytest.raises(ConfigError):
+                UNet.load(path)
+
+    def test_unknown_kind_rejected(self, ckpt):
+        edit_manifest(ckpt, lambda m: m["layers"][0]["manifest"].update(kind="mystery"))
+        with pytest.raises(ConfigError):
+            UNet.load(ckpt)
+
+    def test_extra_array_is_config_error(self, dense_ckpt):
+        edit_manifest(dense_ckpt, lambda m: m["layers"][0]["arrays"].update(
+            A_0=m["layers"][0]["arrays"]["bias"]))
+        with pytest.raises(ConfigError):
+            UNet.load(dense_ckpt)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(layers=[]),
+        lambda m: m.update(layers={}),
+        lambda m: m.update(layers="layers"),
+        lambda m: m.update(layers=3),
+        lambda m: m["layers"].__setitem__(0, "stem.conv1"),
+        lambda m: m["layers"].__setitem__(0, ["stem.conv1"]),
+        lambda m: m["layers"].reverse(),
+        lambda m: m["layers"].append(m["layers"][-1]),
+        lambda m: m["layers"][0].update(name="stem.conv0"),
+        lambda m: m["layers"][0].update(manifest=None),
+        lambda m: m["layers"][0].update(arrays=["F_0"]),
+    ])
+    def test_layer_list_other_than_the_configs_is_config_error(self, ckpt, edit):
+        edit_manifest(ckpt, edit)
+        with pytest.raises(ConfigError):
+            UNet.load(ckpt)
+
+    @pytest.mark.parametrize("tag", ["dense", "kron2"])
+    @pytest.mark.parametrize("field,value", [("n", True), ("base_channels", 2.0),
+                                             ("channel_multiples", [True, 2]),
+                                             ("layer_kind", 1)])
+    def test_config_size_that_is_not_a_plain_integer_is_config_error(
+            self, ckpt, dense_ckpt, tag, field, value):
+        path = ckpt if tag == "kron2" else dense_ckpt
+        edit_manifest(path, lambda m: m["config"].update({field: value}))
+        with pytest.raises(ConfigError):
+            UNet.load(path)
+
     def test_manifest_not_json_is_config_error(self, ckpt):
         with open(os.path.join(ckpt, "manifest.json"), "w") as fh:
             fh.write("{nope")
@@ -131,10 +223,35 @@ class TestLoadValidation:
             UNet.load(ckpt)
 
 
+class TestRoundTrip:
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(kind_n=st.sampled_from([("dense", 1), ("kronecker", 1), ("kronecker", 2)]),
+           multiples=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3),
+           base=st.sampled_from([2, 4]), dtype=st.sampled_from(["float32", "float64"]))
+    def test_load_gives_back_the_saved_model_bitwise(self, kind_n, multiples, base, dtype):
+        kind, n = kind_n
+        cfg = UNetConfig(channel_multiples=multiples, base_channels=base,
+                         layer_kind=kind, n=n)
+        model = build_unet(cfg, Rng(0), dtype=dtype)
+        draw = Rng(1)
+        for _, p in model.named_parameters():
+            p.data[...] = draw.uniform(p.shape, -0.5, 0.5, dtype=dtype)
+        with tempfile.TemporaryDirectory() as path:
+            model.save(path)
+            loaded = UNet.load(path)
+        assert loaded.cfg == cfg
+        assert loaded.dtype == model.dtype
+        saved, got = model.named_parameters(), loaded.named_parameters()
+        assert [name for name, _ in saved] == [name for name, _ in got]
+        for (_, pa), (_, pb) in zip(saved, got):
+            assert pa.data.dtype == pb.data.dtype
+            assert pa.data.tobytes() == pb.data.tobytes()
+        x = Tensor(Rng(2).uniform((1, 2, 8, 8), -1, 1, dtype=dtype))
+        assert np.array_equal(model(x).data, loaded(x).data)
+
+
 def manifest_files(path: str) -> set[str]:
-    with open(os.path.join(path, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    return {f for entry in manifest["layers"] for f in entry["arrays"].values()}
+    return {f for entry in read_manifest(path)["layers"] for f in entry["arrays"].values()}
 
 
 def small_unet(kind: str, n: int):

@@ -324,6 +324,28 @@ class TestCountParams:
         assert code == 2
         assert "perceptron" in stderr_json(err)["message"]
 
+    @pytest.mark.parametrize("field,payload", [
+        ("channel_multiple", {"channel_multiples": [True, 2]}),
+        ("n", {"n": True}),
+        ("channel_multiple", {"channel_multiples": [1.0, 2], "base_channels": 8.0}),
+        ("base_channels", {"base_channels": 1e400}),
+        ("layer_kind", {"layer_kind": ["dense"]}),
+        ("embed_dim", {"model": "attention", "embed_dim": 8.0, "heads": 2, "window": 2}),
+        ("heads", {"model": "attention", "embed_dim": 8, "heads": True, "window": 2}),
+        ("blocks", {"model": "attention", "embed_dim": 8, "heads": 2, "window": 2,
+                    "blocks": 1.5}),
+        ("mlp_hidden", {"model": "attention", "embed_dim": 8, "heads": 2, "window": 2,
+                        "mlp_hidden": 1e400}),
+    ])
+    def test_size_that_is_not_a_plain_integer_is_config_error(self, capsys, tmp_path,
+                                                              field, payload):
+        cfg = self.write_cfg(tmp_path, payload)
+        code, out, err = run_cli(capsys, "count-params", "--config", cfg)
+        assert (code, out) == (2, "")
+        error = stderr_json(err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith(f"{field} must be")
+
 
 class TestMetricsCmd:
     def write_phantom(self, tmp_path, name, seed):
@@ -417,6 +439,34 @@ class TestReconstruct:
                                   k_rec.shape)
         assert np.abs((k_rec - k_true)[sampled]).max() < 5e-5
         assert np.abs((k_rec - k_true)[~sampled]).max() > 1e-3
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0])
+    def test_mask_value_other_than_0_or_1_is_config_error(self, capsys, tmp_path, value):
+        kpath, _, mpath, _, _ = self.make_kspace(tmp_path)
+        cols = read_kten(mpath).copy()
+        cols[0] = value
+        write_kten(mpath, cols)
+        out = tmp_path / "rec"
+        code, _, err = run_cli(capsys, "reconstruct", "--input", kpath,
+                               "--mask", mpath, "--out", str(out))
+        assert code == 2
+        assert stderr_json(err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_kspace_dtype_other_than_the_checkpoints_is_shape_error(self, capsys, tmp_path):
+        kpath, _, mpath, _, _ = self.make_kspace(tmp_path)
+        write_kten(kpath, read_kten(kpath).astype(np.float64))
+        ckpt = str(tmp_path / "ckpt")
+        build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=4,
+                              layer_kind="kronecker", n=2), Rng(0)).save(ckpt)
+        out = tmp_path / "rec"
+        code, _, err = run_cli(capsys, "reconstruct", "--input", kpath, "--mask", mpath,
+                               "--checkpoint", ckpt, "--out", str(out))
+        assert code == 2
+        payload = stderr_json(err)
+        assert payload["error"] == "ShapeError"
+        assert "float64" in payload["message"] and "float32" in payload["message"]
+        assert not out.exists()
 
     def test_mask_width_mismatch_is_config_error(self, capsys, tmp_path):
         kpath, _, _, _, _ = self.make_kspace(tmp_path)

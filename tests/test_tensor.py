@@ -157,9 +157,13 @@ class TestElementwise:
         assert np.array_equal(out.data, np.full((2, 2), 2.5))
 
     def test_scalar_tensor_broadcast(self):
+        # a 0-d tensor does not broadcast; a Python number does (const_*)
         s = Tensor(np.asarray(2.0))
-        out = T.mul(Tensor(np.ones((3,))), s)
-        assert np.array_equal(out.data, np.full(3, 2.0))
+        for op in (T.add, T.sub, T.mul):
+            with pytest.raises(ShapeError):
+                op(Tensor(np.ones((3,))), s)
+            with pytest.raises(ShapeError):
+                op(s, Tensor(np.ones((3,))))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):

@@ -251,7 +251,8 @@ class TestTrain:
         model = tiny_model(seed=13)
         cfg = TrainConfig(steps=2, batch=2, seed=14, dataset_size=4)
         path = str(tmp_path / "history.jsonl")
-        history = train(model, tiny_spec(), cfg, history_path=path)
+        history = train(model, tiny_spec(), cfg)
+        write_history(path, history)
         with open(path) as fh:
             lines = fh.readlines()
         assert [json.loads(line) for line in lines] == history
