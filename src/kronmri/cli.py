@@ -25,17 +25,15 @@ from .algebra import preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig,
                      WindowAttention, build_unet, unet_convs)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
-from .kspace import (CENTER_FRACTION_DEFAULTS, complex_magnitude, fft2c,
-                     gen_cartesian_mask, gen_phantom, ifft2c)
+from .kspace import complex_magnitude, gen_cartesian_mask, ifft2c
 from .kten import read_kten, write_kten, write_pgm
 from .layers import DENSE, KroneckerConv2d, KroneckerLinear, check_sizes, count_params
 from .losses import LossWeights, loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
 from .tensor import Tensor, grad_check, mac_count, reset_mac_count
-from .training import (Adam, ConsistentModel, DatasetSpec, TrainConfig,
-                       evaluate, held_out_seed, make_sample, train,
-                       write_history)
+from .training import (ConsistentModel, DatasetSpec, TrainConfig, evaluate,
+                       held_out_seed, make_sample, train, write_history)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -19,6 +19,13 @@ with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
 columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
 so the forward stays bit-identical to a plain NCHW im2col GEMM; its VJP is
 a per-tap col2im (see `conv2d`).
+
+The conv forward keeps its im2col windows only while a tape records, as
+one whole-batch block whose GEMM is a single call (the kernel gradient
+needs the windows, and splitting the taped GEMM slowed training). Without a
+tape it streams blocks of at least 1024 output pixels through one reused
+buffer; at that size OpenBLAS rounds each block's rows as it does the whole
+product's, so the output is bitwise the same with a fraction of the memory.
 """
 
 from __future__ import annotations
@@ -321,6 +328,20 @@ def relu(x: Tensor) -> Tensor:
     return _apply("relu", (x,), out, vjp)
 
 
+def scaled_relu(x: Tensor, s: float) -> Tensor:
+    """`scale(relu(x), s)` in one op: one fresh buffer scaled in place, and
+    bit for bit the same values and gradient as the two ops."""
+    s = x.data.dtype.type(s)
+    out = np.maximum(x.data, 0)
+    out *= s
+    xd = x.data
+
+    def vjp(g, needs):
+        return ((g * s) * (xd > 0),)
+
+    return _apply("scaled_relu", (x,), out, vjp)
+
+
 def sqrt_(x: Tensor) -> Tensor:
     """Elementwise square root; differentiable only for strictly positive input."""
     if np.any(x.data < 0):
@@ -427,34 +448,45 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _apply("add_bias", (x, b), out, vjp)
 
 
-# Byte budget of one block of im2col rows in `_conv_windows`: a quarter of
-# a 2 MB L2 cache, so a block stays cache-resident while all k*k taps are
-# written into it. On a 2-core Xeon, 256 KB to 1 MB blocks timed alike.
+# Byte budget of one run of im2col rows in `_conv_windows`: a quarter of a
+# 2 MB L2 cache, so a run stays cache-resident while all k*k taps are
+# written into it. On a 2-core Xeon, 256 KB to 1 MB runs timed alike.
 _GATHER_BLOCK_BYTES = 1 << 19
 
+# Fewest output pixels in one GEMM block of an untaped conv2d forward. On
+# OpenBLAS 0.3.31 (Haswell kernels, 2 threads) row blocks of 1024 or more
+# gave products bitwise equal to one whole GEMM for every O >= 2 tried
+# (768 shapes, float32 and float64); blocks of 32-960 rows did not, the
+# two-column head among them. O = 1 runs as a GEMV and may differ in the
+# last bits.
+_GEMM_BLOCK_ROWS = 1024
 
-def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """im2col matrix [B*Ho*Wo, C*k*k] of a channels-last padded input [B,Hp,Wp,C].
 
-    Row (b, y, x) holds the window at output pixel (y, x), its columns in
-    (c, i, j) order: the order of a row of the [O, C*k*k] kernel. The
+def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int,
+                  r0: int, r1: int, out: np.ndarray) -> None:
+    """Gather im2col rows of output image rows r0..r1 into `out`.
+
+    `xp` is the channels-last padded input [B,Hp,Wp,C]; output image row
+    r is row r % Ho of image r // Ho, so a range may cross images. `out`
+    is [r1-r0, Wo, C, k, k]: one im2col row per output pixel, its columns
+    in (c, i, j) order, the order of a row of the [O, C*k*k] kernel. The
     windows are copied one tap (i, j) at a time, so each copy reads whole
-    C-long pixel vectors from the channels-last buffer; the copies run over
-    blocks of output rows so the block being written stays in cache.
+    C-long pixel vectors; the copies run over runs of rows of at most
+    `_GATHER_BLOCK_BYTES` so the run being written stays in cache.
     """
-    bsz, _, _, c = xp.shape
-    cols = np.empty((bsz, ho, wo, c, k, k), dtype=xp.dtype)
-    rows = max(1, _GATHER_BLOCK_BYTES // cols[0, 0].nbytes)
+    wo = out.shape[1]
+    run = max(1, _GATHER_BLOCK_BYTES // out[0].nbytes)
     span = stride * (wo - 1) + 1
-    for b in range(bsz):
-        for y in range(0, ho, rows):
-            dst = cols[b, y:y + rows]
-            n = dst.shape[0]
-            for i in range(k):
-                src = xp[b, y * stride + i:(y + n - 1) * stride + i + 1:stride]
-                for j in range(k):
-                    dst[..., i, j] = src[:, j:j + span:stride]
-    return cols.reshape(bsz * ho * wo, c * k * k)
+    r = r0
+    while r < r1:
+        b, y = divmod(r, ho)
+        n = min(run, r1 - r, ho - y)
+        dst = out[r - r0:r - r0 + n]
+        for i in range(k):
+            src = xp[b, y * stride + i:(y + n - 1) * stride + i + 1:stride]
+            for j in range(k):
+                dst[..., i, j] = src[:, j:j + span:stride]
+        r += n
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
@@ -465,15 +497,31 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     Output spatial size is floor((H + 2*padding - k) / stride) + 1 per axis.
 
     The input is copied into a [B,Hp,Wp,C] buffer whose border alone is
-    zeroed (no copy without padding), gathered into (c,i,j)-ordered im2col
-    columns (`_conv_windows`) and multiplied as `cols @ w.reshape(O, C*k*k).T`;
-    that [B*Ho*Wo, O] product, bias added in place, is the output. The K
-    order and the GEMM orientation are fixed: BLAS rounds a product by how
-    it blocks it, so any other order changes float32 outputs in the last
-    bits, and saved fixtures pin them. The VJP reads `g` as [B*Ho*Wo, O]
-    rows: the kernel gradient is `(cols.T @ g).T`, and the input gradient a
-    per-tap col2im, one [B*Ho*Wo, O] @ [O, C] GEMM per tap added with one
-    strided slice into a [B,Hp,Wp,C] buffer.
+    zeroed (no copy without padding). The forward runs over blocks of
+    output image rows: each block's windows are gathered into (c,i,j)-
+    ordered im2col columns (`_conv_windows`) and multiplied by
+    `w.reshape(O, C*k*k).T` straight into its rows of the [B*Ho*Wo, O]
+    output, bias added in place.
+
+    Under a recording tape there is one block, the whole batch, and its
+    im2col matrix is kept as `cols` for the kernel gradient. The taped GEMM
+    stays one call because the training step needs the whole matrix anyway,
+    and cutting it into 1024-row blocks made a desk training step 14%
+    slower. Without a tape (inference, the numeric passes of `grad_check`)
+    the windows are not kept: blocks hold at least `_GEMM_BLOCK_ROWS` output
+    pixels in whole image rows (a short tail joins the last block) and
+    reuse one buffer, so no whole im2col matrix is ever built. The floor is
+    1024 because BLAS rounds a product by how it blocks it: on OpenBLAS
+    0.3.31, blocks of 1024 rows or more come out bitwise as the rows of the
+    one whole GEMM for O >= 2, and smaller ones do not, so streaming keeps
+    the output. The K order and the GEMM orientation are fixed for the same
+    reason: any other order changes float32 outputs in the last bits, and
+    saved fixtures pin them.
+
+    The VJP reads `g` as [B*Ho*Wo, O] rows: the kernel gradient is
+    `(cols.T @ g).T`, and the input gradient a per-tap col2im, one
+    [B*Ho*Wo, O] @ [O, C] GEMM per tap added with one strided slice into a
+    [B,Hp,Wp,C] buffer.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -508,12 +556,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         xp[:, :padding] = xp[:, hp - padding:] = 0
         xp[:, :, :padding] = xp[:, :, wp - padding:] = 0
         xp[:, padding:padding + h, padding:padding + wd] = x.data
-    cols = _conv_windows(xp, k, stride, ho, wo)
-    del xp  # no padded buffer alongside the GEMM output: peak memory is cols + out
+    # Blocks of `per` output image rows; the last also takes the short tail.
+    nrows = bsz * ho
+    per = nrows if _ACTIVE_TAPE is not None else -(-_GEMM_BLOCK_ROWS // wo)
+    bounds = [i * per for i in range(max(1, nrows // per))] + [nrows]
+    buf = np.empty((nrows - bounds[-2], wo, c, k, k), dtype=x.data.dtype)
     wr = w.data.reshape(o, c * k * k)
-    out = cols @ wr.T
-    if bias is not None:
-        out += bias.data
+    out = np.empty((nrows * wo, o), dtype=x.data.dtype)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        blk = buf[:r1 - r0]
+        _conv_windows(xp, k, stride, ho, r0, r1, blk)
+        dst = out[r0 * wo:r1 * wo]
+        np.matmul(blk.reshape(-1, c * k * k), wr.T, out=dst)
+        if bias is not None:
+            dst += bias.data
+    cols = buf.reshape(-1, c * k * k)  # the whole im2col matrix under a tape
     wd_arr = w.data
 
     inputs = (x, w) if bias is None else (x, w, bias)

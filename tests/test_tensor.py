@@ -1,10 +1,13 @@
 """Autodiff engine: forward oracles, backward vs finite differences, tape rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kronmri import tensor as T
 from kronmri.errors import ConfigError, NumericError, ShapeError, TapeError
@@ -222,6 +225,28 @@ class TestElementwiseGradients:
         grads = backward(loss)
         num = fd_grad(lambda: float(np.sum(ref(x.data))), [x.data])
         assert np.allclose(grads[x].data, num[0], atol=1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
+           s=st.floats(-8, 8, allow_nan=False))
+    def test_scaled_relu_is_bitwise_scale_of_relu(self, data, dtype, shape, s):
+        """Forward and gradient are the bytes of `scale(relu(x), s)`, signed
+        zeros included."""
+        elems = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
+        x = data.draw(hnp.arrays(dtype, shape, elements=elems))
+        g = data.draw(hnp.arrays(dtype, shape, elements=elems))
+        results = []
+        for op in (lambda t: T.scaled_relu(t, s), lambda t: T.scale(T.relu(t), s)):
+            tx = Tensor(x.copy(), requires_grad=True)
+            with Tape():
+                out = op(tx)
+                loss = T.sum_(T.mul(out, Tensor(g)))
+            results.append((out.data, backward(loss)[tx].data))
+        (fused, gfused), (ref, gref) = results
+        assert fused.dtype == gfused.dtype == dtype
+        assert fused.tobytes() == ref.tobytes()
+        assert gfused.tobytes() == gref.tobytes()
 
 
 def _np_op(op):
@@ -527,6 +552,59 @@ class TestConv2d:
                             conv_vjp_tensordot(g, x, wk, stride, padding)):
             assert got.dtype == np.float32
             assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @staticmethod
+    def _taped_and_streamed(bsz, c, hw, stride, o, dtype):
+        """conv2d of one draw under a tape (one GEMM block) and without."""
+        rng = Rng(bsz * 1000 + hw * 10 + o)
+        x = rng.uniform((bsz, hw, hw, c), -1, 1).astype(dtype)
+        w = rng.uniform((o, c, 3, 3), -1, 1).astype(dtype)
+        b = rng.uniform((o,), -1, 1).astype(dtype)
+        with Tape():
+            taped = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b),
+                             stride=stride, padding=1)
+        streamed = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1)
+        return taped.data, streamed.data
+
+    # (B, C, H=W, stride): output rows per block, blocks, tail rows
+    STREAMED = [(2, 8, 40, 1),    # 26 rows, 3 blocks, tail 2, a block across images
+                (3, 16, 70, 2),   # 35x35 output: 30 rows, 3 blocks, tail 15
+                (4, 4, 33, 1),    # 32 rows, 4 blocks, tail 4
+                (2, 32, 48, 1)]   # 22 rows, 4 blocks, tail 8
+
+    @pytest.mark.parametrize("bsz,c,hw,stride", STREAMED)
+    def test_streamed_shapes_take_three_blocks_and_a_tail(self, bsz, c, hw, stride):
+        ho = (hw + 2 - 3) // stride + 1
+        per = -(-T._GEMM_BLOCK_ROWS // ho)  # square output: Wo = Ho
+        assert bsz * ho // per >= 3 and bsz * ho % per and per % ho
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("o", [2, 8, 32])
+    @pytest.mark.parametrize("bsz,c,hw,stride", STREAMED)
+    def test_streamed_forward_is_bitwise_the_taped_one(self, bsz, c, hw, stride, o, dtype):
+        taped, streamed = self._taped_and_streamed(bsz, c, hw, stride, o, dtype)
+        assert streamed.dtype == dtype
+        assert np.array_equal(streamed, taped)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz,c,hw,stride", STREAMED)
+    def test_streamed_single_output_channel_is_close(self, bsz, c, hw, stride, dtype):
+        """O = 1 runs as a GEMV, which rounds by its own blocking."""
+        taped, streamed = self._taped_and_streamed(bsz, c, hw, stride, 1, dtype)
+        assert np.allclose(streamed, taped, rtol=1e-6, atol=1e-6 * np.abs(taped).max())
+
+    def test_untaped_forward_never_holds_the_whole_im2col(self):
+        rng = Rng(22)
+        x = Tensor(rng.uniform((1, 256, 256, 32), -1, 1).astype(np.float32))
+        w = Tensor(rng.uniform((32, 32, 3, 3), -1, 1).astype(np.float32))
+        im2col_bytes = 256 * 256 * 32 * 9 * 4  # 72 MiB
+        tracemalloc.start()
+        try:
+            T.conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col_bytes / 2
 
     def test_vjp_skips_gradients_not_needed(self):
         rng = Rng(21)
