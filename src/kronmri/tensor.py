@@ -22,8 +22,8 @@ a per-tap col2im (see `conv2d`).
 
 The conv forward keeps its im2col windows only while a tape records, as
 one whole-batch block whose GEMM is a single call (the kernel gradient
-needs the windows, and splitting the taped GEMM slowed training). Without a
-tape it streams blocks of at least 1024 output pixels through one reused
+needs the windows, and one call keeps training's forward the plain im2col
+GEMM for every O). Without a tape it streams blocks of at least 1024 output pixels through one reused
 buffer; at that size OpenBLAS rounds each block's rows as it does the whole
 product's, so the output is bitwise the same with a fraction of the memory.
 """
@@ -505,12 +505,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     Under a recording tape there is one block, the whole batch, and its
     im2col matrix is kept as `cols` for the kernel gradient. The taped GEMM
-    stays one call because the training step needs the whole matrix anyway,
-    and cutting it into 1024-row blocks made a desk training step 14%
-    slower. Without a tape (inference, the numeric passes of `grad_check`)
-    the windows are not kept: blocks hold at least `_GEMM_BLOCK_ROWS` output
-    pixels in whole image rows (a short tail joins the last block) and
-    reuse one buffer, so no whole im2col matrix is ever built. The floor is
+    stays one call: the whole matrix must exist for the backward anyway,
+    and one call keeps the training forward the plain im2col GEMM for every
+    O, the GEMV case O = 1 included. Without a tape (inference, the numeric
+    passes of `grad_check`) the windows are not kept: blocks hold at least
+    `_GEMM_BLOCK_ROWS` output pixels in whole image rows (a short tail
+    joins the last block) and reuse one buffer, so no whole im2col matrix
+    is ever built. The floor is
     1024 because BLAS rounds a product by how it blocks it: on OpenBLAS
     0.3.31, blocks of 1024 rows or more come out bitwise as the rows of the
     one whole GEMM for O >= 2, and smaller ones do not, so streaming keeps
