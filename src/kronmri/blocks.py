@@ -135,7 +135,7 @@ class UNet(Module):
         step = 2 ** (self.cfg.depth - 1)
         if x.shape[2] % step or x.shape[3] % step:
             raise ShapeError(f"spatial dims {x.shape[2:]} must be divisible by {step}")
-        act = lambda t: T.scaled_relu(t, ACT_GAIN)
+        act = lambda t: T.relu(t, ACT_GAIN)
         c1, c2 = self._stem
         h = act(c2(act(c1(T.transpose(x, (0, 2, 3, 1))))))
         skips = [h]

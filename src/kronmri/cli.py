@@ -25,7 +25,7 @@ from .algebra import preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig,
                      WindowAttention, build_unet, unet_convs)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
-from .kspace import complex_magnitude, gen_cartesian_mask, ifft2c
+from .kspace import apply_mask, complex_magnitude, gen_cartesian_mask, ifft2c
 from .kten import read_kten, write_kten, write_pgm
 from .layers import DENSE, KroneckerConv2d, KroneckerLinear, check_sizes, count_params
 from .losses import LossWeights, loss_total
@@ -67,19 +67,21 @@ def _normalize_kind(kind: str) -> str:
 
 def _load_pair(path: str) -> np.ndarray:
     arr = read_kten(path)
-    if arr.ndim != 3 or arr.shape[0] != 2:
-        raise ShapeError(f"{path}: expected a [2, H, W] complex pair, "
+    if arr.ndim != 3 or arr.shape[0] != 2 or arr.size == 0:
+        raise ShapeError(f"{path}: expected a non-empty [2, H, W] complex pair, "
                          f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{path}: non-finite values")
     return arr
 
 
 def _magnitude_image(path: str) -> np.ndarray:
     arr = read_kten(path)
-    if arr.ndim == 3 and arr.shape[0] == 2:
+    if arr.size and arr.ndim == 3 and arr.shape[0] == 2:
         return complex_magnitude(arr)
-    if arr.ndim == 2:
+    if arr.size and arr.ndim == 2:
         return np.asarray(arr, dtype=np.float64)
-    raise ShapeError(f"{path}: expected [2, H, W] or [H, W], got {arr.shape}")
+    raise ShapeError(f"{path}: expected a non-empty [2, H, W] or [H, W], got {arr.shape}")
 
 
 # ---------------------------------------------------------------- commands
@@ -164,35 +166,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    k = _load_pair(args.input)
+    k = Tensor(_load_pair(args.input))
+    truth = _load_pair(args.truth) if args.truth else None
     if args.mask:
         cols = read_kten(args.mask)
-        if cols.ndim != 1 or cols.shape[0] != k.shape[2]:
-            raise ShapeError(f"mask has {cols.shape}, k-space width is {k.shape[2]}")
-        if not np.isin(cols, (0, 1)).all():
-            raise ConfigError(f"{args.mask}: mask values must be 0 or 1")
-        # same zeroing semantics as the library mask op, so the no-model
-        # path stays bit-identical to a zero-filled reconstruction
-        k = np.where(cols.astype(bool), k, k.dtype.type(0.0))
-    zf = ifft2c(Tensor(k)).data
+        if cols.ndim != 1:
+            raise ShapeError(f"{args.mask}: expected a 1-D mask, got shape {cols.shape}")
+        k = apply_mask(k, cols)
+    zf = ifft2c(k).data
     model = ConsistentModel(UNet.load(args.checkpoint)) if args.checkpoint else None
     if model is not None and k.dtype != model.dtype:
         raise ShapeError(f"{args.input}: k-space is {k.dtype.name}, "
                          f"the checkpoint is {model.dtype.name}")
     recon = zf if model is None else model(Tensor(zf[None].astype(model.dtype))).data[0]
-    os.makedirs(args.out, exist_ok=True)
-    write_kten(os.path.join(args.out, "recon.kten"), recon)
     mag = complex_magnitude(recon)
-    peak = float(mag.max())
-    write_pgm(os.path.join(args.out, "recon.pgm"),
-              mag / peak if peak > 0 else mag, maxval=255)
     result = {"out": args.out, "shape": list(recon.shape),
               "mode": "model" if args.checkpoint else "zero_filled"}
-    if args.truth:
-        truth_mag = complex_magnitude(_load_pair(args.truth))
+    if truth is not None:
+        truth_mag = complex_magnitude(truth)
         dr = float(truth_mag.max())
         result["metrics"] = {"psnr_db": psnr(mag, truth_mag, dr),
                              "ssim": ssim(mag, truth_mag, dr)}
+    # every input is checked before the first output is written
+    os.makedirs(args.out, exist_ok=True)
+    write_kten(os.path.join(args.out, "recon.kten"), recon)
+    peak = float(mag.max())
+    write_pgm(os.path.join(args.out, "recon.pgm"),
+              mag / peak if peak > 0 else mag, maxval=255)
+    if truth is not None:
         with open(os.path.join(args.out, "metrics.json"), "w") as fh:
             json.dump(result["metrics"], fh, indent=1, sort_keys=True)
     _emit(result)

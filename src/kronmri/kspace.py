@@ -128,13 +128,22 @@ def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None
     return CartesianMask(width, af, center_fraction, sampled)
 
 
-def apply_mask(k: Tensor, mask: CartesianMask) -> Tensor:
-    """Zero unsampled columns; sampled columns pass through bit-identical."""
+def apply_mask(k: Tensor, columns) -> Tensor:
+    """Zero the unmeasured k-space columns; measured ones pass through
+    bit-identical, phase included. The one column-selection op.
+
+    `columns` holds 0 or 1 per column, bool or float: `[W]` is one mask for
+    every sample, `[B,1,1,W]` one per sample of a `[B,2,H,W]` batch. Other
+    values are a ConfigError, other shapes a ShapeError.
+    """
     _require_complex_pair(k, "apply_mask")
-    if k.shape[-1] != mask.width:
-        raise ShapeError(f"mask width {mask.width} does not match k-space "
-                         f"width {k.shape[-1]}")
-    keep = mask.sampled.astype(bool)
+    cols = np.asarray(columns)
+    if cols.shape not in (k.shape[-1:], k.shape[:-3] + (1, 1) + k.shape[-1:]):
+        raise ShapeError(f"mask of shape {cols.shape} is not [W] or [B,1,1,W] "
+                         f"for k-space of shape {k.shape}")
+    if not np.isin(cols, (0, 1)).all():
+        raise ConfigError("mask values must be 0 or 1")
+    keep = cols.astype(bool, copy=False)
     out = np.where(keep, k.data, k.data.dtype.type(0.0))
 
     def vjp(g, needs):

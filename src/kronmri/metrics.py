@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Tensor
 
 SSIM_WINDOW = 11
@@ -22,6 +22,8 @@ def _as_image(x, op: str) -> np.ndarray:
     arr = x.data if isinstance(x, Tensor) else np.asarray(x)
     if arr.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D magnitude image, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{op}: non-finite pixels")
     return arr.astype(np.float64)
 
 
@@ -34,8 +36,8 @@ def psnr(xhat, x, data_range: float) -> float:
     b = _as_image(x, "psnr")
     if a.shape != b.shape:
         raise ShapeError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
-    if data_range <= 0:
-        raise ConfigError(f"data_range must be positive, got {data_range}")
+    if not (np.isfinite(data_range) and data_range > 0):
+        raise ConfigError(f"data_range must be finite and positive, got {data_range}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -80,8 +82,8 @@ def ssim(xhat, x, data_range: float) -> float:
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
         raise ShapeError(f"ssim needs at least {SSIM_WINDOW}x{SSIM_WINDOW} images, "
                          f"got {a.shape}")
-    if data_range <= 0:
-        raise ConfigError(f"data_range must be positive, got {data_range}")
+    if not (np.isfinite(data_range) and data_range > 0):
+        raise ConfigError(f"data_range must be finite and positive, got {data_range}")
 
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2

@@ -319,19 +319,10 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _apply("scale", (x,), out, vjp)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def vjp(g, needs):
-        return (g * (out > 0),)
-
-    return _apply("relu", (x,), out, vjp)
-
-
-def scaled_relu(x: Tensor, s: float) -> Tensor:
-    """`scale(relu(x), s)` in one op: one fresh buffer scaled in place, and
-    bit for bit the same values and gradient as the two ops."""
-    s = x.data.dtype.type(s)
+def relu(x: Tensor, gain: float = 1.0) -> Tensor:
+    """`gain * max(x, 0)`: one fresh buffer scaled in place, bit for bit
+    `scale(relu(x), gain)` in value and gradient."""
+    s = x.data.dtype.type(gain)
     out = np.maximum(x.data, 0)
     out *= s
     xd = x.data
@@ -339,7 +330,7 @@ def scaled_relu(x: Tensor, s: float) -> Tensor:
     def vjp(g, needs):
         return ((g * s) * (xd > 0),)
 
-    return _apply("scaled_relu", (x,), out, vjp)
+    return _apply("relu", (x,), out, vjp)
 
 
 def sqrt_(x: Tensor) -> Tensor:

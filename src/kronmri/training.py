@@ -115,7 +115,7 @@ def make_sample(spec: DatasetSpec, af: int, seed: int, index: int,
     truth = gen_phantom(spec.height, spec.width, spec.n_ellipses,
                         root.fork(0, index), dtype=dtype)
     mask = gen_cartesian_mask(spec.width, af, rng=root.fork(1, index))
-    zf = ifft2c(apply_mask(fft2c(truth), mask))
+    zf = ifft2c(apply_mask(fft2c(truth), mask.sampled))
     return Sample(truth=truth.data, zf=zf.data, mask_columns=mask.sampled)
 
 
@@ -134,16 +134,16 @@ def _stack(samples: list[Sample], attr: str) -> Tensor:
 
 
 class ConsistentModel(Module):
-    """Image-to-image model followed by a measurement-consistency step.
+    """Image-to-image model followed by a data-consistency step.
 
     A zero-filled input is its own measurement record: its spectrum holds
     the acquired k-space on the sampled columns and only transform roundoff
     (about 1e-6 relative) elsewhere, while genuinely sampled columns carry
     at least 1e-3 of the spectral peak on this data. Columns above a 1e-5
-    relative magnitude are therefore treated as measured and spliced back
-    into the model output's spectrum, so training can only move the
-    unmeasured part. The wrapper adds no parameters and checkpoints exactly
-    like the inner model.
+    relative magnitude are therefore measured: `apply_mask` puts them back,
+    phase included, in place of the model output's, so training can only
+    move the unmeasured part. The wrapper adds no parameters and
+    checkpoints exactly like the inner model.
     """
 
     MASK_REL_THRESHOLD = 1e-5
@@ -154,15 +154,9 @@ class ConsistentModel(Module):
     def __call__(self, x: Tensor) -> Tensor:
         k_meas = fft2c(Tensor(x.data))  # constant copy: no grad through it
         mag = np.abs(k_meas.data).max(axis=(1, 2))           # [B, W]
-        peaks = mag.max(axis=1, keepdims=True)
-        keep_cols = (mag > self.MASK_REL_THRESHOLD * peaks)
-        keep = np.ascontiguousarray(
-            np.broadcast_to(keep_cols[:, None, None, :], x.data.shape)
-        ).astype(x.data.dtype)
+        keep = (mag > self.MASK_REL_THRESHOLD * mag.max(axis=1, keepdims=True))[:, None, None]
         k_hat = fft2c(self.model(x))
-        k_dc = T.add(T.mul(k_hat, Tensor(1.0 - keep)),
-                     T.mul(k_meas, Tensor(keep)))
-        return ifft2c(k_dc)
+        return ifft2c(T.add(apply_mask(k_hat, ~keep), apply_mask(k_meas, keep)))
 
     def named_parameters(self):
         return self.model.named_parameters()

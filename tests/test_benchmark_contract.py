@@ -16,8 +16,10 @@ import numpy as np
 from kronmri import kspace
 from kronmri import tensor as T
 from kronmri.blocks import UNet, UNetConfig, build_unet
+from kronmri.losses import loss_total
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
+from kronmri.training import ConsistentModel, DatasetSpec, make_dataset
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -99,3 +101,25 @@ def test_instrumented_traces_checkpoint_load_and_its_array_reads(tmp_path):
     assert names.count("kten.read") == sum(len(layer.arrays()) for _, layer in loaded._layers)
     assert tr.counts[0]["kten.bytes"] == sum(p.data.nbytes for p in model.parameters())
     assert UNet.load == load  # restored on exit
+
+
+def test_train_workload_call_forms():
+    """The train workloads draw their data with `make_dataset` and read
+    `truth`, `zf` and `mask_columns` from its samples. Each step calls
+    `ConsistentModel(model)(x)` on a [B,2,H,W] zero-filled batch with no
+    mask argument, then `loss_total(out, y)` and `backward`."""
+    spec = DatasetSpec(height=16, width=16, n_ellipses=3)
+    samples = make_dataset(spec, 8, 0, 2)
+    for s in samples:
+        assert s.truth.shape == s.zf.shape == (2, 16, 16)
+        assert s.mask_columns.shape == (16,)
+    model = ConsistentModel(build_unet(UNetConfig(channel_multiples=[1, 2],
+                                                  base_channels=2), Rng(0)))
+    x = Tensor(np.stack([s.zf for s in samples]))
+    y = Tensor(np.stack([s.truth for s in samples]))
+    with Tape():
+        out = model(x)
+        loss = loss_total(out, y)
+    grads = backward(loss)
+    assert out.shape == x.shape
+    assert set(grads) == set(model.parameters())

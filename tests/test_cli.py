@@ -1,11 +1,17 @@
 """Command-line contract: help snapshots, exit codes, and file outputs."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri import cli
@@ -25,6 +31,19 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_shown(*args):
+    """`main` in process with its streams redirected and every warning
+    shown: a warning counts as stderr output, as it would on a console."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(list(args))
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out.getvalue(), err.getvalue() + shown
 
 
 def stderr_json(err: str) -> dict:
@@ -375,6 +394,40 @@ class TestMetricsCmd:
         assert b["data_range"] == doubled
         assert b["psnr_db"] > a["psnr_db"]
 
+    @pytest.mark.parametrize("shape", [(0, 32), (32, 0), (2, 0, 32), (2, 32, 0), (0,)])
+    @pytest.mark.parametrize("role", ["--recon", "--truth"])
+    def test_empty_image_is_shape_error(self, tmp_path, role, shape):
+        good, _ = self.write_phantom(tmp_path, "a.kten", 4)
+        empty = str(tmp_path / "empty.kten")
+        write_kten(empty, np.zeros(shape, dtype=np.float32))
+        paths = {"--recon": good, "--truth": good, role: empty}
+        code, out, err = run_cli_shown("metrics", *[a for kv in paths.items() for a in kv])
+        assert code == 2 and out == ""
+        assert stderr_json(err)["error"] == "ShapeError"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("role", ["--recon", "--truth"])
+    def test_non_finite_pixel_is_numeric_error(self, tmp_path, role, value):
+        good, img = self.write_phantom(tmp_path, "a.kten", 5)
+        bad = str(tmp_path / "bad.kten")
+        img = img.copy()
+        img[0, 7, 9] = value
+        write_kten(bad, img)
+        paths = {"--recon": good, "--truth": good, role: bad}
+        code, out, err = run_cli_shown("metrics", *[a for kv in paths.items() for a in kv])
+        assert code == 3 and out == ""
+        assert stderr_json(err)["error"] == "NumericError"
+
+    @pytest.mark.parametrize("data_range", ["nan", "inf", "-inf", "0", "-1"])
+    def test_data_range_not_finite_and_positive_is_config_error(self, tmp_path,
+                                                                data_range):
+        pa, _ = self.write_phantom(tmp_path, "a.kten", 6)
+        pb, _ = self.write_phantom(tmp_path, "b.kten", 7)
+        code, out, err = run_cli_shown("metrics", "--recon", pa, "--truth", pb,
+                                       f"--data-range={data_range}")
+        assert code == 2 and out == ""
+        assert stderr_json(err)["error"] == "ConfigError"
+
 
 class TestReconstruct:
     def make_kspace(self, tmp_path, seed=5, size=32):
@@ -395,7 +448,7 @@ class TestReconstruct:
         code, _, _ = run_cli(capsys, "reconstruct", "--input", kpath,
                              "--mask", mpath, "--truth", tpath, "--out", out)
         assert code == 0
-        expected = ifft2c(apply_mask(fft2c(truth), mask)).data
+        expected = ifft2c(apply_mask(fft2c(truth), mask.sampled)).data
         produced = read_kten(os.path.join(out, "recon.kten"))
         assert produced.dtype == expected.dtype
         assert produced.tobytes() == expected.tobytes()
@@ -440,7 +493,7 @@ class TestReconstruct:
         assert np.abs((k_rec - k_true)[sampled]).max() < 5e-5
         assert np.abs((k_rec - k_true)[~sampled]).max() > 1e-3
 
-    @pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0])
+    @pytest.mark.parametrize("value", [0.5, np.nan, 2.0, -1.0, np.inf])
     def test_mask_value_other_than_0_or_1_is_config_error(self, capsys, tmp_path, value):
         kpath, _, mpath, _, _ = self.make_kspace(tmp_path)
         cols = read_kten(mpath).copy()
@@ -468,14 +521,45 @@ class TestReconstruct:
         assert "float64" in payload["message"] and "float32" in payload["message"]
         assert not out.exists()
 
-    def test_mask_width_mismatch_is_config_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("shape", [(16,), (1, 32)])
+    def test_mask_width_mismatch_is_config_error(self, capsys, tmp_path, shape):
         kpath, _, _, _, _ = self.make_kspace(tmp_path)
         bad = str(tmp_path / "bad.kten")
-        write_kten(bad, np.ones(16, dtype=np.float32))
+        write_kten(bad, np.ones(shape, dtype=np.float32))
+        out = tmp_path / "r"
         code, _, err = run_cli(capsys, "reconstruct", "--input", kpath,
-                               "--mask", bad, "--out", str(tmp_path / "r"))
+                               "--mask", bad, "--out", str(out))
         assert code == 2
         assert stderr_json(err)["error"] == "ShapeError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(2, 0, 8), (2, 8, 0), (2, 0, 0)])
+    @pytest.mark.parametrize("role", ["--input", "--truth"])
+    def test_empty_kspace_or_truth_is_shape_error(self, tmp_path, role, shape):
+        kpath, tpath, _, _, _ = self.make_kspace(tmp_path)
+        write_kten({"--input": kpath, "--truth": tpath}[role],
+                   np.zeros(shape, dtype=np.float32))
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli_shown("reconstruct", "--input", kpath,
+                                          "--truth", tpath, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr_json(err)["error"] == "ShapeError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("role", ["--input", "--truth"])
+    def test_non_finite_kspace_or_truth_is_numeric_error(self, tmp_path, role, value):
+        kpath, tpath, mpath, _, _ = self.make_kspace(tmp_path)
+        path = {"--input": kpath, "--truth": tpath}[role]
+        arr = read_kten(path).copy()
+        arr[1, 3, 4] = value
+        write_kten(path, arr)
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli_shown("reconstruct", "--input", kpath, "--mask", mpath,
+                                          "--truth", tpath, "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert stderr_json(err)["error"] == "NumericError"
+        assert not out.exists()
 
 
 class TestBench:
@@ -601,3 +685,101 @@ class TestTrainCmd:
         assert code == 0
         cfg = json.loads(stdout)["config"]
         assert cfg["layer_kind"] == "dense" and cfg["n"] == 1
+
+
+PLANTED = (0.0, 1.0, 0.5, np.nan, np.inf, -np.inf)
+SIDES = st.one_of(st.sampled_from([12, 16]), st.integers(0, 20))
+
+
+@st.composite
+def kten_files(draw, shape, binary=False):
+    """(array, damage) for one KTEN input: usually of the role's own
+    `shape`, otherwise rank 0-4 with axes 0-20; float32 or float64 normal
+    draws (0/1 draws for a mask) with up to three values planted from
+    {0, 1, 0.5, NaN, +-inf}; damage is None, a byte count to cut off the
+    end, or "magic"."""
+    if draw(st.integers(0, 5)) == 0:
+        shape = tuple(draw(st.lists(st.integers(0, 20), max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(0, 2, shape) if binary else rng.standard_normal(shape)
+    arr = values.astype(draw(st.sampled_from([np.float32, np.float32, np.float64])))
+    if arr.size:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2, 3]))):
+            arr.flat[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(PLANTED))
+    damage = draw(st.sampled_from([None] * 10 + ["cut", "magic"]))
+    if damage == "cut":
+        damage = draw(st.integers(1, 64))
+    return arr, damage
+
+
+def write_damaged(path, arr, damage):
+    write_kten(path, arr)
+    if damage == "magic":
+        with open(path, "r+b") as fh:
+            fh.write(b"KTEM")
+    elif damage is not None:
+        os.truncate(path, max(0, os.path.getsize(path) - damage))
+    return path
+
+
+def check_outcome(code, stdout, err):
+    """Exit 0 with a JSON result and a silent stderr, or a documented
+    failure code with one JSON error line and nothing on stdout."""
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert stdout == ""
+        stderr_json(err)
+        return None
+    assert err == ""
+    return json.loads(stdout)
+
+
+def check_scores(scores):
+    assert math.isfinite(scores["ssim"])
+    assert math.isfinite(scores["psnr_db"]) or scores["psnr_db"] == math.inf
+
+
+class TestKtenBoundaryGate:
+    """`reconstruct` and `metrics` on drawn KTEN inputs: every input is
+    either accepted or rejected with a documented exit code and one JSON
+    stderr line, and a rejected `reconstruct` writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("gate") / "ckpt")
+        model = build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=2,
+                                      layer_kind="kronecker", n=2), Rng(40))
+        model.save(path)
+        return path
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_inputs_are_accepted_or_rejected_cleanly(self, checkpoint, data):
+        h, w = data.draw(SIDES), data.draw(SIDES)
+        drawn = {"--input": data.draw(kten_files((2, h, w))),
+                 "--mask": data.draw(st.none() | kten_files((w,), binary=True)),
+                 "--truth": data.draw(st.none() | kten_files((2, h, w)))}
+        metric_files = {"--recon": data.draw(kten_files(data.draw(st.sampled_from(
+                            [(2, h, w), (h, w)])))),
+                        "--truth": data.draw(kten_files((h, w)))}
+        data_range = data.draw(st.sampled_from([None, "1.0", "0", "-1", "nan", "inf"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["reconstruct", "--out", os.path.join(tmp, "rec")]
+            for flag, file in drawn.items():
+                if file is not None:
+                    argv += [flag, write_damaged(os.path.join(tmp, flag[2:]), *file)]
+            if data.draw(st.booleans()):
+                argv += ["--checkpoint", checkpoint]
+            result = check_outcome(*run_cli_shown(*argv))
+            if result is None:
+                assert not os.path.exists(os.path.join(tmp, "rec"))
+            elif "metrics" in result:
+                check_scores(result["metrics"])
+
+            argv = ["metrics"] + ([f"--data-range={data_range}"] if data_range else [])
+            for flag, file in metric_files.items():
+                argv += [flag, write_damaged(os.path.join(tmp, "m" + flag[2:]), *file)]
+            result = check_outcome(*run_cli_shown(*argv))
+            if result is not None:
+                check_scores(result)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
-from kronmri.errors import ConfigError, ShapeError
+from kronmri.errors import ConfigError, NumericError, ShapeError
 from kronmri.kspace import complex_magnitude, gen_phantom
 from kronmri.metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW,
                              _local_means, psnr, ssim)
@@ -95,10 +95,19 @@ class TestPsnr:
         with pytest.raises(ShapeError):
             psnr(np.zeros((2, 8, 8)), np.zeros((2, 8, 8)), 1.0)
 
-    @pytest.mark.parametrize("dr", [0.0, -1.0])
+    @pytest.mark.parametrize("dr", [0.0, -1.0, math.nan, math.inf])
     def test_bad_data_range_rejected(self, dr):
         with pytest.raises(ConfigError):
             psnr(np.zeros((8, 8)), np.ones((8, 8)), dr)
+
+    @pytest.mark.parametrize("metric", [psnr, ssim])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_pixels_rejected(self, metric, value, which):
+        imgs = [np.ones((16, 16)), np.ones((16, 16))]
+        imgs[which][3, 5] = value
+        with pytest.raises(NumericError):
+            metric(*imgs, 1.0)
 
 
 class TestSsim:
@@ -169,6 +178,7 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((16, 16)), np.zeros((16, 17)), 1.0)
 
-    def test_bad_data_range_rejected(self):
+    @pytest.mark.parametrize("dr", [0.0, math.nan, math.inf])
+    def test_bad_data_range_rejected(self, dr):
         with pytest.raises(ConfigError):
-            ssim(np.zeros((16, 16)), np.zeros((16, 16)), 0.0)
+            ssim(np.zeros((16, 16)), np.zeros((16, 16)), dr)

@@ -230,14 +230,14 @@ class TestElementwiseGradients:
     @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
            shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
            s=st.floats(-8, 8, allow_nan=False))
-    def test_scaled_relu_is_bitwise_scale_of_relu(self, data, dtype, shape, s):
+    def test_relu_gain_is_bitwise_scale_of_relu(self, data, dtype, shape, s):
         """Forward and gradient are the bytes of `scale(relu(x), s)`, signed
         zeros included."""
         elems = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
         x = data.draw(hnp.arrays(dtype, shape, elements=elems))
         g = data.draw(hnp.arrays(dtype, shape, elements=elems))
         results = []
-        for op in (lambda t: T.scaled_relu(t, s), lambda t: T.scale(T.relu(t), s)):
+        for op in (lambda t: T.relu(t, s), lambda t: T.scale(T.relu(t), s)):
             tx = Tensor(x.copy(), requires_grad=True)
             with Tape():
                 out = op(tx)
@@ -247,6 +247,23 @@ class TestElementwiseGradients:
         assert fused.dtype == gfused.dtype == dtype
         assert fused.tobytes() == ref.tobytes()
         assert gfused.tobytes() == gref.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=6))
+    def test_relu_gain_one_is_plain_relu(self, data, dtype, shape):
+        """The default gain gives the bytes of `np.maximum(x, 0)` and the
+        gradient `g * (x > 0)`, signed zeros included."""
+        elems = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
+        x = data.draw(hnp.arrays(dtype, shape, elements=elems))
+        g = data.draw(hnp.arrays(dtype, shape, elements=elems))
+        tx = Tensor(x.copy(), requires_grad=True)
+        with Tape():
+            out = T.relu(tx)
+            loss = T.sum_(T.mul(out, Tensor(g)))
+        grad = backward(loss)[tx].data
+        assert out.data.tobytes() == np.maximum(x, 0).tobytes()
+        assert grad.tobytes() == (g * (x > 0)).tobytes()
 
 
 def _np_op(op):

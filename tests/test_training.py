@@ -8,9 +8,10 @@ import pytest
 
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri.errors import ConfigError, NumericError
-from kronmri.kspace import fft2c
+from kronmri import tensor as T
+from kronmri.kspace import fft2c, ifft2c
 from kronmri.rng import Rng
-from kronmri.tensor import Tensor
+from kronmri.tensor import Tape, Tensor, backward
 from kronmri.training import (Adam, ConsistentModel, DatasetSpec, Sample,
                               TrainConfig, evaluate, held_out_seed,
                               make_dataset, make_sample, train, write_history)
@@ -288,6 +289,44 @@ class TestConsistentModel:
         assert np.abs((k_out - k_in)[sampled]).max() < 1e-5
         # and the unmeasured columns did change
         assert np.abs((k_out - k_in)[~sampled]).max() > 1e-3
+
+    @staticmethod
+    def float_blend(model, x):
+        """Data consistency as a float blend, `k_hat*(1-keep) + k_meas*keep`."""
+        k_meas = fft2c(Tensor(x.data))
+        mag = np.abs(k_meas.data).max(axis=(1, 2))
+        cols = mag > ConsistentModel.MASK_REL_THRESHOLD * mag.max(axis=1, keepdims=True)
+        keep = np.ascontiguousarray(np.broadcast_to(
+            cols[:, None, None, :], x.data.shape)).astype(x.data.dtype)
+        k_hat = fft2c(model.model(x))
+        return ifft2c(T.add(T.mul(k_hat, Tensor(1.0 - keep)),
+                            T.mul(k_meas, Tensor(keep))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    @pytest.mark.parametrize("zero_filled", [True, False])
+    def test_output_and_gradient_equal_the_float_blend(self, dtype, seed, zero_filled):
+        model = ConsistentModel(tiny_model(seed=seed, dtype=dtype))
+        for name, p in model.named_parameters():
+            if name.startswith("head."):
+                p.data[...] = Rng(seed).uniform(p.shape, -0.5, 0.5)
+        if zero_filled:
+            x = np.stack([make_sample(tiny_spec(), 8, seed, i, dtype=dtype).zf
+                          for i in range(3)])
+        else:
+            x = Rng(seed).uniform((3, 2, 16, 16), -1, 1, dtype=dtype)
+        results = []
+        for f in (model, lambda t: self.float_blend(model, t)):
+            with Tape():
+                out = f(Tensor(x))
+                loss = T.mean_(T.mul(out, out))
+            grads = backward(loss)
+            results.append((out.data, [grads[p].data for p in model.parameters()]))
+        (out, grads), (ref, ref_grads) = results
+        assert out.dtype == dtype
+        assert np.array_equal(out, ref)
+        for g, r in zip(grads, ref_grads):
+            assert np.array_equal(g, r)
 
     def test_identity_at_init_up_to_roundoff(self):
         model = ConsistentModel(tiny_model(seed=4))
