@@ -30,12 +30,15 @@ def _require_complex_pair(t: Tensor, op: str) -> None:
 
 
 def _fft2c_data(x: np.ndarray, inverse: bool) -> np.ndarray:
-    z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
-    z = np.fft.ifftshift(z, axes=(-2, -1))
-    z = (np.fft.ifft2 if inverse else np.fft.fft2)(z, norm="ortho")
-    z = np.fft.fftshift(z, axes=(-2, -1))
-    out = np.stack([z.real, z.imag], axis=-3)
-    return out.astype(x.dtype)  # numpy's FFT computes in double precision
+    # Overflow on finite input near the dtype's limit is reported once, by
+    # the calling op's finite check, not by numpy warnings first.
+    with np.errstate(all="ignore"):
+        z = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+        z = np.fft.ifftshift(z, axes=(-2, -1))
+        z = (np.fft.ifft2 if inverse else np.fft.fft2)(z, norm="ortho")
+        z = np.fft.fftshift(z, axes=(-2, -1))
+        out = np.stack([z.real, z.imag], axis=-3)
+        return out.astype(x.dtype)  # numpy's FFT computes in double precision
 
 
 def fft2c(img: Tensor) -> Tensor:

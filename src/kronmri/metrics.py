@@ -27,6 +27,14 @@ def _as_image(x, op: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _finite(score, op: str) -> float:
+    """`score` as a float; finite pixels can still overflow the float64
+    arithmetic of a metric, which is a NumericError, not a score."""
+    if not np.isfinite(score):
+        raise NumericError(f"{op}: the score overflowed to {float(score)}")
+    return float(score)
+
+
 def psnr(xhat, x, data_range: float) -> float:
     """Peak signal-to-noise ratio in dB: 10*log10(range^2 / MSE).
 
@@ -38,10 +46,11 @@ def psnr(xhat, x, data_range: float) -> float:
         raise ShapeError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
     if not (np.isfinite(data_range) and data_range > 0):
         raise ConfigError(f"data_range must be finite and positive, got {data_range}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return 10.0 * np.log10(data_range * data_range / mse)
+    with np.errstate(all="ignore"):
+        mse = float(np.mean((a - b) ** 2))
+        if mse == 0.0:
+            return float("inf")
+        return _finite(10.0 * np.log10(data_range * data_range / mse), "psnr")
 
 
 def _gaussian_taps() -> np.ndarray:
@@ -85,15 +94,16 @@ def ssim(xhat, x, data_range: float) -> float:
     if not (np.isfinite(data_range) and data_range > 0):
         raise ConfigError(f"data_range must be finite and positive, got {data_range}")
 
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    with np.errstate(all="ignore"):
+        c1 = (SSIM_K1 * data_range) ** 2
+        c2 = (SSIM_K2 * data_range) ** 2
 
-    mu_a = _local_means(a)
-    mu_b = _local_means(b)
-    var_a = _local_means(a * a) - mu_a * mu_a
-    var_b = _local_means(b * b) - mu_b * mu_b
-    cov = _local_means(a * b) - mu_a * mu_b
+        mu_a = _local_means(a)
+        mu_b = _local_means(b)
+        var_a = _local_means(a * a) - mu_a * mu_a
+        var_b = _local_means(b * b) - mu_b * mu_b
+        cov = _local_means(a * b) - mu_a * mu_b
 
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+        return _finite(np.mean(num / den), "ssim")

@@ -17,15 +17,17 @@ Image ops are channels-last: conv2d and upsample2x take and return
 [B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
 with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
 columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
-so the forward stays bit-identical to a plain NCHW im2col GEMM; its VJP is
-a per-tap col2im (see `conv2d`).
+so the forward stays bit-identical to a plain NCHW im2col GEMM.
 
-The conv forward keeps its im2col windows only while a tape records, as
-one whole-batch block whose GEMM is a single call (the kernel gradient
-needs the windows, and one call keeps training's forward the plain im2col
-GEMM for every O). Without a tape it streams blocks of at least 1024 output pixels through one reused
-buffer; at that size OpenBLAS rounds each block's rows as it does the whole
-product's, so the output is bitwise the same with a fraction of the memory.
+The conv forward has one path, with or without a tape: it streams blocks
+of at least 1024 output pixels through one reused im2col buffer; at that
+size OpenBLAS rounds each block's rows as it does the whole product's, so
+the output is bitwise the same with a fraction of the memory. No im2col is
+kept for the backward. The VJP keeps only the padded input and lays the
+output gradient on the padded-input grid (one grid per stride phase), where
+every kernel tap is a row shift; one gather of the shifted gradient per
+block of rows then gives both the input and the kernel gradient (see
+`conv2d` and `_phase_vjp`).
 """
 
 from __future__ import annotations
@@ -444,13 +446,18 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 # written into it. On a 2-core Xeon, 256 KB to 1 MB runs timed alike.
 _GATHER_BLOCK_BYTES = 1 << 19
 
-# Fewest output pixels in one GEMM block of an untaped conv2d forward. On
+# Fewest output pixels in one GEMM block of the conv2d forward. On
 # OpenBLAS 0.3.31 (Haswell kernels, 2 threads) row blocks of 1024 or more
 # gave products bitwise equal to one whole GEMM for every O >= 2 tried
 # (768 shapes, float32 and float64); blocks of 32-960 rows did not, the
 # two-column head among them. O = 1 runs as a GEMV and may differ in the
 # last bits.
 _GEMM_BLOCK_ROWS = 1024
+
+# Byte budget of one block of shifted-gradient rows in the conv2d VJP
+# (`_phase_vjp`). On a 2-core Xeon, blocks of 0.5 to 8 MiB timed alike for
+# the desk U-Net's training step.
+_SHIFT_BLOCK_BYTES = 1 << 21
 
 
 def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int,
@@ -480,6 +487,53 @@ def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int,
         r += n
 
 
+def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, xrows: np.ndarray | None,
+               gx_rows: np.ndarray | None) -> np.ndarray | None:
+    """Both gradients of a stride-1 cross-correlation of one input grid
+    [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
+
+    Writes the grid's input gradient into `gx_rows` ([B*Hu*Wv, C]) unless
+    it is None, and returns the kernel gradient when the grid's rows
+    `xrows` ([B*Hu*Wv, C]) are given. `g` is laid on the flattened grid
+    behind (ka-1)*Wv + (kb-1) zero rows as `gext`; tap (a, b) is then a
+    shift by whole rows, and S[m, a', b'] = gext[m + a'*Wv + b'] is the
+    gradient of the output pixel that reads grid row m through tap
+    (ka-1-a', kb-1-b'), or zero: a shift that wraps past a row or image
+    edge lands on zero rows. S is copied in blocks of `_SHIFT_BLOCK_BYTES`
+    into one reused buffer, as runs of kb*O contiguous values, and each
+    block gives its rows of the input gradient, `S @ wflip` with the kernel
+    flipped to [ka*kb*O, C], and its share of the flipped kernel gradient,
+    `xrows.T @ S`.
+    """
+    bsz, ho, wo, o = g.shape
+    ka, kb = w.shape[2:]
+    m = (gx_rows if xrows is None else xrows).shape[0]
+    lead = (ka - 1) * wv + (kb - 1)
+    gext = np.zeros((lead + m, o), dtype=g.dtype)
+    gext[lead:].reshape(bsz, -1, wv, o)[:, :ho, :wo] = g
+    e = gext.itemsize
+    shifted = np.lib.stride_tricks.as_strided(
+        gext, (m, ka, kb, o), (o * e, wv * o * e, o * e, e), writeable=False)
+    kko = ka * kb * o
+    rows = max(1, _SHIFT_BLOCK_BYTES // (kko * e))
+    sbuf = np.empty((min(rows, m), ka, kb, o), dtype=g.dtype)
+    wflip = None if gx_rows is None else np.ascontiguousarray(
+        w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
+    acc = None if xrows is None else np.zeros((xrows.shape[1], kko), dtype=g.dtype)
+    for m0 in range(0, m, rows):
+        m1 = min(m, m0 + rows)
+        blk = sbuf[:m1 - m0]
+        np.copyto(blk, shifted[m0:m1])
+        blk = blk.reshape(m1 - m0, kko)
+        if wflip is not None:
+            np.matmul(blk, wflip, out=gx_rows[m0:m1])
+        if acc is not None:
+            acc += xrows[m0:m1].T @ blk
+    if acc is None:
+        return None
+    return acc.reshape(-1, ka, kb, o)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation, channels-last: [B,H,W,C] input and [O,C,k,k]
@@ -488,32 +542,29 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     Output spatial size is floor((H + 2*padding - k) / stride) + 1 per axis.
 
     The input is copied into a [B,Hp,Wp,C] buffer whose border alone is
-    zeroed (no copy without padding). The forward runs over blocks of
-    output image rows: each block's windows are gathered into (c,i,j)-
-    ordered im2col columns (`_conv_windows`) and multiplied by
+    zeroed (no copy without padding). The forward runs over blocks of at
+    least `_GEMM_BLOCK_ROWS` output pixels in whole image rows (a short
+    tail joins the last block), with or without a tape: each block's
+    windows are gathered into (c,i,j)-ordered im2col columns
+    (`_conv_windows`) in one reused buffer and multiplied by
     `w.reshape(O, C*k*k).T` straight into its rows of the [B*Ho*Wo, O]
-    output, bias added in place.
+    output, bias added in place. No whole im2col matrix is ever built. The
+    floor is 1024 because BLAS rounds a product by how it blocks it: on
+    OpenBLAS 0.3.31, blocks of 1024 rows or more come out bitwise as the
+    rows of the one whole GEMM for O >= 2, and smaller ones do not. The K
+    order and the GEMM orientation are fixed for the same reason: any
+    other order changes float32 outputs in the last bits, and saved
+    fixtures pin them.
 
-    Under a recording tape there is one block, the whole batch, and its
-    im2col matrix is kept as `cols` for the kernel gradient. The taped GEMM
-    stays one call: the whole matrix must exist for the backward anyway,
-    and one call keeps the training forward the plain im2col GEMM for every
-    O, the GEMV case O = 1 included. Without a tape (inference, the numeric
-    passes of `grad_check`) the windows are not kept: blocks hold at least
-    `_GEMM_BLOCK_ROWS` output pixels in whole image rows (a short tail
-    joins the last block) and reuse one buffer, so no whole im2col matrix
-    is ever built. The floor is
-    1024 because BLAS rounds a product by how it blocks it: on OpenBLAS
-    0.3.31, blocks of 1024 rows or more come out bitwise as the rows of the
-    one whole GEMM for O >= 2, and smaller ones do not, so streaming keeps
-    the output. The K order and the GEMM orientation are fixed for the same
-    reason: any other order changes float32 outputs in the last bits, and
-    saved fixtures pin them.
-
-    The VJP reads `g` as [B*Ho*Wo, O] rows: the kernel gradient is
-    `(cols.T @ g).T`, and the input gradient a per-tap col2im, one
-    [B*Ho*Wo, O] @ [O, C] GEMM per tap added with one strided slice into a
-    [B,Hp,Wp,C] buffer.
+    The VJP keeps only the padded input (`x.data` itself without padding),
+    no im2col. With stride s it splits the padded input into s*s phase
+    grids, the pixels (s*u + py, s*v + px). Output pixel (oy, ox) reads a
+    phase grid only through the taps (py + s*a, px + s*b), at grid pixel
+    (oy + a, ox + b), so each phase is a stride-1 correlation of its grid
+    with that sub-kernel, and `_phase_vjp` gives both of its gradients
+    from one gather of the shifted output gradient. Stride 1 is one phase,
+    the whole padded input; a phase no tap reads (s > k) gets zero input
+    gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -550,7 +601,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         xp[:, padding:padding + h, padding:padding + wd] = x.data
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
-    per = nrows if _ACTIVE_TAPE is not None else -(-_GEMM_BLOCK_ROWS // wo)
+    per = -(-_GEMM_BLOCK_ROWS // wo)
     bounds = [i * per for i in range(max(1, nrows // per))] + [nrows]
     buf = np.empty((nrows - bounds[-2], wo, c, k, k), dtype=x.data.dtype)
     wr = w.data.reshape(o, c * k * k)
@@ -562,28 +613,32 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         np.matmul(blk.reshape(-1, c * k * k), wr.T, out=dst)
         if bias is not None:
             dst += bias.data
-    cols = buf.reshape(-1, c * k * k)  # the whole im2col matrix under a tape
     wd_arr = w.data
 
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g, needs):
-        gx = gw = None
-        rows = g.reshape(bsz * ho * wo, o)
-        if needs[1]:
-            gw = (cols.T @ rows).T.reshape(o, c, k, k)
-        if needs[0]:
-            wt = np.ascontiguousarray(wd_arr.transpose(2, 3, 0, 1))
-            gxp = np.zeros((bsz, hp, wp, c), dtype=g.dtype)
-            for i in range(k):
-                for j in range(k):
-                    tap = (rows @ wt[i, j]).reshape(bsz, ho, wo, c)
-                    gxp[:, i:i + stride * (ho - 1) + 1:stride,
-                        j:j + stride * (wo - 1) + 1:stride] += tap
-            gx = gxp[:, padding:padding + h, padding:padding + wd]
+        gxp = np.zeros((bsz, hp, wp, c), dtype=g.dtype) if needs[0] else None
+        gw = np.zeros((o, c, k, k), dtype=g.dtype) if needs[1] else None
+        phases = min(stride, k) if needs[0] or needs[1] else 0
+        for py in range(phases):
+            for px in range(phases):
+                xg = xp[:, py::stride, px::stride]
+                m = bsz * xg.shape[1] * xg.shape[2]
+                xrows = None if gw is None else np.ascontiguousarray(xg).reshape(m, c)
+                gx_rows = None
+                if gxp is not None:  # with stride 1 the one phase is gxp itself
+                    gx_rows = gxp.reshape(m, c) if stride == 1 else np.empty((m, c), g.dtype)
+                gws = _phase_vjp(g, wd_arr[:, :, py::stride, px::stride], xg.shape[2],
+                                 xrows, gx_rows)
+                if gw is not None:
+                    gw[:, :, py::stride, px::stride] = gws
+                if gxp is not None and stride > 1:
+                    gxp[:, py::stride, px::stride] = gx_rows.reshape(xg.shape[:3] + (c,))
+        gx = None if gxp is None else gxp[:, padding:padding + h, padding:padding + wd]
         if bias is None:
             return (gx, gw)
-        gb = rows.sum(axis=0) if needs[2] else None
+        gb = g.reshape(-1, o).sum(axis=0) if needs[2] else None
         return (gx, gw, gb)
 
     return _apply("conv2d", inputs, out.reshape(bsz, ho, wo, o), vjp)

@@ -12,6 +12,7 @@ import os
 import sys
 
 import numpy as np
+import pytest
 
 from kronmri import kspace
 from kronmri import tensor as T
@@ -25,7 +26,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "perfbench")
 sys.path.insert(0, PERFBENCH)
 import harness  # noqa: E402
-import replay  # noqa: E402,F401  (importing it resolves its kronmri names)
+import replay  # noqa: E402  (importing it also resolves its kronmri names)
 import workloads  # noqa: E402
 
 sys.path.remove(PERFBENCH)
@@ -101,6 +102,22 @@ def test_instrumented_traces_checkpoint_load_and_its_array_reads(tmp_path):
     assert names.count("kten.read") == sum(len(layer.arrays()) for _, layer in loaded._layers)
     assert tr.counts[0]["kten.bytes"] == sum(p.data.nbytes for p in model.parameters())
     assert UNet.load == load  # restored on exit
+
+
+@pytest.mark.parametrize("with_backward", [False, True])
+def test_capture_convs_records_one_call_per_conv_layer(with_backward):
+    """The per-layer replay wraps `T.conv2d` as (inp, w, bias=None,
+    stride=1, padding=0) and needs one call per U-Net conv layer, under a
+    tape and without; a new conv2d argument would break every traced run."""
+    unet = build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=2), Rng(0))
+    conv2d = T.conv2d
+    x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
+    calls = replay.capture_convs(unet, x, with_backward)
+    assert T.conv2d is conv2d  # restored on exit
+    names = [n[:-len(".bias")] for n, _ in unet.named_parameters() if n.endswith(".bias")]
+    assert [call["name"] for call in calls] == names
+    assert calls[0]["x_grad"] is False and calls[-1]["x_grad"] is with_backward
+    assert {(call["stride"], call["padding"]) for call in calls} == {(1, 1), (2, 1)}
 
 
 def test_train_workload_call_forms():

@@ -418,6 +418,20 @@ class TestMetricsCmd:
         assert code == 3 and out == ""
         assert stderr_json(err)["error"] == "NumericError"
 
+    @pytest.mark.parametrize("recon,truth", [
+        (np.full((16, 16), 1e300), np.full((16, 16), -1e300)),  # both scores overflow
+        (np.full((16, 16), 1e160), np.full((16, 16), 1e160) + np.eye(16) * 1e150),  # ssim only
+    ])
+    def test_finite_pixels_whose_score_overflows_are_numeric_error(self, tmp_path,
+                                                                   recon, truth):
+        pa, pb = str(tmp_path / "a.kten"), str(tmp_path / "b.kten")
+        write_kten(pa, recon)
+        write_kten(pb, truth)
+        code, out, err = run_cli_shown("metrics", "--recon", pa, "--truth", pb,
+                                       "--data-range", "1")
+        assert code == 3 and out == ""
+        assert stderr_json(err)["error"] == "NumericError"
+
     @pytest.mark.parametrize("data_range", ["nan", "inf", "-inf", "0", "-1"])
     def test_data_range_not_finite_and_positive_is_config_error(self, tmp_path,
                                                                 data_range):
@@ -557,6 +571,15 @@ class TestReconstruct:
         out = tmp_path / "rec"
         code, stdout, err = run_cli_shown("reconstruct", "--input", kpath, "--mask", mpath,
                                           "--truth", tpath, "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert stderr_json(err)["error"] == "NumericError"
+        assert not out.exists()
+
+    def test_kspace_that_overflows_the_fft_is_one_numeric_error_line(self, tmp_path):
+        kpath = str(tmp_path / "k.kten")
+        write_kten(kpath, np.full((2, 16, 16), 3e38, dtype=np.float32))
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli_shown("reconstruct", "--input", kpath, "--out", str(out))
         assert code == 3 and stdout == ""
         assert stderr_json(err)["error"] == "NumericError"
         assert not out.exists()

@@ -570,9 +570,35 @@ class TestConv2d:
             assert got.dtype == np.float32
             assert np.allclose(got, ref, rtol=1e-5, atol=1e-5)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(bsz=st.integers(1, 2), c=st.integers(1, 8), o=st.integers(1, 8),
+           h=st.integers(1, 9), w=st.integers(1, 9), k=st.integers(1, 3),
+           stride=st.integers(1, 3), padding=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_float64_vjp_matches_im2col_reference(
+            self, bsz, c, o, h, w, k, stride, padding, seed):
+        """The shifted-gradient VJP gives the im2col reference's gradients
+        to float64 rounding, every stride and padding included."""
+        assume(k <= h + 2 * padding and k <= w + 2 * padding)
+        rng = Rng(seed)
+        x = rng.uniform((bsz, c, h, w), -1, 1)
+        wk = rng.uniform((o, c, k, k), -1, 1)
+        tx, tw, tb = (Tensor(a, requires_grad=True)
+                      for a in (nhwc(x), wk, rng.uniform((o,), -1, 1)))
+        with Tape():
+            out = T.conv2d(tx, tw, tb, stride=stride, padding=padding)
+            g = rng.uniform(nchw(out.data).shape, -1, 1)
+            loss = T.sum_(T.mul(out, Tensor(nhwc(g))))
+        grads = backward(loss)
+        for got, ref in zip((nchw(grads[tx].data), grads[tw].data, grads[tb].data),
+                            conv_vjp_tensordot(g, x, wk, stride, padding)):
+            assert got.dtype == np.float64 and got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12)
+
     @staticmethod
     def _taped_and_streamed(bsz, c, hw, stride, o, dtype):
-        """conv2d of one draw under a tape (one GEMM block) and without."""
+        """conv2d of one draw under a tape and without: the same blocks of
+        at least `_GEMM_BLOCK_ROWS` output pixels either way."""
         rng = Rng(bsz * 1000 + hw * 10 + o)
         x = rng.uniform((bsz, hw, hw, c), -1, 1).astype(dtype)
         w = rng.uniform((o, c, 3, 3), -1, 1).astype(dtype)
@@ -623,6 +649,29 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < im2col_bytes / 2
 
+    def test_taped_step_never_holds_the_whole_im2col(self):
+        """Under a tape the forward keeps only the padded input, and the VJP
+        builds both gradients block by block from the shifted gradient."""
+        rng = Rng(23)
+        x = Tensor(rng.uniform((4, 64, 64, 64), -1, 1).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.uniform((32, 64, 3, 3), -1, 1).astype(np.float32),
+                   requires_grad=True)
+        g = rng.uniform((4, 64, 64, 32), -1, 1).astype(np.float32)
+        im2col_bytes = 4 * 64 * 64 * 64 * 9 * 4  # 36 MiB
+        tracemalloc.start()
+        try:
+            with Tape():
+                out = T.conv2d(x, w, padding=1)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            gx, gw = out.node.vjp(g, (True, True))
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and gw.shape == w.shape
+        assert forward_peak < im2col_bytes / 3
+        assert step_peak < im2col_bytes
+
     def test_vjp_skips_gradients_not_needed(self):
         rng = Rng(21)
         x = leaf(nhwc(rng.uniform((2, 3, 5, 5), -1, 1)))
@@ -634,6 +683,10 @@ class TestConv2d:
         assert gx is None and gw.shape == w.shape
         gx, gw = out.node.vjp(g, (True, False))
         assert gw is None and gx.shape == x.shape
+        with Tape():
+            out = T.conv2d(x, w, leaf(np.zeros(4)), stride=2, padding=1)
+        gx, gw, gb = out.node.vjp(np.ones_like(out.data), (False, False, True))
+        assert gx is None and gw is None and np.array_equal(gb, np.full(4, 2.0 * 3 * 3))
 
 
 class TestReductionsAndShapes:
