@@ -630,6 +630,24 @@ class TestConv2d:
         assert np.array_equal(streamed, taped)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("o", [2, 8, 32])
+    @pytest.mark.parametrize("bsz,c,hw,stride", STREAMED)
+    def test_streamed_forward_is_bitwise_the_whole_im2col_gemm(self, bsz, c, hw, stride,
+                                                               o, dtype):
+        """Taped or not, the forward streams; its blocks give the bits of
+        one `cols @ w.T` over the whole batch."""
+        rng = Rng(bsz * 1000 + hw * 10 + o)
+        x = rng.uniform((bsz, hw, hw, c), -1, 1).astype(dtype)
+        w = rng.uniform((o, c, 3, 3), -1, 1).astype(dtype)
+        b = rng.uniform((o,), -1, 1).astype(dtype)
+        cols, ho, wo = im2col_nchw(nchw(x), 3, stride, 1)
+        expect = (cols @ w.reshape(o, -1).T + b).reshape(bsz, ho, wo, o)
+        with Tape():
+            out = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b),
+                           stride=stride, padding=1)
+        assert np.array_equal(out.data, expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bsz,c,hw,stride", STREAMED)
     def test_streamed_single_output_channel_is_close(self, bsz, c, hw, stride, dtype):
         """O = 1 runs as a GEMV, which rounds by its own blocking."""
