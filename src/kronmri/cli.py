@@ -414,6 +414,9 @@ def _bench_rows(args):
 def cmd_bench(args) -> int:
     if args.reps < 3:
         raise ConfigError(f"reps must be >= 3, got {args.reps}")
+    for name in ("batch", "spatial"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(args, name)}")
     rows = _bench_rows(args)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["layer", "kind", "n", "params",

@@ -19,15 +19,22 @@ with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
 columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
 so the forward stays bit-identical to a plain NCHW im2col GEMM.
 
-The conv forward has one path, with or without a tape: it streams blocks
-of at least 1024 output pixels through one reused im2col buffer; at that
-size OpenBLAS rounds each block's rows as it does the whole product's, so
-the output is bitwise the same with a fraction of the memory. No im2col is
-kept for the backward. The VJP keeps only the padded input and lays the
-output gradient on the padded-input grid (one grid per stride phase), where
-every kernel tap is a row shift; one gather of the shifted gradient per
-block of rows then gives both the input and the kernel gradient (see
-`conv2d` and `_phase_vjp`).
+The conv forward has one path, with or without a tape. The input is copied
+once, zero-padded, into channel-major stride-phase planes [s,s,C,B,Hu,Wu]:
+padded pixel (s*u + py, s*v + px) sits at [py, px, :, b, u, v]. Blocks of
+at least 1024 output pixels are gathered from the planes into one reused
+[C,k,k,rows,Wo] buffer, where each tap is C x rows contiguous runs of Wo
+values, at any stride. Read as [C*k*k, rows*Wo] and transposed, that buffer
+is the block's im2col operand in F order, which numpy hands BLAS with a
+transpose flag. At 1024 rows or more OpenBLAS rounds each such block's rows
+as it does the whole C-ordered product's, so the output is bitwise the
+same with a fraction of the memory; a conv of fewer than 1024 output
+pixels is one block, copied to C order first, because below that size a
+transposed operand rounds differently. No im2col is kept for the backward.
+The VJP keeps only the phase planes and lays the output gradient on each
+plane's grid, where every kernel tap is a row shift; one gather of the
+shifted gradient per block of rows then gives both the input and the
+kernel gradient (see `conv2d` and `_phase_vjp`).
 """
 
 from __future__ import annotations
@@ -441,18 +448,22 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _apply("add_bias", (x, b), out, vjp)
 
 
-# Byte budget of one run of im2col rows in `_conv_windows`: a quarter of a
-# 2 MB L2 cache, so a run stays cache-resident while all k*k taps are
-# written into it. On a 2-core Xeon, 256 KB to 1 MB runs timed alike.
-_GATHER_BLOCK_BYTES = 1 << 19
-
 # Fewest output pixels in one GEMM block of the conv2d forward. On
 # OpenBLAS 0.3.31 (Haswell kernels, 2 threads) row blocks of 1024 or more
 # gave products bitwise equal to one whole GEMM for every O >= 2 tried
-# (768 shapes, float32 and float64); blocks of 32-960 rows did not, the
-# two-column head among them. O = 1 runs as a GEMV and may differ in the
-# last bits.
+# (768 shapes, float32 and float64, with C- and with F-ordered blocks);
+# blocks of 32-960 rows did not, the two-column head among them. An
+# F-ordered operand of 700 rows or fewer also rounded unlike a C-ordered
+# one in 188 of 768 shapes of 32-1000 rows. O = 1 runs as a GEMV and may
+# differ in the last bits.
 _GEMM_BLOCK_ROWS = 1024
+
+# Byte budget of one transposing copy into the conv2d phase planes
+# (`_phase_planes`), a piece of an input row that fits a 48 KB L1d. On a
+# 2-core Xeon a 320x320x64 float32 input took 4.4 ms in 40 KB pieces,
+# 7.9 ms row by row and 30 ms as one transposing assignment; the planes of
+# a 320x320 U-Net forward took 28 ms, 36 ms row by row.
+_PLANE_TILE_BYTES = 40 << 10
 
 # Byte budget of one block of shifted-gradient rows in the conv2d VJP
 # (`_phase_vjp`). On a 2-core Xeon, blocks of 0.5 to 8 MiB timed alike for
@@ -460,54 +471,79 @@ _GEMM_BLOCK_ROWS = 1024
 _SHIFT_BLOCK_BYTES = 1 << 21
 
 
-def _conv_windows(xp: np.ndarray, k: int, stride: int, ho: int,
-                  r0: int, r1: int, out: np.ndarray) -> None:
-    """Gather im2col rows of output image rows r0..r1 into `out`.
+def _phase_planes(x: np.ndarray, padding: int, s: int, p: int,
+                  hp: int, wp: int) -> np.ndarray:
+    """`x` [B,H,W,C] zero-padded to Hp x Wp and split into channel-major
+    stride-phase planes [p,p,C,B,Hu,Wu] with Hu = ceil(Hp/s), Wu = ceil(Wp/s).
 
-    `xp` is the channels-last padded input [B,Hp,Wp,C]; output image row
-    r is row r % Ho of image r // Ho, so a range may cross images. `out`
-    is [r1-r0, Wo, C, k, k]: one im2col row per output pixel, its columns
-    in (c, i, j) order, the order of a row of the [O, C*k*k] kernel. The
-    windows are copied one tap (i, j) at a time, so each copy reads whole
-    C-long pixel vectors; the copies run over runs of rows of at most
-    `_GATHER_BLOCK_BYTES` so the run being written stays in cache.
+    Padded pixel (s*u + py, s*v + px) of image b sits at [py, px, :, b, u, v]
+    for the phases py, px < p; every other entry is zero. The copy
+    transposes a piece of one input row (all images) at a time, at most
+    `_PLANE_TILE_BYTES` of it.
     """
-    wo = out.shape[1]
-    run = max(1, _GATHER_BLOCK_BYTES // out[0].nbytes)
-    span = stride * (wo - 1) + 1
+    bsz, h, wd, c = x.shape
+    xt = np.zeros((p, p, c, bsz, -(-hp // s), -(-wp // s)), dtype=x.dtype)
+    run = max(1, _PLANE_TILE_BYTES // x[:, 0, 0].nbytes)
+    for py in range(p):
+        y0 = (py - padding) % s
+        for px in range(p):
+            x0 = (px - padding) % s
+            src = x[:, :, x0::s]
+            v0 = (x0 + padding) // s
+            dst = xt[py, px, :, :, :, v0:v0 + src.shape[2]]
+            for y in range(y0, h, s):
+                row = dst[:, :, (y + padding) // s]
+                for v in range(0, src.shape[2], run):
+                    row[:, :, v:v + run] = src[:, y, v:v + run].transpose(2, 0, 1)
+    return xt
+
+
+def _plane_windows(xt: np.ndarray, s: int, ho: int, r0: int, r1: int,
+                   out: np.ndarray) -> None:
+    """Gather the im2col operand of output image rows r0..r1 into `out`.
+
+    `xt` holds the phase planes of `_phase_planes`; output image row r is
+    row r % Ho of image r // Ho, so a range may cross images. `out` is
+    [C, k, k, r1-r0, Wo]: read as `out.reshape(C*k*k, -1).T` it is the
+    F-ordered im2col block, one row per output pixel and its columns in
+    (c, i, j) order. Tap (i, j) of an image's rows is one copy of C x rows
+    runs of Wo contiguous values, from phase (i % s, j % s) at offset
+    (i // s, j // s), so every stride reads contiguously.
+    """
+    k, wo = out.shape[1], out.shape[4]
     r = r0
     while r < r1:
         b, y = divmod(r, ho)
-        n = min(run, r1 - r, ho - y)
-        dst = out[r - r0:r - r0 + n]
+        n = min(r1 - r, ho - y)
+        dst = out[:, :, :, r - r0:r - r0 + n]
         for i in range(k):
-            src = xp[b, y * stride + i:(y + n - 1) * stride + i + 1:stride]
+            a = y + i // s
             for j in range(k):
-                dst[..., i, j] = src[:, j:j + span:stride]
+                dst[:, i, j] = xt[i % s, j % s, :, b, a:a + n, j // s:j // s + wo]
         r += n
 
 
-def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, xrows: np.ndarray | None,
+def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, xcols: np.ndarray | None,
                gx_rows: np.ndarray | None) -> np.ndarray | None:
     """Both gradients of a stride-1 cross-correlation of one input grid
     [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
 
     Writes the grid's input gradient into `gx_rows` ([B*Hu*Wv, C]) unless
-    it is None, and returns the kernel gradient when the grid's rows
-    `xrows` ([B*Hu*Wv, C]) are given. `g` is laid on the flattened grid
-    behind (ka-1)*Wv + (kb-1) zero rows as `gext`; tap (a, b) is then a
-    shift by whole rows, and S[m, a', b'] = gext[m + a'*Wv + b'] is the
-    gradient of the output pixel that reads grid row m through tap
-    (ka-1-a', kb-1-b'), or zero: a shift that wraps past a row or image
-    edge lands on zero rows. S is copied in blocks of `_SHIFT_BLOCK_BYTES`
-    into one reused buffer, as runs of kb*O contiguous values, and each
-    block gives its rows of the input gradient, `S @ wflip` with the kernel
-    flipped to [ka*kb*O, C], and its share of the flipped kernel gradient,
-    `xrows.T @ S`.
+    it is None, and returns the kernel gradient when the grid's pixels
+    `xcols` ([C, B*Hu*Wv], channel-major) are given. `g` is laid on the
+    flattened grid behind (ka-1)*Wv + (kb-1) zero rows as `gext`; tap
+    (a, b) is then a shift by whole rows, and S[m, a', b'] =
+    gext[m + a'*Wv + b'] is the gradient of the output pixel that reads
+    grid row m through tap (ka-1-a', kb-1-b'), or zero: a shift that wraps
+    past a row or image edge lands on zero rows. S is copied in blocks of
+    `_SHIFT_BLOCK_BYTES` into one reused buffer, as runs of kb*O contiguous
+    values, and each block gives its rows of the input gradient,
+    `S @ wflip` with the kernel flipped to [ka*kb*O, C], and its share of
+    the flipped kernel gradient, `xcols @ S`.
     """
     bsz, ho, wo, o = g.shape
     ka, kb = w.shape[2:]
-    m = (gx_rows if xrows is None else xrows).shape[0]
+    m = gx_rows.shape[0] if xcols is None else xcols.shape[1]
     lead = (ka - 1) * wv + (kb - 1)
     gext = np.zeros((lead + m, o), dtype=g.dtype)
     gext[lead:].reshape(bsz, -1, wv, o)[:, :ho, :wo] = g
@@ -519,7 +555,7 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, xrows: np.ndarray | None,
     sbuf = np.empty((min(rows, m), ka, kb, o), dtype=g.dtype)
     wflip = None if gx_rows is None else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
-    acc = None if xrows is None else np.zeros((xrows.shape[1], kko), dtype=g.dtype)
+    acc = None if xcols is None else np.zeros((xcols.shape[0], kko), dtype=g.dtype)
     for m0 in range(0, m, rows):
         m1 = min(m, m0 + rows)
         blk = sbuf[:m1 - m0]
@@ -528,7 +564,7 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, xrows: np.ndarray | None,
         if wflip is not None:
             np.matmul(blk, wflip, out=gx_rows[m0:m1])
         if acc is not None:
-            acc += xrows[m0:m1].T @ blk
+            acc += xcols[:, m0:m1] @ blk
     if acc is None:
         return None
     return acc.reshape(-1, ka, kb, o)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
@@ -540,31 +576,40 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     kernel give a [B,Ho,Wo,O] output.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1 per axis.
+    An empty batch, channel or output-channel axis is a ShapeError.
 
-    The input is copied into a [B,Hp,Wp,C] buffer whose border alone is
-    zeroed (no copy without padding). The forward runs over blocks of at
-    least `_GEMM_BLOCK_ROWS` output pixels in whole image rows (a short
-    tail joins the last block), with or without a tape: each block's
-    windows are gathered into (c,i,j)-ordered im2col columns
-    (`_conv_windows`) in one reused buffer and multiplied by
-    `w.reshape(O, C*k*k).T` straight into its rows of the [B*Ho*Wo, O]
-    output, bias added in place. No whole im2col matrix is ever built. The
-    floor is 1024 because BLAS rounds a product by how it blocks it: on
-    OpenBLAS 0.3.31, blocks of 1024 rows or more come out bitwise as the
-    rows of the one whole GEMM for O >= 2, and smaller ones do not. The K
-    order and the GEMM orientation are fixed for the same reason: any
-    other order changes float32 outputs in the last bits, and saved
-    fixtures pin them.
+    The input is copied once, zero-padded, into channel-major stride-phase
+    planes [s,s,C,B,Hu,Wu] (`_phase_planes`; only the s' = min(s, k) phases
+    a tap reads). The forward runs over blocks of at least
+    `_GEMM_BLOCK_ROWS` output pixels in whole image rows (a short tail
+    joins the last block), with or without a tape. Each block's im2col
+    operand is gathered from the planes into one reused [C,k,k,rows,Wo]
+    buffer (`_plane_windows`), where every copy is a contiguous run along a
+    row of output pixels; read as [C*k*k, rows*Wo] and transposed it is
+    the F-ordered [rows*Wo, C*k*k] im2col block with (c,i,j) columns, and
+    `np.matmul(block, w.reshape(O, C*k*k).T)` hands it to BLAS with a
+    transpose flag, straight into its rows of the [B*Ho*Wo, O] output,
+    bias added in place. No whole im2col matrix is ever built.
 
-    The VJP keeps only the padded input (`x.data` itself without padding),
-    no im2col. With stride s it splits the padded input into s*s phase
-    grids, the pixels (s*u + py, s*v + px). Output pixel (oy, ox) reads a
-    phase grid only through the taps (py + s*a, px + s*b), at grid pixel
-    (oy + a, ox + b), so each phase is a stride-1 correlation of its grid
-    with that sub-kernel, and `_phase_vjp` gives both of its gradients
-    from one gather of the shifted output gradient. Stride 1 is one phase,
-    the whole padded input; a phase no tap reads (s > k) gets zero input
-    gradient.
+    The output stays bitwise that of one C-ordered `cols @ w.T` GEMM over
+    the whole batch, because BLAS rounds a product by how it blocks it.
+    On OpenBLAS 0.3.31, blocks of 1024 rows or more come out bitwise as the
+    rows of the one whole GEMM for O >= 2, with the operand C- or
+    F-ordered; smaller blocks do not. A conv of fewer than 1024 output
+    pixels is one block, and there OpenBLAS's small-matrix path rounds a
+    transposed operand unlike a plain one, so that block is copied to C
+    order before its GEMM. The K order and the GEMM orientation are fixed
+    for the same reason: any other order changes float32 outputs in the
+    last bits, and saved fixtures pin them.
+
+    The VJP keeps only the phase planes, no im2col. With stride s, output
+    pixel (oy, ox) reads plane (py, px) only through the taps
+    (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each phase is
+    a stride-1 correlation of its plane with that sub-kernel, and
+    `_phase_vjp` gives both of its gradients from one gather of the shifted
+    output gradient, the kernel gradient's pixels read straight from the
+    channel-major plane. Stride 1 is one phase, the whole padded input; a
+    phase no tap reads (s > k) gets zero input gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -572,6 +617,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d dtype mismatch {x.data.dtype} vs {w.data.dtype}")
     bsz, h, wd, c = x.shape
     o, cw, kh, kw = w.shape
+    for size, axis in ((bsz, "batch"), (c, "channel"), (o, "output-channel")):
+        if size == 0:
+            raise ShapeError(f"conv2d: empty {axis} axis in input {x.shape}, kernel {w.shape}")
     if cw != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {cw}")
     if kh != kw:
@@ -593,24 +641,25 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             raise ShapeError("conv2d bias dtype mismatch")
 
     _count_macs(bsz * o * ho * wo * c * k * k)
-    xp = x.data
-    if padding:
-        xp = np.empty((bsz, hp, wp, c), dtype=x.data.dtype)
-        xp[:, :padding] = xp[:, hp - padding:] = 0
-        xp[:, :, :padding] = xp[:, :, wp - padding:] = 0
-        xp[:, padding:padding + h, padding:padding + wd] = x.data
+    phases = min(stride, k)
+    xt = _phase_planes(x.data, padding, stride, phases, hp, wp)
+    hu, wu = xt.shape[4:]
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
     per = -(-_GEMM_BLOCK_ROWS // wo)
     bounds = [i * per for i in range(max(1, nrows // per))] + [nrows]
-    buf = np.empty((nrows - bounds[-2], wo, c, k, k), dtype=x.data.dtype)
-    wr = w.data.reshape(o, c * k * k)
+    ckk = c * k * k
+    buf = np.empty(ckk * (nrows - bounds[-2]) * wo, dtype=x.data.dtype)
+    wr = w.data.reshape(o, ckk)
     out = np.empty((nrows * wo, o), dtype=x.data.dtype)
     for r0, r1 in zip(bounds, bounds[1:]):
-        blk = buf[:r1 - r0]
-        _conv_windows(xp, k, stride, ho, r0, r1, blk)
+        blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
+        _plane_windows(xt, stride, ho, r0, r1, blk)
+        cols = blk.reshape(ckk, -1).T
+        if cols.shape[0] < _GEMM_BLOCK_ROWS:
+            cols = np.ascontiguousarray(cols)
         dst = out[r0 * wo:r1 * wo]
-        np.matmul(blk.reshape(-1, c * k * k), wr.T, out=dst)
+        np.matmul(cols, wr.T, out=dst)
         if bias is not None:
             dst += bias.data
     wd_arr = w.data
@@ -620,21 +669,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     def vjp(g, needs):
         gxp = np.zeros((bsz, hp, wp, c), dtype=g.dtype) if needs[0] else None
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if needs[1] else None
-        phases = min(stride, k) if needs[0] or needs[1] else 0
-        for py in range(phases):
+        m = bsz * hu * wu
+        for py in range(phases if needs[0] or needs[1] else 0):
             for px in range(phases):
-                xg = xp[:, py::stride, px::stride]
-                m = bsz * xg.shape[1] * xg.shape[2]
-                xrows = None if gw is None else np.ascontiguousarray(xg).reshape(m, c)
                 gx_rows = None
-                if gxp is not None:  # with stride 1 the one phase is gxp itself
+                if gxp is not None:  # with stride 1 the one plane is gxp itself
                     gx_rows = gxp.reshape(m, c) if stride == 1 else np.empty((m, c), g.dtype)
-                gws = _phase_vjp(g, wd_arr[:, :, py::stride, px::stride], xg.shape[2],
-                                 xrows, gx_rows)
+                gws = _phase_vjp(g, wd_arr[:, :, py::stride, px::stride], wu,
+                                 None if gw is None else xt[py, px].reshape(c, m), gx_rows)
                 if gw is not None:
                     gw[:, :, py::stride, px::stride] = gws
                 if gxp is not None and stride > 1:
-                    gxp[:, py::stride, px::stride] = gx_rows.reshape(xg.shape[:3] + (c,))
+                    gxg = gxp[:, py::stride, px::stride]
+                    gxg[...] = gx_rows.reshape(bsz, hu, wu, c)[:, :gxg.shape[1], :gxg.shape[2]]
         gx = None if gxp is None else gxp[:, padding:padding + h, padding:padding + wd]
         if bias is None:
             return (gx, gw)

@@ -639,6 +639,19 @@ class TestBench:
         assert code == 2
         assert "reps" in stderr_json(err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--batch", "-1"),
+        ("--layer", "linear", "--batch", "-2"),
+        ("--layer", "linear", "--batch", "0"),
+        ("--layer", "conv", "--batch", "0"),
+        ("--layer", "conv", "--spatial", "0"),
+        ("--spatial", "-3")])
+    def test_empty_or_negative_size_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bench", "--reps", "3", *argv)
+        assert code == 2 and out == ""
+        message = stderr_json(err)["message"]
+        assert message.startswith(argv[-2].lstrip("-")) and argv[-1] in message
+
     def test_writes_csv_file(self, capsys, tmp_path):
         path = str(tmp_path / "bench.csv")
         self.rows(capsys, "--out", path)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -113,6 +113,20 @@ def fd_grad(f, arrs, h=1e-6):
             gflat[i] = (up - dn) / (2 * h)
         grads.append(g)
     return grads
+
+
+@st.composite
+def blocked_convs(draw):
+    """(B, H, W, k, stride, padding) of a conv whose forward runs 2-4 blocks of
+    `_GEMM_BLOCK_ROWS` output pixels or more; H and W take any remainder of
+    the stride."""
+    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    bsz, wo = draw(st.integers(1, 3)), draw(st.integers(12, 48))
+    per = -(-T._GEMM_BLOCK_ROWS // wo)  # output rows in one block
+    ho = draw(st.integers(-(-2 * per // bsz), -(-4 * per // bsz)))
+    h, w = ((n - 1) * stride + k - 2 * padding + draw(st.integers(0, stride - 1))
+            for n in (ho, wo))
+    return bsz, h, w, k, stride, padding
 
 
 def leaf(arr):
@@ -654,6 +668,49 @@ class TestConv2d:
         taped, streamed = self._taped_and_streamed(bsz, c, hw, stride, 1, dtype)
         assert np.allclose(streamed, taped, rtol=1e-6, atol=1e-6 * np.abs(taped).max())
 
+    @staticmethod
+    def _assert_blocked_is_whole_gemm(bsz, c, h, w, o, k, stride, padding, dtype, seed):
+        """The forward of one draw is `array_equal` to one whole C-ordered
+        `cols @ w.T + b` over the batch."""
+        rng = Rng(seed)
+        x = rng.uniform((bsz, h, w, c), -1, 1).astype(dtype)
+        wk = rng.uniform((o, c, k, k), -1, 1).astype(dtype)
+        b = rng.uniform((o,), -1, 1).astype(dtype)
+        cols, ho, wo = im2col_nchw(nchw(x), k, stride, padding)
+        expect = (cols @ wk.reshape(o, -1).T + b).reshape(bsz, ho, wo, o)
+        out = T.conv2d(Tensor(x), Tensor(wk), Tensor(b), stride=stride, padding=padding)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, expect)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(conv=blocked_convs(), c=st.integers(1, 8), o=st.integers(2, 64),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(conv=(2, 89, 47, 3, 2, 1), c=3, o=5, dtype=np.float32, seed=7)
+    def test_property_blocked_forward_is_bitwise_one_c_ordered_gemm(self, conv, c, o,
+                                                                   dtype, seed):
+        """Blocks of at least `_GEMM_BLOCK_ROWS` pixels, gathered as
+        F-ordered operands from the phase planes, round as one C-ordered
+        GEMM over the whole batch; at stride 2 the padded sides are odd in
+        about half the draws, so the phase planes differ in size."""
+        bsz, h, w, k, stride, padding = conv
+        self._assert_blocked_is_whole_gemm(bsz, c, h, w, o, k, stride, padding, dtype, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz,c,hw,o,stride", [
+        (1, 16, 24, 3, 2),   # 144 output pixels: one block, copied to C order
+        (4, 32, 64, 2, 1)])  # the U-Net head at desk size: 32 -> 2 channels
+    def test_blocked_forward_is_bitwise_one_c_ordered_gemm(self, bsz, c, hw, o, stride, dtype):
+        self._assert_blocked_is_whole_gemm(bsz, c, hw, hw, o, 3, stride, 1, dtype, hw + o)
+
+    @pytest.mark.parametrize("xshape,wshape,axis", [
+        ((0, 8, 8, 3), (4, 3, 3, 3), "batch"),
+        ((2, 8, 8, 0), (4, 0, 3, 3), "channel"),
+        ((2, 8, 8, 3), (0, 3, 3, 3), "output-channel")])
+    def test_empty_axis_is_shape_error(self, xshape, wshape, axis):
+        with pytest.raises(ShapeError, match=f"empty {axis} axis"):
+            T.conv2d(Tensor(np.zeros(xshape)), Tensor(np.zeros(wshape)), padding=1)
+
     def test_untaped_forward_never_holds_the_whole_im2col(self):
         rng = Rng(22)
         x = Tensor(rng.uniform((1, 256, 256, 32), -1, 1).astype(np.float32))
@@ -705,6 +762,26 @@ class TestConv2d:
             out = T.conv2d(x, w, leaf(np.zeros(4)), stride=2, padding=1)
         gx, gw, gb = out.node.vjp(np.ones_like(out.data), (False, False, True))
         assert gx is None and gw is None and np.array_equal(gb, np.full(4, 2.0 * 3 * 3))
+
+
+class TestBlasRounding:
+    """The conv forward hands BLAS F-ordered im2col blocks (`tensor._plane_windows`)
+    and relies on them rounding as C-ordered ones once a block has at least
+    `_GEMM_BLOCK_ROWS` rows. That is a property of the BLAS build, so it is
+    checked here on its own, to fail first and by name after a BLAS change."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,k,o", [(1024, 18, 32), (1024, 288, 2), (1280, 576, 32),
+                                       (2048, 72, 64), (3000, 1152, 3), (4096, 144, 128)])
+    def test_f_ordered_operand_rounds_as_c_ordered(self, n, k, o, dtype):
+        rng = Rng(n + k + o)
+        a = rng.uniform((n, k), -1, 1).astype(dtype)
+        w = rng.uniform((o, k), -1, 1).astype(dtype)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert np.array_equal(np.matmul(np.asfortranarray(a), w.T), a @ w.T), (
+            f"{blas.get('name')} {blas.get('version')}: an F-ordered [{n}, {k}] operand "
+            f"times [{k}, {o}] rounds unlike a C-ordered one, so conv2d's blocked forward "
+            f"is no longer bitwise the whole im2col GEMM")
 
 
 class TestReductionsAndShapes:
