@@ -458,13 +458,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 # differ in the last bits.
 _GEMM_BLOCK_ROWS = 1024
 
-# Byte budget of one transposing copy into the conv2d phase planes
-# (`_phase_planes`), a piece of an input row that fits a 48 KB L1d. On a
-# 2-core Xeon a 320x320x64 float32 input took 4.4 ms in 40 KB pieces,
-# 7.9 ms row by row and 30 ms as one transposing assignment; the planes of
-# a 320x320 U-Net forward took 28 ms, 36 ms row by row.
-_PLANE_TILE_BYTES = 40 << 10
-
 # Byte budget of one block of shifted-gradient rows in the conv2d VJP
 # (`_phase_vjp`). On a 2-core Xeon, blocks of 0.5 to 8 MiB timed alike for
 # the desk U-Net's training step.
@@ -478,12 +471,12 @@ def _phase_planes(x: np.ndarray, padding: int, s: int, p: int,
 
     Padded pixel (s*u + py, s*v + px) of image b sits at [py, px, :, b, u, v]
     for the phases py, px < p; every other entry is zero. The copy
-    transposes a piece of one input row (all images) at a time, at most
-    `_PLANE_TILE_BYTES` of it.
+    transposes one input row (all images) at a time: on a 2-core Xeon that
+    took 7.9 ms for a 320x320x64 float32 input, one transposing assignment
+    of the whole input 30 ms.
     """
     bsz, h, wd, c = x.shape
     xt = np.zeros((p, p, c, bsz, -(-hp // s), -(-wp // s)), dtype=x.dtype)
-    run = max(1, _PLANE_TILE_BYTES // x[:, 0, 0].nbytes)
     for py in range(p):
         y0 = (py - padding) % s
         for px in range(p):
@@ -492,9 +485,7 @@ def _phase_planes(x: np.ndarray, padding: int, s: int, p: int,
             v0 = (x0 + padding) // s
             dst = xt[py, px, :, :, :, v0:v0 + src.shape[2]]
             for y in range(y0, h, s):
-                row = dst[:, :, (y + padding) // s]
-                for v in range(0, src.shape[2], run):
-                    row[:, :, v:v + run] = src[:, y, v:v + run].transpose(2, 0, 1)
+                dst[:, :, (y + padding) // s] = src[:, y].transpose(2, 0, 1)
     return xt
 
 
