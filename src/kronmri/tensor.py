@@ -464,8 +464,7 @@ _GEMM_BLOCK_ROWS = 1024
 _SHIFT_BLOCK_BYTES = 1 << 21
 
 
-def _phase_planes(x: np.ndarray, padding: int, s: int, p: int,
-                  hp: int, wp: int) -> np.ndarray:
+def _phase_planes(x: np.ndarray, padding: int, s: int, p: int) -> np.ndarray:
     """`x` [B,H,W,C] zero-padded to Hp x Wp and split into channel-major
     stride-phase planes [p,p,C,B,Hu,Wu] with Hu = ceil(Hp/s), Wu = ceil(Wp/s).
 
@@ -476,7 +475,8 @@ def _phase_planes(x: np.ndarray, padding: int, s: int, p: int,
     of the whole input 30 ms.
     """
     bsz, h, wd, c = x.shape
-    xt = np.zeros((p, p, c, bsz, -(-hp // s), -(-wp // s)), dtype=x.dtype)
+    hu, wu = -(-(h + 2 * padding) // s), -(-(wd + 2 * padding) // s)
+    xt = np.zeros((p, p, c, bsz, hu, wu), dtype=x.dtype)
     for py in range(p):
         y0 = (py - padding) % s
         for px in range(p):
@@ -633,7 +633,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     _count_macs(bsz * o * ho * wo * c * k * k)
     phases = min(stride, k)
-    xt = _phase_planes(x.data, padding, stride, phases, hp, wp)
+    xt = _phase_planes(x.data, padding, stride, phases)
     hu, wu = xt.shape[4:]
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
@@ -647,7 +647,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
         _plane_windows(xt, stride, ho, r0, r1, blk)
         cols = blk.reshape(ckk, -1).T
-        if cols.shape[0] < _GEMM_BLOCK_ROWS:
+        if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
             cols = np.ascontiguousarray(cols)
         dst = out[r0 * wo:r1 * wo]
         np.matmul(cols, wr.T, out=dst)

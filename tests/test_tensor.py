@@ -117,12 +117,13 @@ def fd_grad(f, arrs, h=1e-6):
 
 @st.composite
 def blocked_convs(draw):
-    """(B, H, W, k, stride, padding) of a conv whose forward runs 2-4 blocks of
-    `_GEMM_BLOCK_ROWS` output pixels or more; H and W take any remainder of
-    the stride."""
+    """(B, H, W, k, stride, padding) of a conv of 2-4 times 1024 output pixels,
+    the forward's block floor; H and W take any remainder of the stride.
+    The floor is written out, so a smaller `_GEMM_BLOCK_ROWS` meets the
+    same draws."""
     k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
     bsz, wo = draw(st.integers(1, 3)), draw(st.integers(12, 48))
-    per = -(-T._GEMM_BLOCK_ROWS // wo)  # output rows in one block
+    per = -(-1024 // wo)  # output rows in one block
     ho = draw(st.integers(-(-2 * per // bsz), -(-4 * per // bsz)))
     h, w = ((n - 1) * stride + k - 2 * padding + draw(st.integers(0, stride - 1))
             for n in (ho, wo))
@@ -683,16 +684,16 @@ class TestConv2d:
         assert np.array_equal(out.data, expect)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(conv=blocked_convs(), c=st.integers(1, 8), o=st.integers(2, 64),
+    @given(conv=blocked_convs(), c=st.integers(1, 32), o=st.integers(2, 64),
            dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2**32 - 1))
     @example(conv=(2, 89, 47, 3, 2, 1), c=3, o=5, dtype=np.float32, seed=7)
     def test_property_blocked_forward_is_bitwise_one_c_ordered_gemm(self, conv, c, o,
                                                                    dtype, seed):
-        """Blocks of at least `_GEMM_BLOCK_ROWS` pixels, gathered as
-        F-ordered operands from the phase planes, round as one C-ordered
-        GEMM over the whole batch; at stride 2 the padded sides are odd in
-        about half the draws, so the phase planes differ in size."""
+        """Blocks of at least 1024 pixels, gathered as F-ordered operands
+        from the phase planes, round as one C-ordered GEMM over the whole
+        batch; at stride 2 the padded sides are odd in about half the
+        draws, so the phase planes differ in size."""
         bsz, h, w, k, stride, padding = conv
         self._assert_blocked_is_whole_gemm(bsz, c, h, w, o, k, stride, padding, dtype, seed)
 
