@@ -135,19 +135,28 @@ class UNet(Module):
         step = 2 ** (self.cfg.depth - 1)
         if x.shape[2] % step or x.shape[3] % step:
             raise ShapeError(f"spatial dims {x.shape[2:]} must be divisible by {step}")
-        act = lambda t: T.relu(t, ACT_GAIN)
-        c1, c2 = self._stem
-        h = act(c2(act(c1(T.transpose(x, (0, 2, 3, 1))))))
-        skips = [h]
-        for pool, d1, d2 in self._downs:
-            h = act(pool(h))
-            h = act(d2(act(d1(h))))
+        # One op at a time through `h`, and each skip popped as it is
+        # concatenated: without a tape, nothing outlives its last reader.
+        h = T.transpose(x, (0, 2, 3, 1))
+        for conv in self._stem:
+            h = conv(h)
+            h = T.relu(h, ACT_GAIN)
+        skips = []
+        for convs in self._downs:
             skips.append(h)
-        for (up, u1, u2), skip in zip(self._ups, reversed(skips[:-1])):
-            h = act(up(T.upsample2x(h)))
-            h = T.concat([skip, h], axis=3)
-            h = act(u2(act(u1(h))))
-        out = T.transpose(self._head(h), (0, 3, 1, 2))
+            for conv in convs:
+                h = conv(h)
+                h = T.relu(h, ACT_GAIN)
+        for up, *convs in self._ups:
+            h = T.upsample2x(h)
+            h = up(h)
+            h = T.relu(h, ACT_GAIN)
+            h = T.concat([skips.pop(), h], axis=3)
+            for conv in convs:
+                h = conv(h)
+                h = T.relu(h, ACT_GAIN)
+        h = self._head(h)
+        out = T.transpose(h, (0, 3, 1, 2))
         if self.residual:
             out = T.add(out, x)
         return out

@@ -19,22 +19,27 @@ with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
 columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
 so the forward stays bit-identical to a plain NCHW im2col GEMM.
 
-The conv forward has one path, with or without a tape. The input is copied
-once, zero-padded, into channel-major stride-phase planes [s,s,C,B,Hu,Wu]:
-padded pixel (s*u + py, s*v + px) sits at [py, px, :, b, u, v]. Blocks of
-at least 1024 output pixels are gathered from the planes into one reused
-[C,k,k,rows,Wo] buffer, where each tap is C x rows contiguous runs of Wo
-values, at any stride. Read as [C*k*k, rows*Wo] and transposed, that buffer
-is the block's im2col operand in F order, which numpy hands BLAS with a
-transpose flag. At 1024 rows or more OpenBLAS rounds each such block's rows
-as it does the whole C-ordered product's, so the output is bitwise the
-same with a fraction of the memory; a conv of fewer than 1024 output
-pixels is one block, copied to C order first, because below that size a
-transposed operand rounds differently. No im2col is kept for the backward.
-The VJP keeps only the phase planes and lays the output gradient on each
-plane's grid, where every kernel tap is a row shift; one gather of the
-shifted gradient per block of rows then gives both the input and the
-kernel gradient (see `conv2d` and `_phase_vjp`).
+The conv forward has one path, with or without a tape, and nothing the
+size of its input is copied or kept. Blocks of at least 1024 output pixels
+are built one at a time: for each image's share of a block, only the rows
+of the zero-padded, channel-major stride-phase planes it reads are built,
+into one reused [s,s,C,rows + (k-1)//s,Wu] buffer, where padded pixel
+(s*u + py, s*v + px) sits at [py, px, :, u - u0, v], u0 being the first
+plane row the image's share reads. From there the block
+is gathered into one reused [C,k,k,rows,Wo] buffer, where each tap is
+C x rows contiguous runs of Wo values, at any stride. Read as
+[C*k*k, rows*Wo] and transposed, that buffer is the block's im2col operand
+in F order, which numpy hands BLAS with a transpose flag. At 1024 rows or
+more OpenBLAS rounds each such block's rows as it does the whole C-ordered
+product's, so the output is bitwise the same with a fraction of the
+memory; a conv of fewer than 1024 output pixels is one block, copied to C
+order first, because below that size a transposed operand rounds
+differently. The VJP keeps only the input array, which the tape holds
+anyway. It lays the output gradient on each stride phase's grid, where
+every kernel tap is a row shift, and indexes the shifted gradient by the
+phase's input pixels: one gather per block of input rows gives both the
+input and the kernel gradient, and padding pixels cost nothing (see
+`conv2d` and `_phase_vjp`).
 """
 
 from __future__ import annotations
@@ -168,15 +173,33 @@ class Tape:
         return False
 
 
+# Elements per piece of the finiteness check on op outputs: a larger output
+# is checked through one bool buffer of this size, not a mask of its own size.
+_FINITE_PIECE = 1 << 18
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """No NaN or +-Inf in the C-contiguous `a`."""
+    if a.size <= _FINITE_PIECE:
+        return bool(np.all(np.isfinite(a)))
+    flat = a.reshape(-1)
+    mask = np.empty(_FINITE_PIECE, dtype=bool)
+    for i in range(0, flat.size, _FINITE_PIECE):
+        piece = flat[i:i + _FINITE_PIECE]
+        if not np.isfinite(piece, out=mask[:piece.size]).all():
+            return False
+    return True
+
+
 def _apply(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
     """Wrap an op result, recording a node when a tape is active.
 
     `vjp(g, needs)` must return per-input gradient arrays (None where
     `needs` is False), aligned with `inputs`.
     """
-    if not np.all(np.isfinite(out_data)):
-        raise NumericError(f"non-finite values in output of op '{name}'")
     out = Tensor(out_data)
+    if not _all_finite(out.data):
+        raise NumericError(f"non-finite values in output of op '{name}'")
     tape = _ACTIVE_TAPE
     if tape is not None:
         if tape.consumed:
@@ -412,6 +435,9 @@ def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
     if mixing.data.ndim != 3 or blocks.data.ndim < 3 or mixing.shape[0] != blocks.shape[0]:
         raise ShapeError(f"kron_sum expects [m,p,q] and [m,r,s,...] operands, "
                          f"got {mixing.shape} and {blocks.shape}")
+    if mixing.size == 0 or blocks.size == 0:
+        raise ShapeError(f"kron_sum needs non-empty operands (at least one term), "
+                         f"got {mixing.shape} and {blocks.shape}")
     if mixing.data.dtype != blocks.data.dtype:
         raise ShapeError(f"kron_sum dtype mismatch {mixing.data.dtype} vs {blocks.data.dtype}")
     m, p, q = mixing.shape
@@ -464,37 +490,40 @@ _GEMM_BLOCK_ROWS = 1024
 _SHIFT_BLOCK_BYTES = 1 << 21
 
 
-def _phase_planes(x: np.ndarray, padding: int, s: int, p: int) -> np.ndarray:
-    """`x` [B,H,W,C] zero-padded to Hp x Wp and split into channel-major
-    stride-phase planes [p,p,C,B,Hu,Wu] with Hu = ceil(Hp/s), Wu = ceil(Wp/s).
+def _fill_planes(xb: np.ndarray, padding: int, s: int, u0: int, planes: np.ndarray) -> None:
+    """Rows u0.. of the channel-major stride-phase planes of one image.
 
-    Padded pixel (s*u + py, s*v + px) of image b sits at [py, px, :, b, u, v]
-    for the phases py, px < p; every other entry is zero. The copy
-    transposes one input row (all images) at a time: on a 2-core Xeon that
-    took 7.9 ms for a 320x320x64 float32 input, one transposing assignment
-    of the whole input 30 ms.
+    `xb` is one input image [H,W,C]; `planes` is [p,p,C,nu,Wu]. Padded pixel
+    (s*u + py, s*v + px) of the image, u = u0 + t, lands at
+    [py, px, :, t, v] for the phases py, px < p; a row that falls in the
+    zero padding is zeroed. Columns outside the input are never written,
+    so they keep the zeros the buffer was made with. One transposing copy
+    moves all of a phase's input rows.
     """
-    bsz, h, wd, c = x.shape
-    hu, wu = -(-(h + 2 * padding) // s), -(-(wd + 2 * padding) // s)
-    xt = np.zeros((p, p, c, bsz, hu, wu), dtype=x.dtype)
-    for py in range(p):
-        y0 = (py - padding) % s
-        for px in range(p):
+    h = xb.shape[0]
+    nu = planes.shape[3]
+    for py in range(planes.shape[0]):
+        a = s * u0 + py - padding  # input row of plane row t = 0
+        t0, t1 = max(0, -(a // s)), min(nu, -((a - h) // s))
+        for px in range(planes.shape[1]):
             x0 = (px - padding) % s
-            src = x[:, :, x0::s]
-            v0 = (x0 + padding) // s
-            dst = xt[py, px, :, :, :, v0:v0 + src.shape[2]]
-            for y in range(y0, h, s):
-                dst[:, :, (y + padding) // s] = src[:, y].transpose(2, 0, 1)
-    return xt
+            dst = planes[py, px]
+            dst[:, :t0] = 0
+            dst[:, max(t0, t1):] = 0
+            if t1 > t0:
+                src = xb[a + s * t0:a + s * (t1 - 1) + 1:s, x0::s]
+                v0 = (x0 + padding) // s
+                dst[:, t0:t1, v0:v0 + src.shape[1]] = src.transpose(2, 0, 1)
 
 
-def _plane_windows(xt: np.ndarray, s: int, ho: int, r0: int, r1: int,
-                   out: np.ndarray) -> None:
+def _plane_windows(x: np.ndarray, padding: int, s: int, ho: int, r0: int, r1: int,
+                   planes: np.ndarray, out: np.ndarray) -> None:
     """Gather the im2col operand of output image rows r0..r1 into `out`.
 
-    `xt` holds the phase planes of `_phase_planes`; output image row r is
-    row r % Ho of image r // Ho, so a range may cross images. `out` is
+    Output image row r is row r % Ho of image r // Ho, so a range may cross
+    images. For each image's share of the range, `_fill_planes` builds the
+    rows of the phase planes it reads into `planes` ([p,p,C,rows + (k-1)//s,
+    Wu], reused), and the taps are gathered from there. `out` is
     [C, k, k, r1-r0, Wo]: read as `out.reshape(C*k*k, -1).T` it is the
     F-ordered im2col block, one row per output pixel and its columns in
     (c, i, j) order. Tap (i, j) of an image's rows is one copy of C x rows
@@ -502,60 +531,78 @@ def _plane_windows(xt: np.ndarray, s: int, ho: int, r0: int, r1: int,
     (i // s, j // s), so every stride reads contiguously.
     """
     k, wo = out.shape[1], out.shape[4]
+    halo = (k - 1) // s
     r = r0
     while r < r1:
         b, y = divmod(r, ho)
         n = min(r1 - r, ho - y)
+        pl = planes[:, :, :, :n + halo]
+        _fill_planes(x[b], padding, s, y, pl)
         dst = out[:, :, :, r - r0:r - r0 + n]
         for i in range(k):
-            a = y + i // s
             for j in range(k):
-                dst[:, i, j] = xt[i % s, j % s, :, b, a:a + n, j // s:j // s + wo]
+                dst[:, i, j] = pl[i % s, j % s, :, i // s:i // s + n, j // s:j // s + wo]
         r += n
 
 
-def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, xcols: np.ndarray | None,
-               gx_rows: np.ndarray | None) -> np.ndarray | None:
-    """Both gradients of a stride-1 cross-correlation of one input grid
+def _phase_vjp(g: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
+               xv: np.ndarray, gxv: np.ndarray | None, need_w: bool) -> np.ndarray | None:
+    """Both gradients of a stride-1 cross-correlation of one plane grid
     [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
 
-    Writes the grid's input gradient into `gx_rows` ([B*Hu*Wv, C]) unless
-    it is None, and returns the kernel gradient when the grid's pixels
-    `xcols` ([C, B*Hu*Wv], channel-major) are given. `g` is laid on the
+    Only the grid's input pixels are visited: `xv` [B,hx,wx,C], a view of
+    the input, holds them, and `start` (u0, v0) is the grid pixel of
+    xv[:, 0, 0]; the grid's padding pixels contribute to neither gradient.
+    Writes their input gradient into `gxv` (same shape) unless it is None,
+    and returns the kernel gradient if `need_w`. `g` is laid on the
     flattened grid behind (ka-1)*Wv + (kb-1) zero rows as `gext`; tap
     (a, b) is then a shift by whole rows, and S[m, a', b'] =
     gext[m + a'*Wv + b'] is the gradient of the output pixel that reads
     grid row m through tap (ka-1-a', kb-1-b'), or zero: a shift that wraps
-    past a row or image edge lands on zero rows. S is copied in blocks of
-    `_SHIFT_BLOCK_BYTES` into one reused buffer, as runs of kb*O contiguous
-    values, and each block gives its rows of the input gradient,
+    past a row or image edge lands on zero rows. One read-only view gives S
+    for whole input rows. It is copied a block of rows of one image at a
+    time (`_SHIFT_BLOCK_BYTES`, one reused buffer, runs of kb*O contiguous
+    values), and each block gives its rows of the input gradient,
     `S @ wflip` with the kernel flipped to [ka*kb*O, C], and its share of
-    the flipped kernel gradient, `xcols @ S`.
+    the flipped kernel gradient, `xrows.T @ S`, its pixels read from `xv`.
     """
     bsz, ho, wo, o = g.shape
     ka, kb = w.shape[2:]
-    m = gx_rows.shape[0] if xcols is None else xcols.shape[1]
+    hu, wv = grid
+    u0, v0 = start
+    _, hx, wx, c = xv.shape
+    m = bsz * hu * wv
     lead = (ka - 1) * wv + (kb - 1)
     gext = np.zeros((lead + m, o), dtype=g.dtype)
-    gext[lead:].reshape(bsz, -1, wv, o)[:, :ho, :wo] = g
+    gext[lead:].reshape(bsz, hu, wv, o)[:, :ho, :wo] = g
+    # as_strided reads past the end silently: the last row S reads must be in gext.
+    last = ((bsz - 1) * hu + u0 + hx - 1) * wv + v0 + wx - 1 + lead
+    if last >= lead + m:
+        raise ShapeError(f"conv2d VJP: shifted rows end at {last}, past {lead + m}")
     e = gext.itemsize
     shifted = np.lib.stride_tricks.as_strided(
-        gext, (m, ka, kb, o), (o * e, wv * o * e, o * e, e), writeable=False)
+        gext[u0 * wv + v0:], (bsz, hx, wx, ka, kb, o),
+        (hu * wv * o * e, wv * o * e, o * e, wv * o * e, o * e, e), writeable=False)
     kko = ka * kb * o
-    rows = max(1, _SHIFT_BLOCK_BYTES // (kko * e))
-    sbuf = np.empty((min(rows, m), ka, kb, o), dtype=g.dtype)
-    wflip = None if gx_rows is None else np.ascontiguousarray(
+    rows = max(1, _SHIFT_BLOCK_BYTES // (max(wx, 1) * kko * e))
+    sbuf = np.empty((min(rows, hx), wx, ka, kb, o), dtype=g.dtype)
+    wflip = None if gxv is None else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
-    acc = None if xcols is None else np.zeros((xcols.shape[0], kko), dtype=g.dtype)
-    for m0 in range(0, m, rows):
-        m1 = min(m, m0 + rows)
-        blk = sbuf[:m1 - m0]
-        np.copyto(blk, shifted[m0:m1])
-        blk = blk.reshape(m1 - m0, kko)
-        if wflip is not None:
-            np.matmul(blk, wflip, out=gx_rows[m0:m1])
-        if acc is not None:
-            acc += xcols[:, m0:m1] @ blk
+    acc = np.zeros((c, kko), dtype=g.dtype) if need_w else None
+    for b in range(bsz):
+        for y0 in range(0, hx, rows):
+            y1 = min(hx, y0 + rows)
+            blk = sbuf[:y1 - y0]
+            np.copyto(blk, shifted[b, y0:y1])
+            blk = blk.reshape(-1, kko)
+            if gxv is not None:
+                dst = gxv[b, y0:y1]
+                if dst.flags.c_contiguous:
+                    np.matmul(blk, wflip, out=dst.reshape(-1, c))
+                else:
+                    dst[...] = (blk @ wflip).reshape(dst.shape)
+            if acc is not None:
+                acc += xv[b, y0:y1].reshape(-1, c).T @ blk
     if acc is None:
         return None
     return acc.reshape(-1, ka, kb, o)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
@@ -569,15 +616,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     Output spatial size is floor((H + 2*padding - k) / stride) + 1 per axis.
     An empty batch, channel or output-channel axis is a ShapeError.
 
-    The input is copied once, zero-padded, into channel-major stride-phase
-    planes [s,s,C,B,Hu,Wu] (`_phase_planes`; only the s' = min(s, k) phases
-    a tap reads). The forward runs over blocks of at least
-    `_GEMM_BLOCK_ROWS` output pixels in whole image rows (a short tail
-    joins the last block), with or without a tape. Each block's im2col
-    operand is gathered from the planes into one reused [C,k,k,rows,Wo]
-    buffer (`_plane_windows`), where every copy is a contiguous run along a
-    row of output pixels; read as [C*k*k, rows*Wo] and transposed it is
-    the F-ordered [rows*Wo, C*k*k] im2col block with (c,i,j) columns, and
+    Nothing the size of the input is copied or kept. The forward runs over
+    blocks of at least `_GEMM_BLOCK_ROWS` output pixels in whole image rows
+    (a short tail joins the last block), with or without a tape. For each
+    image's share of a block, only the rows of the zero-padded,
+    channel-major stride-phase planes that it reads are built, into one
+    reused [s',s',C,rows + (k-1)//s,Wu] buffer (`_fill_planes`; s' =
+    min(s, k), the phases a tap reads). The block's im2col operand is
+    gathered from there into one reused [C,k,k,rows,Wo] buffer
+    (`_plane_windows`), where every copy is a contiguous run along a row
+    of output pixels; read as [C*k*k, rows*Wo] and transposed it is the
+    F-ordered [rows*Wo, C*k*k] im2col block with (c,i,j) columns, and
     `np.matmul(block, w.reshape(O, C*k*k).T)` hands it to BLAS with a
     transpose flag, straight into its rows of the [B*Ho*Wo, O] output,
     bias added in place. No whole im2col matrix is ever built.
@@ -593,14 +642,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     for the same reason: any other order changes float32 outputs in the
     last bits, and saved fixtures pin them.
 
-    The VJP keeps only the phase planes, no im2col. With stride s, output
-    pixel (oy, ox) reads plane (py, px) only through the taps
-    (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each phase is
-    a stride-1 correlation of its plane with that sub-kernel, and
+    The VJP keeps only `x.data`, which the tape holds anyway. With stride
+    s, output pixel (oy, ox) reads phase plane (py, px) only through the
+    taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
+    phase is a stride-1 correlation of its plane with that sub-kernel.
     `_phase_vjp` gives both of its gradients from one gather of the shifted
-    output gradient, the kernel gradient's pixels read straight from the
-    channel-major plane. Stride 1 is one phase, the whole padded input; a
-    phase no tap reads (s > k) gets zero input gradient.
+    output gradient, indexed by the phase's input pixels
+    x[:, y0::s, x0::s]: a padding pixel contributes to neither gradient.
+    Stride 1 is one phase, the whole input, whose kernel-gradient rows are
+    a reshape of `x` and whose input-gradient rows are written straight
+    into the gradient; a phase no tap reads (s > k) gets zero input
+    gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -633,19 +685,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     _count_macs(bsz * o * ho * wo * c * k * k)
     phases = min(stride, k)
-    xt = _phase_planes(x.data, padding, stride, phases)
-    hu, wu = xt.shape[4:]
+    hu, wu = -(-hp // stride), -(-wp // stride)
+    xd = x.data
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
     per = -(-_GEMM_BLOCK_ROWS // wo)
     bounds = [i * per for i in range(max(1, nrows // per))] + [nrows]
+    most = nrows - bounds[-2]  # rows of the largest block, the last
     ckk = c * k * k
-    buf = np.empty(ckk * (nrows - bounds[-2]) * wo, dtype=x.data.dtype)
+    buf = np.empty(ckk * most * wo, dtype=xd.dtype)
+    planes = np.zeros((phases, phases, c, min(most, ho) + (k - 1) // stride, wu), dtype=xd.dtype)
     wr = w.data.reshape(o, ckk)
-    out = np.empty((nrows * wo, o), dtype=x.data.dtype)
+    out = np.empty((nrows * wo, o), dtype=xd.dtype)
     for r0, r1 in zip(bounds, bounds[1:]):
         blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
-        _plane_windows(xt, stride, ho, r0, r1, blk)
+        _plane_windows(xd, padding, stride, ho, r0, r1, planes, blk)
         cols = blk.reshape(ckk, -1).T
         if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
             cols = np.ascontiguousarray(cols)
@@ -658,22 +712,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     inputs = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g, needs):
-        gxp = np.zeros((bsz, hp, wp, c), dtype=g.dtype) if needs[0] else None
+        gx = None
+        if needs[0]:  # every input pixel is in a phase a tap reads unless s > k
+            gx = (np.empty if stride <= k else np.zeros)((bsz, h, wd, c), dtype=g.dtype)
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if needs[1] else None
-        m = bsz * hu * wu
         for py in range(phases if needs[0] or needs[1] else 0):
+            y0 = (py - padding) % stride
             for px in range(phases):
-                gx_rows = None
-                if gxp is not None:  # with stride 1 the one plane is gxp itself
-                    gx_rows = gxp.reshape(m, c) if stride == 1 else np.empty((m, c), g.dtype)
-                gws = _phase_vjp(g, wd_arr[:, :, py::stride, px::stride], wu,
-                                 None if gw is None else xt[py, px].reshape(c, m), gx_rows)
+                x0 = (px - padding) % stride
+                gws = _phase_vjp(g, wd_arr[:, :, py::stride, px::stride], (hu, wu),
+                                 ((y0 + padding) // stride, (x0 + padding) // stride),
+                                 xd[:, y0::stride, x0::stride],
+                                 None if gx is None else gx[:, y0::stride, x0::stride],
+                                 gw is not None)
                 if gw is not None:
                     gw[:, :, py::stride, px::stride] = gws
-                if gxp is not None and stride > 1:
-                    gxg = gxp[:, py::stride, px::stride]
-                    gxg[...] = gx_rows.reshape(bsz, hu, wu, c)[:, :gxg.shape[1], :gxg.shape[2]]
-        gx = None if gxp is None else gxp[:, padding:padding + h, padding:padding + wd]
         if bias is None:
             return (gx, gw)
         gb = g.reshape(-1, o).sum(axis=0) if needs[2] else None
@@ -690,9 +743,11 @@ def _norm_axes(axis, ndim: int, op: str):
     if axis is None:
         return tuple(range(ndim))
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    if any(not -ndim <= a < ndim for a in axes):
+        raise ShapeError(f"{op}: axis {axis} out of range for rank {ndim}")
     axes = tuple(a % ndim for a in axes)
-    if len(set(axes)) != len(axes) or any(a >= ndim for a in axes):
-        raise ShapeError(f"{op}: bad axis {axis} for rank {ndim}")
+    if len(set(axes)) != len(axes):
+        raise ShapeError(f"{op}: repeated axis in {axis}")
     return axes
 
 
@@ -760,7 +815,7 @@ def concat(parts, axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     nd = parts[0].data.ndim
-    axis = axis % nd
+    (axis,) = _norm_axes(axis, nd, "concat")
     base = list(parts[0].shape)
     for t in parts[1:]:
         if t.data.ndim != nd or t.data.dtype != parts[0].data.dtype:
@@ -803,6 +858,8 @@ def upsample2x(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
+    if x.data.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)

@@ -1,5 +1,7 @@
 """U-Net, window attention, and MLP blocks: shapes, oracles, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,28 @@ class TestUNetForward:
         model = build_unet(cfg, Rng(0))
         x = Tensor(Rng(1).uniform((1, 2, 16, 16), -1, 1, dtype=np.float32))
         assert model(x).shape == (1, 2, 16, 16)
+
+    def test_untaped_forward_peak_is_a_few_activations(self):
+        """The desk U-Net ([4,8,8]x8, n=2) at 128x128. Its largest activation
+        A is a 64-channel map at full size: the upsampled input of up1.up's
+        conv and the skip concat, 4 MiB in float32. The peak comes at
+        up1.up's conv: its input A, its output A/2, the stem skip A/2 that
+        waits for the concat, and the forward's block buffers (about 0.6A),
+        about 2.7A in all. 3A leaves room for the small tensors, but not
+        for one more input-sized copy, nor for a 64x64 map (A/4) held past
+        its last reader, such as up1's upsampling input or a spent skip."""
+        model = build_unet(UNetConfig(channel_multiples=[4, 8, 8], base_channels=8,
+                                      layer_kind="kronecker", n=2), Rng(0))
+        x = Tensor(Rng(1).uniform((1, 2, 128, 128), -1, 1, dtype=np.float32))
+        largest = 128 * 128 * 64 * 4
+        tracemalloc.start()
+        try:
+            out = model(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < 3 * largest
 
     def test_indivisible_spatial_rejected(self):
         model = build_unet(small_cfg(), Rng(0))

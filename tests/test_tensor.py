@@ -462,6 +462,13 @@ class TestKronSum:
         T.kron_sum(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((2, 3, 4, 3, 3))))
         assert mac_count() == 2 * (2 * 2) * (3 * 4 * 9)
 
+    @pytest.mark.parametrize("mshape,bshape", [((0, 2, 2), (0, 3, 3)),        # zero terms
+                                               ((1, 0, 2), (1, 3, 3)),
+                                               ((1, 2, 2), (1, 3, 0, 3, 3))])
+    def test_empty_operand_is_shape_error(self, mshape, bshape):
+        with pytest.raises(ShapeError, match="non-empty operands"):
+            T.kron_sum(Tensor(np.ones(mshape)), Tensor(np.ones(bshape)))
+
     def test_rejects_mismatched_terms(self):
         with pytest.raises(ShapeError):
             T.kron_sum(Tensor(np.ones((2, 2, 2))), Tensor(np.ones((3, 1, 1))))
@@ -748,6 +755,47 @@ class TestConv2d:
         assert forward_peak < im2col_bytes / 3
         assert step_peak < im2col_bytes
 
+    def test_untaped_forward_keeps_no_copy_of_the_input(self):
+        """Only the rows of the phase planes one block reads are built: the
+        peak holds the output and block-sized buffers, no input copy."""
+        rng = Rng(22)
+        x = Tensor(rng.uniform((1, 256, 256, 32), -1, 1).astype(np.float32))
+        w = Tensor(rng.uniform((32, 32, 3, 3), -1, 1).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + x.data.nbytes / 2
+
+    def test_taped_forward_keeps_no_copy_of_the_input(self):
+        """Under a tape the VJP needs only `x.data`, which the tape holds
+        anyway: what the forward leaves behind besides its output is small."""
+        rng = Rng(24)
+        x = Tensor(rng.uniform((4, 64, 64, 64), -1, 1).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.uniform((32, 64, 3, 3), -1, 1).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.uniform((32,), -1, 1).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape():
+                out = T.conv2d(x, w, b, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < x.data.nbytes / 4
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_vjp_captures_no_array_but_the_inputs(self, stride):
+        rng = Rng(26)
+        x = leaf(rng.uniform((2, 9, 9, 3), -1, 1))
+        w = leaf(rng.uniform((4, 3, 3, 3), -1, 1))
+        with Tape():
+            out = T.conv2d(x, w, leaf(np.zeros(4)), stride=stride, padding=1)
+        arrays = [cell.cell_contents for cell in out.node.vjp.__closure__
+                  if isinstance(cell.cell_contents, np.ndarray)]
+        assert arrays and all(a is x.data or a is w.data for a in arrays)
+
     def test_vjp_skips_gradients_not_needed(self):
         rng = Rng(21)
         x = leaf(nhwc(rng.uniform((2, 3, 5, 5), -1, 1)))
@@ -820,6 +868,14 @@ class TestReductionsAndShapes:
         g = backward(loss)[x].data
         assert np.array_equal(g, w.T)
 
+    @pytest.mark.parametrize("op,axis", [(T.sum_, 3), (T.sum_, -3), (T.mean_, 2),
+                                         (T.mean_, (0, 5)), ("concat", 5), ("concat", -3)])
+    def test_out_of_range_axis_is_shape_error(self, op, axis):
+        """An axis outside [-ndim, ndim) is rejected, not wrapped."""
+        x = Tensor(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="out of range"):
+            T.concat([x, x], axis=axis) if op == "concat" else op(x, axis=axis)
+
     def test_concat_splits_gradient(self):
         a, b = leaf(np.ones((2, 2))), leaf(np.ones((2, 3)))
         w = Rng(25).uniform((2, 5), -1, 1)
@@ -848,6 +904,11 @@ class TestReductionsAndShapes:
             loss = T.sum_(T.mul(T.upsample2x(x), Tensor(g)))
         expect = g.reshape(2, 3, 2, 4, 2, 5).sum(axis=(2, 4))
         assert np.allclose(backward(loss)[x].data, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 0), ()])
+    def test_softmax_of_empty_last_axis_is_shape_error(self, shape):
+        with pytest.raises(ShapeError, match="non-empty last axis"):
+            T.softmax(Tensor(np.ones(shape)))
 
     def test_softmax_rows_sum_to_one(self):
         x = Rng(26).uniform((5, 7), -5, 5)
@@ -1012,3 +1073,24 @@ class TestNumericGuards:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError):
                 T.mul(big, big)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_last_element_of_a_multi_piece_output_raises(self, bad):
+        data = np.ones(3 * T._FINITE_PIECE + 5, dtype=np.float32)
+        data[-1] = bad
+        with pytest.raises(NumericError, match="op 'scale'"):
+            T.scale(Tensor(data), 1.0)
+
+    def test_finite_check_of_a_large_output_allocates_no_mask(self):
+        """A bool mask of the output would be a quarter of a float32
+        output's size; the check goes through one small piece instead."""
+        rng = Rng(22)
+        x = Tensor(rng.uniform((1, 256, 256, 32), -1, 1).astype(np.float32))
+        w = Tensor(rng.uniform((32, 32, 3, 3), -1, 1).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + out.data.nbytes / 4
