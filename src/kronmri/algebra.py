@@ -127,9 +127,12 @@ def verify_algebra(algebra: AlgebraPreset, trials: int, rng: Rng,
     For random coefficient vectors p, q the layer built from the preset with
     block weights q must map p to q * p. Raises NumericError if any trial
     deviates by more than `tol`; the report carries the worst deviation.
+    `tol` must be finite and >= 0 (ConfigError otherwise).
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     from .tensor import Tensor
 
     worst = 0.0

@@ -19,27 +19,7 @@ with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
 columns keep the (c,i,j) order and its GEMM the `cols @ w.T` orientation,
 so the forward stays bit-identical to a plain NCHW im2col GEMM.
 
-The conv forward has one path, with or without a tape, and nothing the
-size of its input is copied or kept. Blocks of at least 1024 output pixels
-are built one at a time: for each image's share of a block, only the rows
-of the zero-padded, channel-major stride-phase planes it reads are built,
-into one reused [s,s,C,rows + (k-1)//s,Wu] buffer, where padded pixel
-(s*u + py, s*v + px) sits at [py, px, :, u - u0, v], u0 being the first
-plane row the image's share reads. From there the block
-is gathered into one reused [C,k,k,rows,Wo] buffer, where each tap is
-C x rows contiguous runs of Wo values, at any stride. Read as
-[C*k*k, rows*Wo] and transposed, that buffer is the block's im2col operand
-in F order, which numpy hands BLAS with a transpose flag. At 1024 rows or
-more OpenBLAS rounds each such block's rows as it does the whole C-ordered
-product's, so the output is bitwise the same with a fraction of the
-memory; a conv of fewer than 1024 output pixels is one block, copied to C
-order first, because below that size a transposed operand rounds
-differently. The VJP keeps only the input array, which the tape holds
-anyway. It lays the output gradient on each stride phase's grid, where
-every kernel tap is a row shift, and indexes the shifted gradient by the
-phase's input pixels: one gather per block of input rows gives both the
-input and the kernel gradient, and padding pixels cost nothing (see
-`conv2d` and `_phase_vjp`).
+How the conv forward and its VJP keep no copy of the input: see `conv2d`.
 """
 
 from __future__ import annotations
@@ -490,105 +470,83 @@ _GEMM_BLOCK_ROWS = 1024
 _SHIFT_BLOCK_BYTES = 1 << 21
 
 
-def _fill_planes(xb: np.ndarray, padding: int, s: int, u0: int, planes: np.ndarray) -> None:
-    """Rows u0.. of the channel-major stride-phase planes of one image.
-
-    `xb` is one input image [H,W,C]; `planes` is [p,p,C,nu,Wu]. Padded pixel
-    (s*u + py, s*v + px) of the image, u = u0 + t, lands at
-    [py, px, :, t, v] for the phases py, px < p; a row that falls in the
-    zero padding is zeroed. Columns outside the input are never written,
-    so they keep the zeros the buffer was made with. One transposing copy
-    moves all of a phase's input rows.
-    """
-    h = xb.shape[0]
-    nu = planes.shape[3]
-    for py in range(planes.shape[0]):
-        a = s * u0 + py - padding  # input row of plane row t = 0
-        t0, t1 = max(0, -(a // s)), min(nu, -((a - h) // s))
-        for px in range(planes.shape[1]):
-            x0 = (px - padding) % s
-            dst = planes[py, px]
-            dst[:, :t0] = 0
-            dst[:, max(t0, t1):] = 0
-            if t1 > t0:
-                src = xb[a + s * t0:a + s * (t1 - 1) + 1:s, x0::s]
-                v0 = (x0 + padding) // s
-                dst[:, t0:t1, v0:v0 + src.shape[1]] = src.transpose(2, 0, 1)
-
-
-def _plane_windows(x: np.ndarray, padding: int, s: int, ho: int, r0: int, r1: int,
-                   planes: np.ndarray, out: np.ndarray) -> None:
+def _row_windows(x: np.ndarray, padding: int, s: int, ho: int, r0: int, r1: int,
+                 rows: np.ndarray, out: np.ndarray) -> None:
     """Gather the im2col operand of output image rows r0..r1 into `out`.
 
     Output image row r is row r % Ho of image r // Ho, so a range may cross
-    images. For each image's share of the range, `_fill_planes` builds the
-    rows of the phase planes it reads into `planes` ([p,p,C,rows + (k-1)//s,
-    Wu], reused), and the taps are gathered from there. `out` is
-    [C, k, k, r1-r0, Wo]: read as `out.reshape(C*k*k, -1).T` it is the
-    F-ordered im2col block, one row per output pixel and its columns in
-    (c, i, j) order. Tap (i, j) of an image's rows is one copy of C x rows
-    runs of Wo contiguous values, from phase (i % s, j % s) at offset
-    (i // s, j // s), so every stride reads contiguously.
+    images. An image's share of n rows from row y reads the zero-padded
+    input rows s*y .. s*(y+n-1)+k-1, which one transposing copy lays
+    channel-major into `rows` ([C, s*(n-1)+k, Wp], reused); rows in the
+    padding are zeroed, and the padding columns are never written, so they
+    keep the zeros the buffer was made with. `out` is [C, k, k, r1-r0, Wo]:
+    read as `out.reshape(C*k*k, -1).T` it is the F-ordered im2col block,
+    one row per output pixel and its columns in (c, i, j) order. Tap (i, j)
+    of an image's share is one copy of C x n runs of Wo values, every s-th
+    row and column of `rows` from (i, j).
     """
     k, wo = out.shape[1], out.shape[4]
-    halo = (k - 1) // s
+    h, wd = x.shape[1:3]
     r = r0
     while r < r1:
         b, y = divmod(r, ho)
         n = min(r1 - r, ho - y)
-        pl = planes[:, :, :, :n + halo]
-        _fill_planes(x[b], padding, s, y, pl)
+        p = rows[:, :s * (n - 1) + k]
+        a = s * y - padding  # input row of p's row 0
+        t0, t1 = max(0, -a), min(p.shape[1], h - a)
+        p[:, :t0] = 0
+        p[:, max(t0, t1):] = 0
+        if t1 > t0:
+            p[:, t0:t1, padding:padding + wd] = x[b, a + t0:a + t1].transpose(2, 0, 1)
         dst = out[:, :, :, r - r0:r - r0 + n]
         for i in range(k):
             for j in range(k):
-                dst[:, i, j] = pl[i % s, j % s, :, i // s:i // s + n, j // s:j // s + wo]
+                dst[:, i, j] = p[:, i:i + s * (n - 1) + 1:s, j:j + s * (wo - 1) + 1:s]
         r += n
 
 
-def _phase_vjp(g: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
+def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
                xv: np.ndarray, gxv: np.ndarray | None, need_w: bool) -> np.ndarray | None:
     """Both gradients of a stride-1 cross-correlation of one plane grid
-    [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
+    [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient laid on the grid.
 
     Only the grid's input pixels are visited: `xv` [B,hx,wx,C], a view of
     the input, holds them, and `start` (u0, v0) is the grid pixel of
     xv[:, 0, 0]; the grid's padding pixels contribute to neither gradient.
     Writes their input gradient into `gxv` (same shape) unless it is None,
-    and returns the kernel gradient if `need_w`. `g` is laid on the
-    flattened grid behind (ka-1)*Wv + (kb-1) zero rows as `gext`; tap
-    (a, b) is then a shift by whole rows, and S[m, a', b'] =
-    gext[m + a'*Wv + b'] is the gradient of the output pixel that reads
-    grid row m through tap (ka-1-a', kb-1-b'), or zero: a shift that wraps
-    past a row or image edge lands on zero rows. One read-only view gives S
-    for whole input rows. It is copied a block of rows of one image at a
-    time (`_SHIFT_BLOCK_BYTES`, one reused buffer, runs of kb*O contiguous
-    values), and each block gives its rows of the input gradient,
-    `S @ wflip` with the kernel flipped to [ka*kb*O, C], and its share of
-    the flipped kernel gradient, `xrows.T @ S`, its pixels read from `xv`.
+    and returns the kernel gradient if `need_w`. `gext` is the output
+    gradient [B,Ho,Wo,O] on the flattened grid, zero elsewhere, behind
+    (ka-1)*Wv + (kb-1) zero rows; tap (a, b) is then a shift by whole rows,
+    and S[m, a', b'] = gext[m + a'*Wv + b'] is the gradient of the output
+    pixel that reads grid row m through tap (ka-1-a', kb-1-b'), or zero: a
+    shift that wraps past a row or image edge lands on zero rows. One
+    read-only view gives S for whole input rows. It is copied a block of
+    rows of one image at a time (`_SHIFT_BLOCK_BYTES`, one reused buffer,
+    runs of kb*O contiguous values), and each block gives its rows of the
+    input gradient, `S @ wflip` with the kernel flipped to [ka*kb*O, C],
+    and its share of the flipped kernel gradient, `xrows.T @ S`, its pixels
+    read from `xv`.
     """
-    bsz, ho, wo, o = g.shape
+    o = gext.shape[1]
     ka, kb = w.shape[2:]
     hu, wv = grid
     u0, v0 = start
-    _, hx, wx, c = xv.shape
-    m = bsz * hu * wv
+    bsz, hx, wx, c = xv.shape
     lead = (ka - 1) * wv + (kb - 1)
-    gext = np.zeros((lead + m, o), dtype=g.dtype)
-    gext[lead:].reshape(bsz, hu, wv, o)[:, :ho, :wo] = g
     # as_strided reads past the end silently: the last row S reads must be in gext.
     last = ((bsz - 1) * hu + u0 + hx - 1) * wv + v0 + wx - 1 + lead
-    if last >= lead + m:
-        raise ShapeError(f"conv2d VJP: shifted rows end at {last}, past {lead + m}")
+    if last >= len(gext):
+        raise ShapeError(f"conv2d VJP: shifted rows end at {last}, past {len(gext)}")
     e = gext.itemsize
     shifted = np.lib.stride_tricks.as_strided(
         gext[u0 * wv + v0:], (bsz, hx, wx, ka, kb, o),
         (hu * wv * o * e, wv * o * e, o * e, wv * o * e, o * e, e), writeable=False)
     kko = ka * kb * o
     rows = max(1, _SHIFT_BLOCK_BYTES // (max(wx, 1) * kko * e))
-    sbuf = np.empty((min(rows, hx), wx, ka, kb, o), dtype=g.dtype)
+    sbuf = np.empty((min(rows, hx), wx, ka, kb, o), dtype=gext.dtype)
     wflip = None if gxv is None else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
-    acc = np.zeros((c, kko), dtype=g.dtype) if need_w else None
+    acc = np.zeros((c, kko), dtype=gext.dtype) if need_w else None
     for b in range(bsz):
         for y0 in range(0, hx, rows):
             y1 = min(hx, y0 + rows)
@@ -619,13 +577,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     Nothing the size of the input is copied or kept. The forward runs over
     blocks of at least `_GEMM_BLOCK_ROWS` output pixels in whole image rows
     (a short tail joins the last block), with or without a tape. For each
-    image's share of a block, only the rows of the zero-padded,
-    channel-major stride-phase planes that it reads are built, into one
-    reused [s',s',C,rows + (k-1)//s,Wu] buffer (`_fill_planes`; s' =
-    min(s, k), the phases a tap reads). The block's im2col operand is
-    gathered from there into one reused [C,k,k,rows,Wo] buffer
-    (`_plane_windows`), where every copy is a contiguous run along a row
-    of output pixels; read as [C*k*k, rows*Wo] and transposed it is the
+    image's share of a block, the zero-padded input rows it reads are laid
+    channel-major into one reused [C, s*(rows-1)+k, Wp] buffer by one
+    transposing copy, and the block's im2col operand is gathered from there
+    into one reused [C,k,k,rows,Wo] buffer (`_row_windows`), one strided
+    copy per tap; read as [C*k*k, rows*Wo] and transposed it is the
     F-ordered [rows*Wo, C*k*k] im2col block with (c,i,j) columns, and
     `np.matmul(block, w.reshape(O, C*k*k).T)` hands it to BLAS with a
     transpose flag, straight into its rows of the [B*Ho*Wo, O] output,
@@ -643,16 +599,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     last bits, and saved fixtures pin them.
 
     The VJP keeps only `x.data`, which the tape holds anyway. With stride
-    s, output pixel (oy, ox) reads phase plane (py, px) only through the
+    s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
+    (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
-    phase is a stride-1 correlation of its plane with that sub-kernel.
-    `_phase_vjp` gives both of its gradients from one gather of the shifted
-    output gradient, indexed by the phase's input pixels
-    x[:, y0::s, x0::s]: a padding pixel contributes to neither gradient.
-    Stride 1 is one phase, the whole input, whose kernel-gradient rows are
-    a reshape of `x` and whose input-gradient rows are written straight
-    into the gradient; a phase no tap reads (s > k) gets zero input
-    gradient.
+    phase is a stride-1 correlation of its plane with that sub-kernel. The
+    output gradient is laid once on the planes' common [B,Hu,Wu] grid,
+    behind the zero rows the largest sub-kernel's shifts need, and each
+    phase reads it from its own offset. `_phase_vjp` gives both of a
+    phase's gradients from one gather of the shifted output gradient,
+    indexed by the phase's input pixels x[:, y0::s, x0::s]: a padding pixel
+    contributes to neither gradient. Stride 1 is one phase, the whole
+    input, whose kernel-gradient rows are a reshape of `x` and whose
+    input-gradient rows are written straight into the gradient; a phase no
+    tap reads (s > k) gets zero input gradient.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -684,8 +643,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             raise ShapeError("conv2d bias dtype mismatch")
 
     _count_macs(bsz * o * ho * wo * c * k * k)
-    phases = min(stride, k)
-    hu, wu = -(-hp // stride), -(-wp // stride)
     xd = x.data
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
@@ -694,12 +651,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     most = nrows - bounds[-2]  # rows of the largest block, the last
     ckk = c * k * k
     buf = np.empty(ckk * most * wo, dtype=xd.dtype)
-    planes = np.zeros((phases, phases, c, min(most, ho) + (k - 1) // stride, wu), dtype=xd.dtype)
+    rows = np.zeros((c, stride * (min(most, ho) - 1) + k, wp), dtype=xd.dtype)
     wr = w.data.reshape(o, ckk)
     out = np.empty((nrows * wo, o), dtype=xd.dtype)
     for r0, r1 in zip(bounds, bounds[1:]):
         blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
-        _plane_windows(xd, padding, stride, ho, r0, r1, planes, blk)
+        _row_windows(xd, padding, stride, ho, r0, r1, rows, blk)
         cols = blk.reshape(ckk, -1).T
         if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
             cols = np.ascontiguousarray(cols)
@@ -708,6 +665,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         if bias is not None:
             dst += bias.data
     wd_arr = w.data
+    phases = min(stride, k)
+    hu, wu = -(-hp // stride), -(-wp // stride)
+    lead = (-(-k // stride) - 1) * (wu + 1)  # phase (0, 0)'s, the largest sub-kernel's
 
     inputs = (x, w) if bias is None else (x, w, bias)
 
@@ -716,17 +676,22 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         if needs[0]:  # every input pixel is in a phase a tap reads unless s > k
             gx = (np.empty if stride <= k else np.zeros)((bsz, h, wd, c), dtype=g.dtype)
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if needs[1] else None
-        for py in range(phases if needs[0] or needs[1] else 0):
-            y0 = (py - padding) % stride
-            for px in range(phases):
-                x0 = (px - padding) % stride
-                gws = _phase_vjp(g, wd_arr[:, :, py::stride, px::stride], (hu, wu),
-                                 ((y0 + padding) // stride, (x0 + padding) // stride),
-                                 xd[:, y0::stride, x0::stride],
-                                 None if gx is None else gx[:, y0::stride, x0::stride],
-                                 gw is not None)
-                if gw is not None:
-                    gw[:, :, py::stride, px::stride] = gws
+        if needs[0] or needs[1]:
+            gext = np.zeros((lead + bsz * hu * wu, o), dtype=g.dtype)
+            gext[lead:].reshape(bsz, hu, wu, o)[:, :ho, :wo] = g
+            for py in range(phases):
+                y0 = (py - padding) % stride
+                for px in range(phases):
+                    x0 = (px - padding) % stride
+                    ws = wd_arr[:, :, py::stride, px::stride]
+                    gws = _phase_vjp(gext[lead - (ws.shape[2] - 1) * wu - (ws.shape[3] - 1):],
+                                     ws, (hu, wu),
+                                     ((y0 + padding) // stride, (x0 + padding) // stride),
+                                     xd[:, y0::stride, x0::stride],
+                                     None if gx is None else gx[:, y0::stride, x0::stride],
+                                     gw is not None)
+                    if gw is not None:
+                        gw[:, :, py::stride, px::stride] = gws
         if bias is None:
             return (gx, gw)
         gb = g.reshape(-1, o).sum(axis=0) if needs[2] else None

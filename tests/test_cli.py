@@ -127,6 +127,13 @@ class TestExitCodes:
         assert out == ""
         assert stderr_json(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_verify_algebra_bad_tolerance_is_config_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify-algebra", "--trials", "1", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert stderr_json(err)["error"] == "ConfigError"
+
     def test_io_error_is_four(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metrics",
                                "--recon", str(tmp_path / "missing.kten"),

@@ -119,9 +119,10 @@ def fd_grad(f, arrs, h=1e-6):
 def blocked_convs(draw):
     """(B, H, W, k, stride, padding) of a conv of 2-4 times 1024 output pixels,
     the forward's block floor; H and W take any remainder of the stride.
-    The floor is written out, so a smaller `_GEMM_BLOCK_ROWS` meets the
-    same draws."""
-    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    Stride up to 3 and padding up to 2 clip the padded input rows of each
+    image's first and last block by up to two padding rows. The floor is
+    written out, so a smaller `_GEMM_BLOCK_ROWS` meets the same draws."""
+    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
     bsz, wo = draw(st.integers(1, 3)), draw(st.integers(12, 48))
     per = -(-1024 // wo)  # output rows in one block
     ho = draw(st.integers(-(-2 * per // bsz), -(-4 * per // bsz)))
@@ -698,9 +699,9 @@ class TestConv2d:
     def test_property_blocked_forward_is_bitwise_one_c_ordered_gemm(self, conv, c, o,
                                                                    dtype, seed):
         """Blocks of at least 1024 pixels, gathered as F-ordered operands
-        from the phase planes, round as one C-ordered GEMM over the whole
-        batch; at stride 2 the padded sides are odd in about half the
-        draws, so the phase planes differ in size."""
+        from the padded row buffer, round as one C-ordered GEMM over the
+        whole batch; at stride 2 and 3 the padded sides often leave a
+        remainder of the stride, rows and columns no tap reads."""
         bsz, h, w, k, stride, padding = conv
         self._assert_blocked_is_whole_gemm(bsz, c, h, w, o, k, stride, padding, dtype, seed)
 
@@ -756,7 +757,7 @@ class TestConv2d:
         assert step_peak < im2col_bytes
 
     def test_untaped_forward_keeps_no_copy_of_the_input(self):
-        """Only the rows of the phase planes one block reads are built: the
+        """Only the padded input rows one block reads are laid out: the
         peak holds the output and block-sized buffers, no input copy."""
         rng = Rng(22)
         x = Tensor(rng.uniform((1, 256, 256, 32), -1, 1).astype(np.float32))
@@ -814,7 +815,7 @@ class TestConv2d:
 
 
 class TestBlasRounding:
-    """The conv forward hands BLAS F-ordered im2col blocks (`tensor._plane_windows`)
+    """The conv forward hands BLAS F-ordered im2col blocks (`tensor._row_windows`)
     and relies on them rounding as C-ordered ones once a block has at least
     `_GEMM_BLOCK_ROWS` rows. That is a property of the BLAS build, so it is
     checked here on its own, to fail first and by name after a BLAS change."""
