@@ -112,9 +112,7 @@ class UNet(Module):
     transposed once on the way in and the head's output once on the way out.
     """
 
-    def __init__(self, cfg: UNetConfig, rng: Rng | None = None, dtype=np.float32):
-        if rng is None:
-            raise ConfigError("UNet needs an rng")
+    def __init__(self, cfg: UNetConfig, rng: Rng, dtype=np.float32):
         self.cfg = cfg
         self._layers = [(name, KroneckerConv2d(cin, cout, 3, cfg.n, stride=stride, padding=1,
                                                rng=rng.fork(fork), dtype=dtype,
@@ -195,13 +193,8 @@ class UNet(Module):
         Each array file is then read into its view; a shape or dtype other
         than the view's is a ShapeError. Array files must be plain names
         inside `path`."""
-        try:
-            with open(os.path.join(path, MANIFEST_NAME)) as fh:
-                manifest = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: manifest is not JSON ({err})") from None
-        if (not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT
-                or manifest.get("model") != "unet"):
+        manifest = read_json_object(os.path.join(path, MANIFEST_NAME))
+        if manifest.get("format") != CHECKPOINT_FORMAT or manifest.get("model") != "unet":
             raise ConfigError(f"not a recognizable checkpoint: {path}")
         try:
             cfg = UNetConfig(**manifest["config"])
@@ -230,14 +223,29 @@ class UNet(Module):
         return model
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON object in the file at `path`. Bytes that are not UTF-8,
+    text that is not JSON (nesting too deep to parse included) and a value
+    that is not an object are ConfigErrors; a file that cannot be read
+    raises its OSError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise ConfigError(f"{path}: not valid JSON ({err})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _named_arrays(path: str) -> set:
     """Array file names the manifest in `path` lists; none if there is no
     readable checkpoint manifest."""
     try:
-        with open(os.path.join(path, MANIFEST_NAME)) as fh:
-            manifest = json.load(fh)
+        manifest = read_json_object(os.path.join(path, MANIFEST_NAME))
         return {fname for entry in manifest["layers"] for fname in entry["arrays"].values()}
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ConfigError, KeyError, TypeError, AttributeError):
         return set()
 
 
@@ -293,8 +301,8 @@ class WindowAttention(Module):
         k = self._split_heads(self.wk(flat), groups)
         v = self._split_heads(self.wv(flat), groups)
 
-        scores = T.scale(T.bmm(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        ctx = T.bmm(T.softmax(scores), v)
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+        ctx = T.matmul(T.softmax(scores), v)
 
         ctx = T.reshape(ctx, (groups, cfg.heads, w2, dh))
         ctx = T.transpose(ctx, (0, 2, 1, 3))

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import tensor as T
 from .algebra import preset, verify_algebra
-from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig,
-                     WindowAttention, build_unet, unet_convs)
+from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig, WindowAttention,
+                     build_unet, read_json_object, unet_convs)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
 from .kspace import apply_mask, complex_magnitude, gen_cartesian_mask, ifft2c
 from .kten import read_kten, write_kten, write_pgm
 from .layers import DENSE, KroneckerConv2d, KroneckerLinear, check_sizes, count_params
-from .losses import LossWeights, loss_total
+from .losses import loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
 from .tensor import Tensor, grad_check, mac_count, reset_mac_count
@@ -229,10 +229,10 @@ def _count_unet(config: dict):
 def _count_attention(config: dict):
     blocks = config.get("blocks", 1)
     embed = config["embed_dim"]
-    hidden = config.get("mlp_hidden", 2 * embed)
     n = config.get("n", 2)
     AttentionConfig(embed_dim=embed, heads=config["heads"],
                     window=config["window"], n=n)
+    hidden = config.get("mlp_hidden", 2 * embed)
     check_sizes(blocks=blocks, mlp_hidden=hidden)
 
     def count(nn, train_mixing):
@@ -250,14 +250,7 @@ def _count_attention(config: dict):
 
 
 def cmd_count_params(args) -> int:
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.config}: not valid JSON ({err})")
-    if not isinstance(config, dict):
-        raise ConfigError(f"{args.config}: expected a JSON object, "
-                          f"got {type(config).__name__}")
+    config = read_json_object(args.config)
     model = config.get("model", "unet")
     if model == "unet":
         allowed = _UNET_KEYS
@@ -329,7 +322,7 @@ def _grad_targets(seed: int, h: float, tol: float):
         x = Tensor(rng.fork(9).uniform((2, 6, 6), -1, 1))
 
         def f():
-            return loss_total(xhat, x, LossWeights())
+            return loss_total(xhat, x)
         return f, [xhat], tol
 
     def unet():
@@ -346,7 +339,7 @@ def _grad_targets(seed: int, h: float, tol: float):
 
         def f():
             y = model(x)
-            return T.scale(T.mean_(T.mul(y, y)), 0.03125)
+            return T.mul(T.mean_(T.mul(y, y)), 0.03125)
         return f, model.parameters(), max(tol, 1e-3)
 
     return {"linear": linear, "conv": conv, "mlp": mlp,

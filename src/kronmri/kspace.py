@@ -90,7 +90,7 @@ class CartesianMask:
 
 
 def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None,
-                       rng: Rng | None = None) -> CartesianMask:
+                       *, rng: Rng) -> CartesianMask:
     """Random Cartesian column mask at acceleration factor `af`.
 
     The central ceil(center_fraction*width) columns are always sampled;
@@ -107,8 +107,6 @@ def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None
         center_fraction = CENTER_FRACTION_DEFAULTS[af]
     if not 0.0 < center_fraction < 1.0:
         raise ConfigError(f"center_fraction must be in (0, 1), got {center_fraction}")
-    if rng is None:
-        raise ConfigError("gen_cartesian_mask needs an rng")
 
     center = int(np.ceil(center_fraction * width))
     rest = width - center

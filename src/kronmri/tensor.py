@@ -5,12 +5,14 @@ returns leaf gradients. Recording is explicit: ops only build graph nodes
 while a tape is active (`with Tape(): ...`), otherwise they just compute
 values, which is what inference and finite differencing want.
 
-Broadcasting is deliberately narrow: binary elementwise ops accept equal
-shapes, or a scalar (python number or 0-d tensor) against anything. Every op
-validates shapes and dtypes up front and checks its output for NaN/Inf, so a
+Ops are functions; a Tensor has no operator methods. Broadcasting is
+deliberately narrow: binary elementwise ops take two tensors of one shape,
+or a tensor and a Python number (`mul(x, s)` is the one scaling op), and
+`matmul` takes operands with equal leading axes. Every op validates
+shapes and dtypes up front and checks its output for NaN/Inf, so a
 numerical problem surfaces at the op that created it.
 
-Multiply-accumulate counts for the contraction ops (matmul, bmm, kron_sum,
+Multiply-accumulate counts for the contraction ops (matmul, kron_sum,
 conv2d) accumulate into a module-level counter, read with `mac_count()`.
 
 Image ops are channels-last: conv2d and upsample2x take and return
@@ -94,28 +96,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(scale(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -319,21 +299,9 @@ def mul(a, b) -> Tensor:
     return _apply("mul", inputs, out, vjp)
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    if not isinstance(x, Tensor):
-        raise ShapeError("scale: first operand must be a Tensor")
-    s = x.data.dtype.type(s)
-    out = x.data * s
-
-    def vjp(g, needs):
-        return (g * s,)
-
-    return _apply("scale", (x,), out, vjp)
-
-
 def relu(x: Tensor, gain: float = 1.0) -> Tensor:
     """`gain * max(x, 0)`: one fresh buffer scaled in place, bit for bit
-    `scale(relu(x), gain)` in value and gradient."""
+    `mul(relu(x), gain)` in value and gradient."""
     s = x.data.dtype.type(gain)
     out = np.maximum(x.data, 0)
     out *= s
@@ -362,46 +330,25 @@ def sqrt_(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """[..., m, k] x [..., k, n] -> [..., m, n]: one product per index of
+    the leading axes, which must be equal, at equal rank (no broadcasting)."""
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects [..., m, k] and [..., k, n] operands with "
+                         f"equal leading axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"matmul dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    m, k = a.shape
-    n = b.shape[1]
-    _count_macs(m * k * n)
+    _count_macs(a.size * b.shape[-1])  # prod(lead) * m * k * n
     out = a.data @ b.data
     ad, bd = a.data, b.data
 
     def vjp(g, needs):
-        ga = g @ bd.T if needs[0] else None
-        gb = ad.T @ g if needs[1] else None
+        ga = g @ bd.swapaxes(-1, -2) if needs[0] else None
+        gb = ad.swapaxes(-1, -2) @ g if needs[1] else None
         return (ga, gb)
 
     return _apply("matmul", (a, b), out, vjp)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: [B,m,k] x [B,k,n] -> [B,m,n]."""
-    if a.data.ndim != 3 or b.data.ndim != 3:
-        raise ShapeError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} vs {b.shape}")
-    if a.data.dtype != b.data.dtype:
-        raise ShapeError(f"bmm dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    bsz, m, k = a.shape
-    n = b.shape[2]
-    _count_macs(bsz * m * k * n)
-    out = a.data @ b.data
-    ad, bd = a.data, b.data
-
-    def vjp(g, needs):
-        ga = g @ bd.transpose(0, 2, 1) if needs[0] else None
-        gb = ad.transpose(0, 2, 1) @ g if needs[1] else None
-        return (ga, gb)
-
-    return _apply("bmm", (a, b), out, vjp)
 
 
 def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:

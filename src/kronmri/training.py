@@ -9,7 +9,7 @@ trajectory, history. No files are read; `train` returns the history and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,16 @@ from .errors import ConfigError, NumericError
 from .kspace import (apply_mask, complex_magnitude, fft2c, gen_cartesian_mask,
                      gen_phantom, ifft2c)
 from .layers import Module
-from .losses import LossWeights, loss_total
+from .losses import loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
 from .tensor import Tape, Tensor, backward
+
+
+# Adam's moment decay rates and denominator floor.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -32,18 +38,10 @@ class Adam:
     from the dict are treated as zero-gradient.
     """
 
-    def __init__(self, named_params, lr: float = 2e-5, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float = 2e-5):
         if not (np.isfinite(lr) and lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {lr}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ConfigError(f"betas must lie in (0, 1), got ({beta1}, {beta2})")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.named = [(name, p) for name, p in named_params]
         self.m = [np.zeros_like(p.data) for _, p in self.named]
         self.v = [np.zeros_like(p.data) for _, p in self.named]
@@ -51,8 +49,8 @@ class Adam:
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for (name, p), m, v in zip(self.named, self.m, self.v):
             g = grads.get(p)
             if g is None:
@@ -61,9 +59,9 @@ class Adam:
             if not np.all(np.isfinite(garr)):
                 raise NumericError(f"non-finite gradient for parameter {name!r} "
                                    f"at step {self.t}")
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * garr
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * garr * garr
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * garr
+            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * garr * garr
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass
@@ -90,7 +88,6 @@ class TrainConfig:
     eval_every: int = 0
     eval_size: int = 8
     lr: float = 2e-5
-    weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1 or self.dataset_size < 1:
@@ -219,7 +216,7 @@ def train(model, spec: DatasetSpec, cfg: TrainConfig) -> list[dict]:
         y = _stack(picks, "truth")
         try:
             with Tape():
-                loss = loss_total(model(x), y, cfg.weights)
+                loss = loss_total(model(x), y)
             grads = backward(loss)
             opt.step(grads)
         except NumericError as err:

@@ -270,6 +270,20 @@ class TestSaveOverExisting:
         small_unet("dense", 1).save(fresh)
         assert files(path) == files(fresh)
 
+    @pytest.mark.parametrize("raw", [b'{"layers": "\xff"}', b"[" * 200_000],
+                             ids=["invalid-utf8", "too-deep"])
+    def test_unreadable_old_manifest_names_no_files(self, tmp_path, raw):
+        """A manifest that does not decode, or nests too deep to parse, is
+        replaced; the files beside it are kept."""
+        path = str(tmp_path / "ckpt")
+        small_unet("kronecker", 2).save(path)
+        with open(os.path.join(path, "manifest.json"), "wb") as fh:
+            fh.write(raw)
+        old = set(os.listdir(path))
+        small_unet("dense", 1).save(path)
+        assert old <= set(os.listdir(path))
+        assert UNet.load(path).cfg.layer_kind == "dense"
+
     def test_files_the_old_manifest_does_not_name_are_kept(self, tmp_path):
         path = str(tmp_path / "ckpt")
         small_unet("kronecker", 2).save(path)

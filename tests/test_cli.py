@@ -23,6 +23,12 @@ from kronmri.rng import Rng
 from kronmri.tensor import Tensor
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# Files that hold no JSON document: bad text, bytes that are not UTF-8,
+# nesting too deep for the parser, an integer over Python's digit limit.
+BAD_JSON = {"not-json": b"{nope",
+            "invalid-utf8": b'{"model": "unet\xff"}',
+            "too-deep": b"[" * 200_000,
+            "int-too-long": b'{"n": ' + b"1" * 5000 + b"}"}
 COMMANDS = ["gen-data", "gen-mask", "train", "reconstruct", "metrics",
             "count-params", "verify-algebra", "grad-check", "bench"]
 
@@ -272,7 +278,52 @@ def parse_table(text: str):
     return rows
 
 
+# Drawn `count-params` configs. Row counts grow with `blocks` and the
+# length of `channel_multiples`, so both stay small.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+CONFIG_SIZES = st.sampled_from([1, 2, 4, 8]) | st.integers(-2, 64) | st.just(2 ** 64) | JSON_VALUES
+UNET_FIELDS = {
+    "model": st.just("unet"),
+    "layer_kind": st.sampled_from(["dense", "kron", "kronecker"]) | JSON_VALUES,
+    "channel_multiples": st.lists(CONFIG_SIZES, max_size=4) | JSON_VALUES,
+    **{key: CONFIG_SIZES for key in ("base_channels", "n", "in_channels", "out_channels")}}
+ATTENTION_SIZES = {key: CONFIG_SIZES for key in ("embed_dim", "heads", "window")}
+ATTENTION_FIELDS = {
+    "blocks": st.sampled_from([1, 2]) | st.integers(-2, 8) | JSON_VALUES,
+    **{key: CONFIG_SIZES for key in ("n", "mlp_hidden")}}
+CONFIG_FILES = st.one_of(
+    st.fixed_dictionaries({}, optional=UNET_FIELDS),
+    st.fixed_dictionaries({"model": st.just("attention"), **ATTENTION_SIZES},
+                          optional=ATTENTION_FIELDS),
+    st.fixed_dictionaries({}, optional={**UNET_FIELDS, **ATTENTION_SIZES,
+                                        **ATTENTION_FIELDS, "model": JSON_VALUES}),
+    JSON_VALUES).map(lambda v: json.dumps(v).encode()) | st.binary(max_size=48)
+
+
 class TestCountParams:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(raw=CONFIG_FILES)
+    def test_fuzzed_config_is_accepted_or_rejected_cleanly(self, raw):
+        """Any config file prints a table and exits 0, or exits 2 with one
+        JSON stderr line and nothing on stdout."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            code, stdout, err = run_cli_shown("count-params", "--config", path)
+            assert os.listdir(tmp) == ["cfg.json"]
+        assert code in (0, 2)
+        if code:
+            assert stdout == ""
+            assert stderr_json(err)["error"] == "ConfigError"
+        else:
+            assert err == ""
+            assert parse_table(stdout)[-1][0] == "total"
+
     def write_cfg(self, tmp_path, payload):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))
@@ -330,12 +381,14 @@ class TestCountParams:
         assert rows["block0.mlp"] == affine(16, 32) + affine(32, 16) == 1072
         assert rows["total"] == 1088 + 1072
 
-    def test_not_json_is_config_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("case", sorted(BAD_JSON))
+    def test_not_json_is_config_error(self, tmp_path, case):
         path = tmp_path / "cfg.json"
-        path.write_text("{nope")
-        code, _, err = run_cli(capsys, "count-params", "--config", str(path))
-        assert code == 2
+        path.write_bytes(BAD_JSON[case])
+        code, stdout, err = run_cli_shown("count-params", "--config", str(path))
+        assert (code, stdout) == (2, "")
         assert stderr_json(err)["error"] == "ConfigError"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("payload", [[1, 2], "unet", 3, None])
     def test_config_not_an_object_is_config_error(self, capsys, tmp_path, payload):
@@ -362,6 +415,7 @@ class TestCountParams:
                     "blocks": 1.5}),
         ("mlp_hidden", {"model": "attention", "embed_dim": 8, "heads": 2, "window": 2,
                         "mlp_hidden": 1e400}),
+        ("embed_dim", {"model": "attention", "embed_dim": {}, "heads": 2, "window": 2}),
     ])
     def test_size_that_is_not_a_plain_integer_is_config_error(self, capsys, tmp_path,
                                                               field, payload):
@@ -541,6 +595,20 @@ class TestReconstruct:
         assert payload["error"] == "ShapeError"
         assert "float64" in payload["message"] and "float32" in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_JSON))
+    def test_manifest_that_is_not_json_is_config_error(self, tmp_path, case):
+        kpath, _, _, _, _ = self.make_kspace(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_bytes(BAD_JSON[case])
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli_shown("reconstruct", "--input", kpath,
+                                          "--checkpoint", str(ckpt), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr_json(err)["error"] == "ConfigError"
+        assert not out.exists()
+        assert os.listdir(ckpt) == ["manifest.json"]
 
     @pytest.mark.parametrize("shape", [(16,), (1, 32)])
     def test_mask_width_mismatch_is_config_error(self, capsys, tmp_path, shape):

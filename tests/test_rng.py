@@ -1,10 +1,12 @@
 """SplitMix64 stream: reference vectors, batching, forking, determinism."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 
+from kronmri import rng as rng_module
 from kronmri.rng import Rng
 
 # First three outputs of the reference sequential generator for seed 0.
@@ -88,7 +90,11 @@ class TestCrossProcess:
     def test_identical_bytes_across_processes(self):
         code = ("from kronmri.rng import Rng; import sys; "
                 "sys.stdout.buffer.write(Rng(2024).uniform((64,)).tobytes())")
-        runs = [subprocess.run([sys.executable, "-c", code],
+        # the children import the kronmri this test imported, not an installed one
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rng_module.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = [subprocess.run([sys.executable, "-c", code], env=env,
                                capture_output=True, check=True).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1]

@@ -203,11 +203,6 @@ class TestElementwise:
         expect = np.array([[a[i, j] * b[i, j] for j in range(5)] for i in range(4)])
         assert np.allclose(T.mul(Tensor(a), Tensor(b)).data, expect, atol=0, rtol=0)
 
-    def test_operator_sugar(self):
-        a = Tensor(np.ones(3))
-        out = (-a) * 2.0 + a - 0.5
-        assert np.allclose(out.data, -1.5)
-
     def test_sqrt_negative_raises(self):
         with pytest.raises(NumericError):
             T.sqrt_(Tensor([-1.0]))
@@ -247,13 +242,13 @@ class TestElementwiseGradients:
            shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
            s=st.floats(-8, 8, allow_nan=False))
     def test_relu_gain_is_bitwise_scale_of_relu(self, data, dtype, shape, s):
-        """Forward and gradient are the bytes of `scale(relu(x), s)`, signed
+        """Forward and gradient are the bytes of `mul(relu(x), s)`, signed
         zeros included."""
         elems = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
         x = data.draw(hnp.arrays(dtype, shape, elements=elems))
         g = data.draw(hnp.arrays(dtype, shape, elements=elems))
         results = []
-        for op in (lambda t: T.relu(t, s), lambda t: T.scale(T.relu(t), s)):
+        for op in (lambda t: T.relu(t, s), lambda t: T.mul(T.relu(t), s)):
             tx = Tensor(x.copy(), requires_grad=True)
             with Tape():
                 out = op(tx)
@@ -295,45 +290,35 @@ class TestMatmul:
     def test_one_by_one(self):
         assert T.matmul(Tensor([[2.0]]), Tensor([[3.0]])).data.tolist() == [[6.0]]
 
-    def test_vs_triple_loop(self):
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_vs_triple_loop(self, lead):
+        """Each slice over the leading axes is its own product."""
         rng = Rng(2)
-        a = rng.uniform((3, 4), -1, 1)
-        b = rng.uniform((4, 2), -1, 1)
+        a = rng.uniform((*lead, 3, 4), -1, 1)
+        b = rng.uniform((*lead, 4, 2), -1, 1)
         out = T.matmul(Tensor(a), Tensor(b))
-        assert np.max(np.abs(out.data - matmul_oracle(a, b))) < 1e-12
+        assert out.shape == (*lead, 3, 2)
+        for idx in np.ndindex(*lead):
+            assert np.max(np.abs(out.data[idx] - matmul_oracle(a[idx], b[idx]))) < 1e-12
 
-    def test_inner_dim_mismatch(self):
+    @pytest.mark.parametrize("sa,sb", [
+        ((2, 3), (2, 3)),            # inner dims differ
+        ((2, 2, 3), (2, 4, 2)),      # inner dims differ, batched
+        ((2, 3), (4, 3, 5)),         # unequal rank: no broadcasting
+        ((2, 2, 3), (3, 3, 2)),      # unequal leading axes
+        ((3,), (3,)),                # below rank 2
+    ])
+    def test_inner_dim_mismatch(self, sa, sb):
         with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            T.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
 
-    def test_grad_vs_fd(self):
+    @pytest.mark.parametrize("sa,sb", [((2, 3), (3, 2)), ((2, 2, 3), (2, 3, 2))])
+    def test_grad_vs_fd(self, sa, sb):
         rng = Rng(21)
-        a, b = rng.uniform((2, 3), -1, 1), rng.uniform((3, 2), -1, 1)
+        a, b = rng.uniform(sa, -1, 1), rng.uniform(sb, -1, 1)
         ta, tb = leaf(a.copy()), leaf(b.copy())
         with Tape():
             loss = T.sum_(T.matmul(ta, tb))
-        grads = backward(loss)
-        num = fd_grad(lambda: float((ta.data @ tb.data).sum()), [ta.data, tb.data])
-        assert np.allclose(grads[ta].data, num[0], atol=1e-6)
-        assert np.allclose(grads[tb].data, num[1], atol=1e-6)
-
-
-class TestBmm:
-    def test_matches_per_slice_matmul(self):
-        rng = Rng(4)
-        a = rng.uniform((3, 2, 4), -1, 1)
-        b = rng.uniform((3, 4, 5), -1, 1)
-        out = T.bmm(Tensor(a), Tensor(b))
-        for i in range(3):
-            assert np.allclose(out.data[i], a[i] @ b[i])
-
-    def test_grad_vs_fd(self):
-        rng = Rng(5)
-        a = rng.uniform((2, 2, 3), -1, 1)
-        b = rng.uniform((2, 3, 2), -1, 1)
-        ta, tb = leaf(a.copy()), leaf(b.copy())
-        with Tape():
-            loss = T.sum_(T.bmm(ta, tb))
         grads = backward(loss)
         num = fd_grad(lambda: float((ta.data @ tb.data).sum()), [ta.data, tb.data])
         assert np.allclose(grads[ta].data, num[0], atol=1e-6)
@@ -1050,10 +1035,11 @@ class TestGradCheck:
 
 
 class TestMacCounting:
-    def test_matmul_count(self):
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_matmul_count(self, lead):
         reset_mac_count()
-        T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5))))
-        assert mac_count() == 3 * 4 * 5
+        T.matmul(Tensor(np.ones((*lead, 3, 4))), Tensor(np.ones((*lead, 4, 5))))
+        assert mac_count() == int(np.prod(lead)) * 3 * 4 * 5
 
     def test_conv_count(self):
         reset_mac_count()
@@ -1079,8 +1065,8 @@ class TestNumericGuards:
     def test_non_finite_last_element_of_a_multi_piece_output_raises(self, bad):
         data = np.ones(3 * T._FINITE_PIECE + 5, dtype=np.float32)
         data[-1] = bad
-        with pytest.raises(NumericError, match="op 'scale'"):
-            T.scale(Tensor(data), 1.0)
+        with pytest.raises(NumericError, match="op 'mul'"):
+            T.mul(Tensor(data), 1.0)
 
     def test_finite_check_of_a_large_output_allocates_no_mask(self):
         """A bool mask of the output would be a quarter of a float32
