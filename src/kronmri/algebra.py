@@ -91,8 +91,7 @@ class AlgebraPreset:
     def layer(self, q: np.ndarray, dtype=np.float64) -> KroneckerLinear:
         """Kronecker layer computing x -> q * x, mixing frozen to the preset."""
         q = np.asarray(q, dtype=dtype)
-        layer = KroneckerLinear(self.n, self.n, self.n, dtype=dtype,
-                                train_mixing=False, mixing=self.matrices)
+        layer = KroneckerLinear(self.n, self.n, self.n, dtype=dtype, mixing=self.matrices)
         layer.blocks.data[...] = q[:, None, None]
         return layer
 

@@ -149,7 +149,7 @@ class UNet(Module):
             h = T.upsample2x(h)
             h = up(h)
             h = T.relu(h, ACT_GAIN)
-            h = T.concat([skips.pop(), h], axis=3)
+            h = T.concat([skips.pop(), h])
             for conv in convs:
                 h = conv(h)
                 h = T.relu(h, ACT_GAIN)
@@ -194,7 +194,8 @@ class UNet(Module):
         than the view's is a ShapeError. Array files must be plain names
         inside `path`."""
         manifest = read_json_object(os.path.join(path, MANIFEST_NAME))
-        if manifest.get("format") != CHECKPOINT_FORMAT or manifest.get("model") != "unet":
+        fmt = manifest.get("format")  # an int: true and 1.0 equal 1 but are not format 1
+        if type(fmt) is not int or fmt != CHECKPOINT_FORMAT or manifest.get("model") != "unet":
             raise ConfigError(f"not a recognizable checkpoint: {path}")
         try:
             cfg = UNetConfig(**manifest["config"])

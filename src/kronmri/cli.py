@@ -218,7 +218,7 @@ def _count_unet(config: dict):
     kw = {k: v for k, v in config.items()
           if k not in ("model", "layer_kind", "n")}
     kind = _normalize_kind(config.get("layer_kind", "kronecker"))
-    n = config.get("n", 2) if kind != "dense" else 1
+    n = config.get("n", 1 if kind == "dense" else 2)
     cfg = UNetConfig(**kw, layer_kind=kind, n=n)
     rows = [(name, count_params(1, cin, cout, 9, train_mixing=False),
              count_params(n, cin, cout, 9, train_mixing=kind != "dense"))
@@ -289,7 +289,7 @@ def cmd_verify_algebra(args) -> int:
     return 0
 
 
-def _grad_targets(seed: int, h: float, tol: float):
+def _grad_targets(seed: int, tol: float):
     rng = Rng(seed)
 
     def mean_square(model, x):
@@ -350,7 +350,7 @@ def cmd_grad_check(args) -> int:
     for name, value in (("h", args.h), ("tol", args.tol)):
         if not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {value}")
-    targets = _grad_targets(args.seed, args.h, args.tol)
+    targets = _grad_targets(args.seed, args.tol)
     names = list(targets) if args.target == "all" else [args.target]
     results = []
     for name in names:

@@ -63,9 +63,10 @@ def ifft2c(k: Tensor) -> Tensor:
     return T._apply("ifft2c", (k,), out, vjp)
 
 
-def complex_magnitude(img: Tensor | np.ndarray) -> np.ndarray:
-    """Pointwise magnitude of a 2-channel complex image, [..., H, W]."""
-    arr = img.data if isinstance(img, Tensor) else np.asarray(img)
+def complex_magnitude(img: np.ndarray) -> np.ndarray:
+    """Pointwise magnitude of a 2-channel complex image array, [..., H, W];
+    a Tensor is a ShapeError (pass its `.data`)."""
+    arr = np.asarray(img)
     if arr.ndim < 3 or arr.shape[-3] != 2:
         raise ShapeError(f"complex_magnitude expects [..., 2, H, W], got {arr.shape}")
     return np.hypot(arr[..., 0, :, :], arr[..., 1, :, :])

@@ -3,8 +3,10 @@
 A layer of hypercomplex dimension n holds one mixing tensor A [n, n, n] and
 one block tensor S [n, out/n, in/n, *kernel], kernel () for linear and (k, k)
 for conv. Its weight sum_i kron(A[i], S[i]) is assembled by one `T.kron_sum`
-per forward pass. A dense layer is n=1 with A frozen to [[1]] (`**DENSE`):
-its weight is the block itself, with no assembly op and no assembly MACs.
+per forward pass. A layer drawn from an rng trains its mixing; a layer
+given its mixing keeps it frozen. A dense layer is n=1 given the mixing
+[[1]] (`**DENSE`): its weight is the block itself, with no assembly op and
+no assembly MACs.
 
 Parameter counts (`count_params`, which a layer's `param_count()` equals;
 mixing counts only when trainable):
@@ -13,8 +15,9 @@ mixing counts only when trainable):
     dense linear       out*in + out
     dense conv         out*in*k^2 + out
 
-Init: mixing uniform on +/- 1/sqrt(n), drawn first; blocks uniform on
-+/- sqrt(1/fan_in) with fan_in = in*k^2 (k=1 for linear); bias zero.
+Init: mixing, unless given, uniform on +/- 1/sqrt(n), drawn first; blocks
+uniform on +/- sqrt(1/fan_in) with fan_in = in*k^2 (k=1 for linear); bias
+zero.
 A layer's checkpoint entry is its `manifest()` plus its `arrays()`: kind
 dense_* stores weight and bias, kind kron_* A_i, then S_i for linear or F_i
 for conv, and bias. `UNet.load` builds the model from its config and copies
@@ -30,7 +33,7 @@ from .errors import ConfigError, ShapeError
 from .rng import Rng
 from .tensor import Tensor
 
-DENSE = {"mixing": [[[1.0]]], "train_mixing": False}
+DENSE = {"mixing": [[[1.0]]]}
 
 
 def check_sizes(**sizes) -> None:
@@ -44,7 +47,8 @@ def check_sizes(**sizes) -> None:
 def count_params(n: int, in_features: int, out_features: int, taps: int = 1,
                  train_mixing: bool = True) -> int:
     """Parameters of a factorized layer with `taps` kernel positions per
-    block entry; a dense layer is n=1 with `train_mixing=False`."""
+    block entry; mixing counts only if it trains (`train_mixing`), so a
+    dense layer is n=1 with `train_mixing=False`."""
     check_sizes(n=n, in_features=in_features, out_features=out_features, taps=taps)
     if in_features % n or out_features % n:
         raise ConfigError(
@@ -73,17 +77,18 @@ def nested(children) -> list[tuple[str, Tensor]]:
 class _Factorized(Module):
     """Storage, init, counting and serialization shared by both layers.
 
-    Subclasses name their kind suffix in `_FAMILY`, their block array prefix
-    in `_BLOCK`, their size arguments in `_ARGS` (positional, before n) and
-    `_OPTS` (keywords), and define `__call__`.
+    The mixing trains unless it is given (`train_mixing`). Subclasses name
+    their kind suffix in `_FAMILY`, their block array prefix in `_BLOCK`,
+    their size arguments in `_ARGS` (positional, before n) and `_OPTS`
+    (keywords), and define `__call__`.
     """
 
     def __init__(self, in_features: int, out_features: int, n: int, kernel: tuple,
-                 rng: Rng | None, dtype, train_mixing: bool, mixing):
+                 rng: Rng | None, dtype, mixing):
         taps = int(np.prod(kernel))
         count_params(n, in_features, out_features, taps)
         self.n = n
-        self.train_mixing = train_mixing
+        self.train_mixing = mixing is None
         self.dtype = np.dtype(dtype)
         if mixing is None:
             if rng is None:
@@ -92,8 +97,8 @@ class _Factorized(Module):
         mixing = np.array(mixing, dtype=dtype)
         if mixing.shape != (n, n, n):
             raise ShapeError(f"mixing must be {n} matrices of {n}x{n}, got {mixing.shape}")
-        self.mixing = Tensor(mixing, requires_grad=train_mixing)
-        self.dense = n == 1 and not train_mixing and mixing[0, 0, 0] == 1.0
+        self.mixing = Tensor(mixing, requires_grad=self.train_mixing)
+        self.dense = n == 1 and not self.train_mixing and mixing[0, 0, 0] == 1.0
 
         shape = (n, out_features // n, in_features // n, *kernel)
         if rng is not None:
@@ -147,11 +152,10 @@ class KroneckerLinear(_Factorized):
     _ARGS, _OPTS = ("in_features", "out_features"), ()
 
     def __init__(self, in_features: int, out_features: int, n: int, *,
-                 rng: Rng | None = None, dtype=np.float32,
-                 train_mixing: bool = True, mixing=None):
+                 rng: Rng | None = None, dtype=np.float32, mixing=None):
         self.in_features = in_features
         self.out_features = out_features
-        super().__init__(in_features, out_features, n, (), rng, dtype, train_mixing, mixing)
+        super().__init__(in_features, out_features, n, (), rng, dtype, mixing)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.in_features:
@@ -169,7 +173,7 @@ class KroneckerConv2d(_Factorized):
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, n: int, *,
                  stride: int = 1, padding: int = 0, rng: Rng | None = None,
-                 dtype=np.float32, train_mixing: bool = True, mixing=None):
+                 dtype=np.float32, mixing=None):
         if kernel_size < 1:
             raise ConfigError(f"kernel_size must be >= 1, got {kernel_size}")
         if stride < 1 or padding < 0:
@@ -180,7 +184,7 @@ class KroneckerConv2d(_Factorized):
         self.stride = stride
         self.padding = padding
         super().__init__(in_channels, out_channels, n, (kernel_size, kernel_size), rng,
-                         dtype, train_mixing, mixing)
+                         dtype, mixing)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.shape[3] != self.in_channels:

@@ -1,6 +1,6 @@
 """Reconstruction quality metrics on magnitude images.
 
-Both metrics take plain 2-D arrays (or tensors, unwrapped) and a
+Both metrics take plain 2-D arrays (a Tensor is a ShapeError) and a
 `data_range`, the dynamic range of the ground truth. They are evaluation
 code: pure numpy in float64, no autodiff involvement.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import Tensor
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -19,7 +18,7 @@ SSIM_K2 = 0.03
 
 
 def _as_image(x, op: str) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
+    arr = np.asarray(x)
     if arr.ndim != 2:
         raise ShapeError(f"{op} expects a 2-D magnitude image, got shape {arr.shape}")
     if not np.isfinite(arr).all():

@@ -5,12 +5,14 @@ returns leaf gradients. Recording is explicit: ops only build graph nodes
 while a tape is active (`with Tape(): ...`), otherwise they just compute
 values, which is what inference and finite differencing want.
 
-Ops are functions; a Tensor has no operator methods. Broadcasting is
-deliberately narrow: binary elementwise ops take two tensors of one shape,
-or a tensor and a Python number (`mul(x, s)` is the one scaling op), and
-`matmul` takes operands with equal leading axes. Every op validates
-shapes and dtypes up front and checks its output for NaN/Inf, so a
-numerical problem surfaces at the op that created it.
+Ops are functions; a Tensor has no operator methods and holds float32 or
+float64 data only. Broadcasting is deliberately narrow: binary elementwise
+ops take a tensor first, then a tensor of its shape and dtype or a Python
+number (`mul(x, s)` is the one scaling op); `matmul` takes operands with
+equal leading axes; `sum_` and `mean_` reduce every element, and `concat`
+joins on the last axis. Every op validates shapes and dtypes up front and
+checks its output for NaN/Inf, so a numerical problem surfaces at the op
+that created it.
 
 Multiply-accumulate counts for the contraction ops (matmul, kron_sum,
 conv2d) accumulate into a module-level counter, read with `mac_count()`.
@@ -60,17 +62,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype not in _FLOAT_DTYPES:
-            if arr.dtype.kind in "biu":
-                arr = arr.astype(np.float64)
-            else:
-                raise ShapeError(f"unsupported tensor dtype {arr.dtype}")
         if arr.dtype not in _FLOAT_DTYPES:
-            raise ShapeError(f"unsupported tensor dtype {arr.dtype}")
+            raise ShapeError(f"unsupported tensor dtype {arr.dtype} (float32 or float64 only)")
         # ascontiguousarray promotes 0-d to 1-d; keep scalars 0-d.
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.requires_grad = bool(requires_grad)
@@ -187,27 +182,20 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
         raise TapeError("backward called twice on the same tape")
     tape.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # Tensors hash by identity, so they key their own gradient sums.
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
-        holders.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         if g is None:
             continue
         contribs = node.vjp(g, node.needs)
         for t, gt in zip(node.inputs, contribs):
             if gt is None:
                 continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gt
-            else:
-                grads[key] = gt
-                holders[key] = t
+            grads[t] = grads[t] + gt if t in grads else gt
 
     out: dict[Tensor, Tensor] = {}
-    for key, g in grads.items():
-        t = holders[key]
+    for t, g in grads.items():
         if t.requires_grad and t.node is None:
             if not np.all(np.isfinite(g)):
                 raise NumericError("non-finite gradient for a leaf tensor")
@@ -229,30 +217,24 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
 
 
 def _as_pair(a, b, op: str):
-    """Resolve operands for a binary elementwise op.
+    """Resolve the operands of a binary elementwise op: a tensor, then a
+    tensor of its shape and dtype or a Python number.
 
-    Returns (a_data, b_data, inputs, mode) with mode one of
-    'equal' (two tensors of one shape and dtype), 'const_right' and
-    'const_left' (a tensor and a Python number).
+    Returns (a_data, b_data, inputs); `inputs` holds only `a` when `b` is a
+    number.
     """
-    a_t = isinstance(a, Tensor)
-    b_t = isinstance(b, Tensor)
-    if not a_t and not b_t:
-        raise ShapeError(f"{op}: at least one operand must be a Tensor")
-    if a_t and b_t:
+    if not isinstance(a, Tensor):
+        raise ShapeError(f"{op}: the first operand must be a Tensor, got {type(a).__name__}")
+    if isinstance(b, Tensor):
         if a.data.dtype != b.data.dtype:
             raise ShapeError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-        if a.shape == b.shape:
-            return a.data, b.data, (a, b), "equal"
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match "
-                         "(tensor operands must have equal shapes)")
-    if a_t:
-        if not isinstance(b, (int, float)):
-            raise ShapeError(f"{op}: unsupported operand type {type(b).__name__}")
-        return a.data, a.data.dtype.type(b), (a,), "const_right"
-    if not isinstance(a, (int, float)):
-        raise ShapeError(f"{op}: unsupported operand type {type(a).__name__}")
-    return b.data.dtype.type(a), b.data, (b,), "const_left"
+        if a.shape != b.shape:
+            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match "
+                             "(tensor operands must have equal shapes)")
+        return a.data, b.data, (a, b)
+    if not isinstance(b, (int, float)):
+        raise ShapeError(f"{op}: unsupported operand type {type(b).__name__}")
+    return a.data, a.data.dtype.type(b), (a,)
 
 
 # ---------------------------------------------------------------------------
@@ -260,40 +242,34 @@ def _as_pair(a, b, op: str):
 
 
 def add(a, b) -> Tensor:
-    ad, bd, inputs, mode = _as_pair(a, b, "add")
+    ad, bd, inputs = _as_pair(a, b, "add")
     out = ad + bd
 
     def vjp(g, needs):
-        if mode in ("const_right", "const_left"):
-            return (g,)
-        return (g if needs[0] else None, g if needs[1] else None)
+        return tuple(g if need else None for need in needs)
 
     return _apply("add", inputs, out, vjp)
 
 
 def sub(a, b) -> Tensor:
-    ad, bd, inputs, mode = _as_pair(a, b, "sub")
+    ad, bd, inputs = _as_pair(a, b, "sub")
     out = ad - bd
 
     def vjp(g, needs):
-        if mode == "const_right":
+        if len(needs) == 1:
             return (g,)
-        if mode == "const_left":
-            return (-g,)
         return (g if needs[0] else None, -g if needs[1] else None)
 
     return _apply("sub", inputs, out, vjp)
 
 
 def mul(a, b) -> Tensor:
-    ad, bd, inputs, mode = _as_pair(a, b, "mul")
+    ad, bd, inputs = _as_pair(a, b, "mul")
     out = ad * bd
 
     def vjp(g, needs):
-        if mode == "const_right":
+        if len(needs) == 1:
             return (g * bd,)
-        if mode == "const_left":
-            return (g * ad,)
         return (g * bd if needs[0] else None, g * ad if needs[1] else None)
 
     return _apply("mul", inputs, out, vjp)
@@ -651,48 +627,25 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 # reductions and shape ops
 
 
-def _norm_axes(axis, ndim: int, op: str):
-    if axis is None:
-        return tuple(range(ndim))
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    if any(not -ndim <= a < ndim for a in axes):
-        raise ShapeError(f"{op}: axis {axis} out of range for rank {ndim}")
-    axes = tuple(a % ndim for a in axes)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"{op}: repeated axis in {axis}")
-    return axes
-
-
-def sum_(x: Tensor, axis=None) -> Tensor:
-    axes = _norm_axes(axis, x.data.ndim, "sum")
-    out = x.data.sum(axis=axes)
+def sum_(x: Tensor) -> Tensor:
+    """The sum of every element, a 0-d tensor."""
     in_shape = x.shape
 
     def vjp(g, needs):
-        keep = list(in_shape)
-        for a in axes:
-            keep[a] = 1
-        return (np.broadcast_to(g.reshape(keep), in_shape).astype(g.dtype),)
+        return (np.full(in_shape, g),)
 
-    return _apply("sum", (x,), np.asarray(out), vjp)
+    return _apply("sum", (x,), x.data.sum(), vjp)
 
 
-def mean_(x: Tensor, axis=None) -> Tensor:
-    axes = _norm_axes(axis, x.data.ndim, "mean")
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
-    out = x.data.sum(axis=axes) / x.data.dtype.type(count)
+def mean_(x: Tensor) -> Tensor:
+    """The mean of every element, a 0-d tensor."""
     in_shape = x.shape
+    count = x.data.dtype.type(x.size)
 
     def vjp(g, needs):
-        keep = list(in_shape)
-        for a in axes:
-            keep[a] = 1
-        gb = np.broadcast_to(g.reshape(keep), in_shape) / g.dtype.type(count)
-        return (gb.astype(g.dtype),)
+        return (np.full(in_shape, g / count),)
 
-    return _apply("mean", (x,), np.asarray(out), vjp)
+    return _apply("mean", (x,), x.data.sum() / count, vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -722,29 +675,23 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _apply("transpose", (x,), np.ascontiguousarray(out), vjp)
 
 
-def concat(parts, axis: int) -> Tensor:
+def concat(parts) -> Tensor:
+    """Join tensors of one dtype on their last axis; every other axis must
+    match."""
     parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat of zero tensors")
-    nd = parts[0].data.ndim
-    (axis,) = _norm_axes(axis, nd, "concat")
-    base = list(parts[0].shape)
-    for t in parts[1:]:
-        if t.data.ndim != nd or t.data.dtype != parts[0].data.dtype:
-            raise ShapeError("concat: rank or dtype mismatch")
-        for a in range(nd):
-            if a != axis and t.shape[a] != base[a]:
-                raise ShapeError(f"concat: shape mismatch on axis {a}")
-    out = np.concatenate([t.data for t in parts], axis=axis)
-    sizes = [t.shape[axis] for t in parts]
+    if any(t.data.dtype != parts[0].data.dtype for t in parts):
+        raise ShapeError(f"concat: dtype mismatch {[t.data.dtype.name for t in parts]}")
+    try:
+        out = np.concatenate([t.data for t in parts], axis=-1)
+    except ValueError as e:  # no parts, a 0-d part, or other axes that differ
+        raise ShapeError(f"concat: {e}") from None
+    sizes = [t.shape[-1] for t in parts]
 
     def vjp(g, needs):
         grads = []
         start = 0
         for sz, need in zip(sizes, needs):
-            sl = [slice(None)] * nd
-            sl[axis] = slice(start, start + sz)
-            grads.append(np.ascontiguousarray(g[tuple(sl)]) if need else None)
+            grads.append(np.ascontiguousarray(g[..., start:start + sz]) if need else None)
             start += sz
         return tuple(grads)
 

@@ -142,7 +142,7 @@ class TestStructure:
 
 class TestGradientsAndTransforms:
     def test_criterion_05_gradient_integrity(self):
-        targets = _grad_targets(seed=0, h=1e-6, tol=1e-4)
+        targets = _grad_targets(seed=0, tol=1e-4)
         details = []
         all_passed = True
         for name, make in targets.items():

@@ -140,3 +140,20 @@ def test_train_workload_call_forms():
     grads = backward(loss)
     assert out.shape == x.shape
     assert set(grads) == set(model.parameters())
+
+
+@pytest.mark.parametrize("with_backward", [False, True])
+def test_replay_times_every_conv_and_the_fft_pair(with_backward):
+    """The per-layer replay reruns each captured conv, under a tape with
+    `T.sum_(y)` as its loss if `with_backward`, and reads each conv's MACs
+    from `mac_count`; the FFT replay times the centered FFT pair."""
+    unet = build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=2), Rng(0))
+    x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
+    out = replay.replay_convs(replay.capture_convs(unet, x, with_backward), with_backward, 0)
+    names = replay.conv_names(unet)
+    assert set(out) == ({f"layers.{name}.{m}" for name in names
+                         for m in ("fwd_ms", "bwd_ms", "macs", "gmac_per_s")}
+                        | {"tensor.conv2d.fwd_ms", "tensor.conv2d.bwd_ms",
+                           "tensor.gemm_ref_gmac_per_s"})
+    assert all(out[f"layers.{name}.macs"] > 0 for name in names)
+    assert set(replay.replay_fft((1, 2, 8, 8), 0)) == {"kspace.fft2c_ms", "kspace.ifft2c_ms"}

@@ -357,6 +357,14 @@ class TestCountParams:
             assert dense == kron
             assert ratio == 1.0
 
+    @pytest.mark.parametrize("n", [4, 2])
+    def test_dense_config_with_n_other_than_one_is_config_error(self, capsys, tmp_path, n):
+        """A dense build takes n=1; the n of a dense config is not ignored."""
+        cfg = self.write_cfg(tmp_path, {"layer_kind": "dense", "n": n})
+        code, out, err = run_cli(capsys, "count-params", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["error"] == "ConfigError"
+
     def test_attention_n4_ratio_below_n2(self, capsys, tmp_path):
         ratios = {}
         for n in (2, 4):
@@ -594,6 +602,23 @@ class TestReconstruct:
         payload = stderr_json(err)
         assert payload["error"] == "ShapeError"
         assert "float64" in payload["message"] and "float32" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", [True, 1.0, "1", 2])
+    def test_checkpoint_format_other_than_integer_one_is_config_error(self, tmp_path, fmt):
+        """true and 1.0 compare equal to 1 in Python, but are not format 1."""
+        kpath, _, _, _, _ = self.make_kspace(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=4,
+                              layer_kind="kronecker", n=2), Rng(0)).save(str(ckpt))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["format"] = fmt
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli_shown("reconstruct", "--input", kpath,
+                                          "--checkpoint", str(ckpt), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr_json(err)["error"] == "ConfigError"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", sorted(BAD_JSON))

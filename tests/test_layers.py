@@ -28,7 +28,9 @@ def kron_np(a, b):
 class TestKroneckerLinearForward:
     def test_n1_with_unit_mixing_matches_dense_bitwise(self):
         rng = Rng(100)
-        kl = KroneckerLinear(6, 4, 1, rng=rng, dtype=np.float64, mixing=[np.array([[1.0]])])
+        kl = KroneckerLinear(6, 4, 1, rng=rng, dtype=np.float64)
+        kl.mixing.data[...] = 1.0  # unit mixing, still a factorized (kron_sum) layer
+        assert kl.kind == "kron_linear"
         dense = KroneckerLinear(6, 4, 1, dtype=np.float64, **DENSE)
         dense.blocks.data[0] = kl.materialize_weight().data
         x = Tensor(Rng(101).uniform((3, 6), -1, 1))
@@ -85,8 +87,9 @@ class TestKroneckerLinearForward:
 
 class TestMaterialize:
     def test_n1_returns_block_unchanged(self):
-        kl = KroneckerLinear(3, 3, 1, rng=Rng(109), dtype=np.float64,
-                             mixing=[np.array([[1.0]])])
+        kl = KroneckerLinear(3, 3, 1, rng=Rng(109), dtype=np.float64)
+        kl.mixing.data[...] = 1.0
+        assert kl.kind == "kron_linear"
         assert np.array_equal(kl.materialize_weight().data, kl.blocks.data[0])
 
     def test_zero_mixing_contributes_nothing(self):
@@ -131,7 +134,7 @@ class TestParamCounts:
         assert kc.param_count() == 8 + (32 * 16 * 9) // 2 + 32
 
     def test_frozen_mixing_excluded(self):
-        kl = KroneckerLinear(8, 8, 2, rng=Rng(0), train_mixing=False)
+        kl = KroneckerLinear(8, 8, 2, rng=Rng(0), mixing=np.ones((2, 2, 2)))
         assert kl.param_count() == 2 * 4 * 4 + 8
         assert all(not p.data.shape == (2, 2, 2) for p in kl.parameters())
 
@@ -188,8 +191,9 @@ class TestInit:
 class TestConvForward:
     def test_n1_matches_dense_bitwise(self):
         rng = Rng(120)
-        kc = KroneckerConv2d(3, 5, 3, 1, rng=rng, padding=1, dtype=np.float64,
-                             mixing=[np.array([[1.0]])])
+        kc = KroneckerConv2d(3, 5, 3, 1, rng=rng, padding=1, dtype=np.float64)
+        kc.mixing.data[...] = 1.0
+        assert kc.kind == "kron_conv"
         dense = KroneckerConv2d(3, 5, 3, 1, padding=1, dtype=np.float64, **DENSE)
         dense.blocks.data[0] = kc.blocks.data[0]
         x = Tensor(nhwc(Rng(121).uniform((2, 3, 6, 6), -1, 1)))
@@ -258,7 +262,7 @@ class TestGradients:
 
     def test_frozen_mixing_gets_no_grad(self):
         kl = KroneckerLinear(4, 4, 2, rng=Rng(136), dtype=np.float64,
-                             train_mixing=False)
+                             mixing=np.ones((2, 2, 2)))
         x = Tensor(Rng(137).uniform((2, 4), -1, 1))
         with Tape():
             loss = T.sum_(kl(x))
@@ -303,8 +307,7 @@ class TestDenseCase:
         assert dense.parameters() == [dense.blocks, dense.bias]
         # trainable or non-unit n=1 mixing stays a factorized layer
         assert KroneckerLinear(4, 4, 1, rng=Rng(151)).kind == "kron_linear"
-        assert KroneckerLinear(4, 4, 1, mixing=[[[2.0]]],
-                               train_mixing=False).kind == "kron_linear"
+        assert KroneckerLinear(4, 4, 1, mixing=[[[2.0]]]).kind == "kron_linear"
 
     def test_weight_is_the_block_with_no_assembly_macs(self):
         dense = KroneckerLinear(6, 4, 1, rng=Rng(152), dtype=np.float64, **DENSE)
@@ -322,7 +325,7 @@ class TestDenseCase:
     @pytest.mark.parametrize("n,taps,train", [(1, 1, False), (1, 9, False), (2, 1, True),
                                               (4, 9, True), (2, 9, False)])
     def test_count_params_matches_parameters(self, n, taps, train):
-        options = DENSE if (n, train) == (1, False) else {"train_mixing": train}
+        options = {} if train else {"mixing": np.ones((n, n, n))}
         if taps == 1:
             layer = KroneckerLinear(8, 16, n, rng=Rng(154), **options)
         else:

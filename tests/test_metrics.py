@@ -82,10 +82,16 @@ class TestPsnr:
                 for lvl in (0.01, 0.05, 0.25)]
         assert vals[0] > vals[1] > vals[2]
 
-    def test_accepts_tensors(self):
+    def test_tensors_are_shape_errors(self):
+        """The metrics take arrays; a Tensor is not unwrapped."""
         a = Tensor(Rng(5).uniform((16, 16)))
-        b = Tensor(Rng(6).uniform((16, 16)))
-        assert psnr(a, b, 1.0) == psnr(a.data, b.data, 1.0)
+        b = Rng(6).uniform((16, 16))
+        for args in ((a, b), (b, a)):
+            for metric in (psnr, ssim):
+                with pytest.raises(ShapeError):
+                    metric(*args, 1.0)
+        with pytest.raises(ShapeError):
+            complex_magnitude(Tensor(Rng(7).uniform((2, 16, 16))))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
