@@ -164,24 +164,26 @@ class UNet(Module):
 
     def save(self, path: str) -> None:
         """Write the checkpoint into `path`. Array files that a checkpoint
-        already there names, and this one does not, are deleted first. A
-        name there that leaves `path` is a ConfigError before any file is
-        deleted or written."""
+        already there names, and this one does not, are deleted first, then
+        its manifest; the new manifest is written last, by `write_json`. A
+        save that stops part-way thus leaves no manifest, and nothing that
+        loads. A name there that leaves `path` is a ConfigError before any
+        file is deleted or written."""
         entries = [{"name": name, "manifest": layer.manifest(),
                     "arrays": {aname: f"{idx:03d}_{aname}.kten" for aname in layer.arrays()}}
                    for idx, (name, layer) in enumerate(self._layers)]
         os.makedirs(path, exist_ok=True)
         keep = {fname for entry in entries for fname in entry["arrays"].values()}
-        for stale in [_array_path(path, fname) for fname in _named_arrays(path) - keep]:
-            if os.path.isfile(stale):
-                os.remove(stale)
+        manifest_path = os.path.join(path, MANIFEST_NAME)
+        stale = [_array_path(path, fname) for fname in _named_arrays(path) - keep]
+        for fpath in stale + [manifest_path]:
+            if os.path.isfile(fpath):
+                os.remove(fpath)
         for entry, (_, layer) in zip(entries, self._layers):
             for aname, arr in layer.arrays().items():
                 write_kten(os.path.join(path, entry["arrays"][aname]), arr)
-        manifest = {"format": CHECKPOINT_FORMAT, "model": "unet",
-                    "config": self.cfg.to_dict(), "layers": entries}
-        with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
+        write_json(manifest_path, {"format": CHECKPOINT_FORMAT, "model": "unet",
+                                   "config": self.cfg.to_dict(), "layers": entries})
 
     @classmethod
     def load(cls, path: str) -> "UNet":
@@ -238,6 +240,16 @@ def read_json_object(path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def write_json(path: str, obj: dict) -> None:
+    """Write `obj` to `path` as indented, key-sorted JSON, all at once: the
+    text goes to `path` + ".tmp" first and is then renamed over `path`, so
+    `path` never holds part of a document."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+    os.replace(tmp, path)
 
 
 def _named_arrays(path: str) -> set:

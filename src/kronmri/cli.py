@@ -1,37 +1,35 @@
 """Command-line interface.
 
 Subcommands cover dataset/mask generation, training, reconstruction,
-metric reporting, parameter accounting, algebra verification, gradient
-checking, and kernel benchmarking. Results go to stdout (JSON or CSV);
-errors go to stderr as one JSON line with exit codes 2 (config), 3
-(numeric), 4 (I/O or out of memory), and 1 for any other package error
-(such as a TapeError, which means kronmri misused its own autodiff tape).
+metric reporting, parameter accounting, algebra verification and gradient
+checking; timing lives in perfbench. Results go to stdout as JSON, except
+the `count-params` table, which is text. Errors go to stderr as one JSON
+line with exit codes 2 (config), 3 (numeric), 4 (I/O or out of memory),
+and 1 for any other package error (such as a TapeError, which means
+kronmri misused its own autodiff tape).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import tensor as T
 from .algebra import preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig, WindowAttention,
-                     build_unet, read_json_object, unet_convs)
+                     build_unet, read_json_object, unet_convs, write_json)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
 from .kspace import apply_mask, complex_magnitude, gen_cartesian_mask, ifft2c
 from .kten import read_kten, write_kten, write_pgm
-from .layers import DENSE, KroneckerConv2d, KroneckerLinear, check_sizes, count_params
+from .layers import KroneckerConv2d, KroneckerLinear, check_sizes, count_params
 from .losses import loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
-from .tensor import Tensor, grad_check, mac_count, reset_mac_count
+from .tensor import Tensor, grad_check
 from .training import (ConsistentModel, DatasetSpec, TrainConfig, evaluate,
                        held_out_seed, make_sample, train, write_history)
 
@@ -63,6 +61,13 @@ def _parse_multiples(text: str) -> list[int]:
 
 def _normalize_kind(kind: str) -> str:
     return "kronecker" if kind == "kron" else kind
+
+
+def _default_n(kind: str) -> int:
+    """The n a U-Net of `kind` gets when none is given. A given n goes to
+    `UNetConfig` as it is, so a dense build with n other than 1 is a
+    ConfigError."""
+    return 1 if kind == "dense" else 2
 
 
 def _load_pair(path: str) -> np.ndarray:
@@ -103,8 +108,7 @@ def cmd_gen_data(args) -> int:
     manifest = {"count": args.count, "seed": args.seed, "af": args.af,
                 "height": args.height, "width": args.width,
                 "ellipses": args.ellipses}
-    with open(os.path.join(args.out, "dataset.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(os.path.join(args.out, "dataset.json"), manifest)
     _emit({"written": len(files) + 1, "out": args.out, **manifest})
     return 0
 
@@ -128,7 +132,7 @@ def _unet_config_from_args(args) -> UNetConfig:
     kind = _normalize_kind(args.layer_kind)
     return UNetConfig(channel_multiples=_parse_multiples(args.multiples),
                       base_channels=args.base, layer_kind=kind,
-                      n=1 if kind == "dense" else args.n)
+                      n=_default_n(kind) if args.n is None else args.n)
 
 
 def cmd_train(args) -> int:
@@ -155,11 +159,14 @@ def cmd_train(args) -> int:
                "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
                "final_loss": history[-1]["loss"]}
     if args.out:
+        # the summary is written last, whole: a run dir with one is complete
+        summary_path = os.path.join(args.out, "summary.json")
         os.makedirs(args.out, exist_ok=True)
+        if os.path.isfile(summary_path):
+            os.remove(summary_path)
         model.save(os.path.join(args.out, "checkpoint"))
         write_history(os.path.join(args.out, "history.jsonl"), history)
-        with open(os.path.join(args.out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
+        write_json(summary_path, summary)
         summary["out"] = args.out
     _emit(summary)
     return 0
@@ -194,8 +201,7 @@ def cmd_reconstruct(args) -> int:
     write_pgm(os.path.join(args.out, "recon.pgm"),
               mag / peak if peak > 0 else mag, maxval=255)
     if truth is not None:
-        with open(os.path.join(args.out, "metrics.json"), "w") as fh:
-            json.dump(result["metrics"], fh, indent=1, sort_keys=True)
+        write_json(os.path.join(args.out, "metrics.json"), result["metrics"])
     _emit(result)
     return 0
 
@@ -218,7 +224,7 @@ def _count_unet(config: dict):
     kw = {k: v for k, v in config.items()
           if k not in ("model", "layer_kind", "n")}
     kind = _normalize_kind(config.get("layer_kind", "kronecker"))
-    n = config.get("n", 1 if kind == "dense" else 2)
+    n = config.get("n", _default_n(kind))
     cfg = UNetConfig(**kw, layer_kind=kind, n=n)
     rows = [(name, count_params(1, cin, cout, 9, train_mixing=False),
              count_params(n, cin, cout, 9, train_mixing=kind != "dense"))
@@ -366,64 +372,6 @@ def cmd_grad_check(args) -> int:
     return 0
 
 
-def _bench_rows(args):
-    rng = Rng(args.seed)
-    ns = _parse_multiples(args.n_list)
-    # (n, fork tag, options): the dense layer, then one per --n-list entry.
-    # Layers are built lazily so that every input is drawn before any fork.
-    builds = [(1, 0, DENSE)] + [(n, n, {}) for n in ns]
-    layers = []
-    if args.layer in ("linear", "both"):
-        x = Tensor(rng.uniform((args.batch, args.in_features), -1, 1,
-                               dtype=np.float32))
-        layers += [("linear", x, lambda n=n, tag=tag, opts=opts: KroneckerLinear(
-            args.in_features, args.out_features, n, rng=rng.fork(tag),
-            dtype=np.float32, **opts)) for n, tag, opts in builds]
-    if args.layer in ("conv", "both"):
-        xc = Tensor(rng.uniform((args.batch, args.in_features, args.spatial,
-                                 args.spatial), -1, 1, dtype=np.float32)
-                    .transpose(0, 2, 3, 1))
-        layers += [("conv", xc, lambda n=n, tag=tag, opts=opts: KroneckerConv2d(
-            args.in_features, args.out_features, args.kernel, n,
-            padding=args.kernel // 2, rng=rng.fork(100 + tag),
-            dtype=np.float32, **opts)) for n, tag, opts in builds]
-    rows = []
-    for label, x, factory in layers:
-        layer = factory()
-        reset_mac_count()
-        layer(x)
-        macs = mac_count()
-        times = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            layer(x)
-            times.append(time.perf_counter() - t0)
-        rows.append({"layer": label, "kind": layer.kind, "n": layer.n,
-                     "params": layer.param_count(), "macs": macs,
-                     "median_ms": round(float(np.median(times)) * 1e3, 4)})
-    return rows
-
-
-def cmd_bench(args) -> int:
-    if args.reps < 3:
-        raise ConfigError(f"reps must be >= 3, got {args.reps}")
-    for name in ("batch", "spatial"):
-        if getattr(args, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(args, name)}")
-    rows = _bench_rows(args)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["layer", "kind", "n", "params",
-                                             "macs", "median_ms"])
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return 0
-
-
 # ----------------------------------------------------------------- parser
 
 def build_parser() -> _Parser:
@@ -470,7 +418,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=2e-5, help="learning rate")
     p.add_argument("--layer-kind", default="kron",
                    choices=("dense", "kron", "kronecker"), help="conv flavor")
-    p.add_argument("--n", type=int, default=2, help="hypercomplex dimension")
+    p.add_argument("--n", type=int, default=None,
+                   help="hypercomplex dimension (default per kind: 1 for "
+                        "dense, 2 for kron)")
     p.add_argument("--base", type=int, default=8, help="base channel count")
     p.add_argument("--multiples", default="4,8,8",
                    help="comma-separated channel multiples")
@@ -533,25 +483,12 @@ def build_parser() -> _Parser:
                    help="relative error tolerance")
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("bench", formatter_class=_fmt,
-                       help="exact MAC counts and median wall time per layer")
-    p.add_argument("--layer", default="both",
-                   choices=("linear", "conv", "both"), help="layer family")
-    p.add_argument("--in-features", type=int, default=64,
-                   help="input width/channels")
-    p.add_argument("--out-features", type=int, default=64,
-                   help="output width/channels")
-    p.add_argument("--kernel", type=int, default=3, help="conv kernel size")
-    p.add_argument("--spatial", type=int, default=32, help="conv input side")
-    p.add_argument("--batch", type=int, default=4, help="batch size")
-    p.add_argument("--n-list", default="1,2,4",
-                   help="comma-separated kronecker dimensions")
-    p.add_argument("--reps", type=int, default=5, help="timing repetitions")
-    p.add_argument("--seed", type=int, default=0, help="input seed")
-    p.add_argument("--out", default=None, help="also write CSV here")
-    p.set_defaults(func=cmd_bench)
-
     return parser
+
+
+# Exit code of each error class; the first class the error is an instance of wins.
+_EXIT_CODES = ((ConfigError, 2), (ShapeError, 2), (NumericError, 3), (OSError, 4),
+               (MemoryError, 4), (KronMriError, 1))
 
 
 def main(argv=None) -> int:
@@ -559,22 +496,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return 2
-    except NumericError as err:
-        print(json.dumps({"error": "NumericError", "message": str(err)}),
-              file=sys.stderr)
-        return 3
-    except (OSError, MemoryError) as err:
-        name = "MemoryError" if isinstance(err, MemoryError) else "OSError"
+    except (KronMriError, OSError, MemoryError) as err:
+        name = "OSError" if isinstance(err, OSError) else type(err).__name__
         print(json.dumps({"error": name, "message": str(err)}), file=sys.stderr)
-        return 4
-    except KronMriError as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 
 if __name__ == "__main__":

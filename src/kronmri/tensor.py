@@ -15,7 +15,8 @@ checks its output for NaN/Inf, so a numerical problem surfaces at the op
 that created it.
 
 Multiply-accumulate counts for the contraction ops (matmul, kron_sum,
-conv2d) accumulate into a module-level counter, read with `mac_count()`.
+conv2d) accumulate into a module-level running total, `mac_count()`; the
+MACs of some work are the difference of two reads around it.
 
 Image ops are channels-last: conv2d and upsample2x take and return
 [B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
@@ -38,13 +39,10 @@ _mac_total = 0
 
 
 def mac_count() -> int:
-    """Multiply-accumulate operations counted since the last reset."""
+    """Multiply-accumulate operations counted since import: a running total
+    that is never reset, so read the MACs of some work as the difference of
+    two calls around it."""
     return _mac_total
-
-
-def reset_mac_count() -> None:
-    global _mac_total
-    _mac_total = 0
 
 
 def _count_macs(n: int) -> None:
@@ -378,13 +376,18 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 # Fewest output pixels in one GEMM block of the conv2d forward. On
-# OpenBLAS 0.3.31 (Haswell kernels, 2 threads) row blocks of 1024 or more
-# gave products bitwise equal to one whole GEMM for every O >= 2 tried
-# (768 shapes, float32 and float64, with C- and with F-ordered blocks);
-# blocks of 32-960 rows did not, the two-column head among them. An
-# F-ordered operand of 700 rows or fewer also rounded unlike a C-ordered
-# one in 188 of 768 shapes of 32-1000 rows. O = 1 runs as a GEMV and may
-# differ in the last bits.
+# OpenBLAS 0.3.31 (a DYNAMIC_ARCH build that picked its SkylakeX kernels at
+# run time, as `scipy_openblas_get_corename64_` reports; 2 threads, 2-core
+# Xeon) row blocks of 1024 or more gave products bitwise equal to one whole
+# GEMM for every O >= 2 tried (768 shapes, float32 and float64, with C- and
+# with F-ordered blocks); blocks of 32-960 rows did not, the two-column head
+# among them. An F-ordered operand of 700 rows or fewer also rounded unlike
+# a C-ordered one in 188 of 768 shapes of 32-1000 rows. O = 1 runs as a
+# GEMV and may differ in the last bits. The claim holds for that kernel
+# only: with the same library forced to its Haswell kernels
+# (OPENBLAS_CORETYPE=Haswell), 10 cases of
+# `test_streamed_forward_is_bitwise_the_whole_im2col_gemm` fail (the State
+# table in ROADMAP.md).
 _GEMM_BLOCK_ROWS = 1024
 
 # Byte budget of one block of shifted-gradient rows in the conv2d VJP
@@ -512,9 +515,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     The output stays bitwise that of one C-ordered `cols @ w.T` GEMM over
     the whole batch, because BLAS rounds a product by how it blocks it.
-    On OpenBLAS 0.3.31, blocks of 1024 rows or more come out bitwise as the
-    rows of the one whole GEMM for O >= 2, with the operand C- or
-    F-ordered; smaller blocks do not. A conv of fewer than 1024 output
+    On OpenBLAS 0.3.31 with its SkylakeX kernels (chosen at run time),
+    blocks of 1024 rows or more come out bitwise as the rows of the one
+    whole GEMM for O >= 2, with the operand C- or F-ordered; smaller blocks
+    do not. Other kernels block differently (see `_GEMM_BLOCK_ROWS`). A conv of fewer than 1024 output
     pixels is one block, and there OpenBLAS's small-matrix path rounds a
     transposed operand unlike a plain one, so that block is copied to C
     order before its GEMM. The K order and the GEMM orientation are fixed

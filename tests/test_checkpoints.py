@@ -7,7 +7,10 @@ from Rng(11) on [-0.5, 0.5] so the head and biases carry signal, plus the
 forward output of each on input.kten.
 """
 
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -18,7 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronmri import blocks
 from kronmri.blocks import UNet, UNetConfig, build_unet
+from kronmri.cli import main
 from kronmri.errors import ConfigError, ShapeError
 from kronmri.kten import read_kten, write_kten
 from kronmri.rng import Rng
@@ -254,9 +259,33 @@ def manifest_files(path: str) -> set[str]:
     return {f for entry in read_manifest(path)["layers"] for f in entry["arrays"].values()}
 
 
-def small_unet(kind: str, n: int):
+def small_unet(kind: str, n: int, seed: int = 0):
     cfg = UNetConfig(channel_multiples=[1, 2], base_channels=2, layer_kind=kind, n=n)
-    return build_unet(cfg, Rng(0))
+    return build_unet(cfg, Rng(seed))
+
+
+def failing_after(monkeypatch, module, name, calls: int):
+    """Make `module.name` raise ENOSPC on call number `calls`."""
+    real, count = getattr(module, name), [0]
+
+    def flaky(*args, **kwargs):
+        count[0] += 1
+        if count[0] == calls:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, flaky)
+
+
+def reconstruct_from(tmp_path, checkpoint: str):
+    """`reconstruct --checkpoint` on a 16x16 k-space: (exit code, stdout,
+    stderr)."""
+    kpath = str(tmp_path / "k.kten")
+    write_kten(kpath, Rng(3).uniform((2, 16, 16), -1, 1, dtype=np.float32))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reconstruct", "--input", kpath, "--checkpoint", checkpoint,
+                     "--out", str(tmp_path / "rec")])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestSaveOverExisting:
@@ -303,3 +332,32 @@ class TestSaveOverExisting:
             small_unet("dense", 1).save(path)
         assert outside.read_text() == "keep"
         assert files(path) == before
+
+    # the kron n=2 [1,2] U-Net has 45 array files
+    @pytest.mark.parametrize("stop", [("write_kten", 1), ("write_kten", 21),
+                                      ("write_kten", 45), ("replace", 1)],
+                             ids=lambda stop: f"{stop[0]}-{stop[1]}")
+    def test_a_save_that_stops_part_way_leaves_nothing_that_loads(
+            self, tmp_path, monkeypatch, stop):
+        """Saving over a checkpoint of the same config and failing on one
+        array file, or on the manifest, must not leave the old manifest to
+        load a mix of old and new arrays."""
+        path = str(tmp_path / "ckpt")
+        small_unet("kronecker", 2, seed=0).save(path)
+        new = small_unet("kronecker", 2, seed=1)
+        failing_after(monkeypatch, blocks if stop[0] == "write_kten" else os, *stop)
+        with pytest.raises(OSError):
+            new.save(path)
+        monkeypatch.undo()
+        with pytest.raises(OSError):
+            UNet.load(path)
+        code, stdout, err = reconstruct_from(tmp_path, path)
+        assert (code, stdout) == (4, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "OSError"
+        assert not (tmp_path / "rec").exists()
+        new.save(path)  # a save that completes leaves no temporary file
+        assert set(os.listdir(path)) == manifest_files(path) | {"manifest.json"}
+        loaded = UNet.load(path)
+        for (_, pa), (_, pb) in zip(new.named_parameters(), loaded.named_parameters()):
+            assert pa.data.tobytes() == pb.data.tobytes()

@@ -1,6 +1,7 @@
 """Command-line contract: help snapshots, exit codes, and file outputs."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kronmri import blocks, cli
 from kronmri.blocks import UNetConfig, build_unet
-from kronmri import cli
 from kronmri.cli import build_parser, main
 from kronmri.errors import TapeError
 from kronmri.kspace import apply_mask, fft2c, gen_cartesian_mask, gen_phantom, ifft2c
@@ -30,7 +31,7 @@ BAD_JSON = {"not-json": b"{nope",
             "too-deep": b"[" * 200_000,
             "int-too-long": b'{"n": ' + b"1" * 5000 + b"}"}
 COMMANDS = ["gen-data", "gen-mask", "train", "reconstruct", "metrics",
-            "count-params", "verify-algebra", "grad-check", "bench"]
+            "count-params", "verify-algebra", "grad-check"]
 
 
 def run_cli(capsys, *args):
@@ -94,6 +95,15 @@ class TestHelpSnapshots:
             main([])
         assert caught.value.code == 2
         stderr_json(capsys.readouterr().err)
+
+    def test_bench_is_not_a_command(self, capsys):
+        """Timing lives in perfbench; `bench` is an unknown subcommand."""
+        with pytest.raises(SystemExit) as caught:
+            main(["bench"])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert stderr_json(captured.err)["error"] == "ConfigError"
 
 
 class TestExitCodes:
@@ -685,80 +695,6 @@ class TestReconstruct:
         assert not out.exists()
 
 
-class TestBench:
-    def rows(self, capsys, *extra):
-        code, out, _ = run_cli(capsys, "bench", "--layer", "linear",
-                               "--in-features", "8", "--out-features", "8",
-                               "--batch", "2", "--n-list", "1,2", "--reps",
-                               "3", *extra)
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "layer,kind,n,params,macs,median_ms"
-        return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-
-    def test_exact_mac_counts(self, capsys):
-        rows = self.rows(capsys)
-        dense = next(r for r in rows if r["kind"] == "dense_linear")
-        assert int(dense["macs"]) == 2 * 8 * 8
-        for r in rows:
-            if r["kind"] == "kron_linear":
-                n = int(r["n"])
-                assert int(r["macs"]) == 2 * 8 * 8 + n * 8 * 8
-
-    def test_param_columns(self, capsys):
-        rows = self.rows(capsys)
-        dense = next(r for r in rows if r["kind"] == "dense_linear")
-        assert int(dense["params"]) == 8 * 8 + 8
-        kron2 = next(r for r in rows if r["kind"] == "kron_linear"
-                     and r["n"] == "2")
-        assert int(kron2["params"]) == 2 * 2 * 2 + 2 * (8 // 2) * (8 // 2) + 8
-
-    def test_counts_deterministic_timings_positive(self, capsys):
-        a = self.rows(capsys)
-        b = self.rows(capsys)
-        for ra, rb in zip(a, b):
-            assert ra["macs"] == rb["macs"] and ra["params"] == rb["params"]
-            assert float(ra["median_ms"]) > 0
-        out_csv = [r["macs"] for r in a]
-        assert out_csv == [r["macs"] for r in b]
-
-    def test_conv_macs_include_assembly(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--layer", "conv",
-                               "--in-features", "4", "--out-features", "4",
-                               "--kernel", "3", "--spatial", "8", "--batch",
-                               "1", "--n-list", "2", "--reps", "3")
-        assert code == 0
-        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
-        dense_macs = int(next(r for r in rows if r[1] == "dense_conv")[4])
-        kron_macs = int(next(r for r in rows if r[1] == "kron_conv")[4])
-        assert dense_macs == 1 * 8 * 8 * 4 * 4 * 9
-        assert kron_macs == dense_macs + 2 * 4 * 4 * 9
-
-    def test_too_few_reps_is_config_error(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--reps", "2")
-        assert code == 2
-        assert "reps" in stderr_json(err)["message"]
-
-    @pytest.mark.parametrize("argv", [
-        ("--batch", "-1"),
-        ("--layer", "linear", "--batch", "-2"),
-        ("--layer", "linear", "--batch", "0"),
-        ("--layer", "conv", "--batch", "0"),
-        ("--layer", "conv", "--spatial", "0"),
-        ("--spatial", "-3")])
-    def test_empty_or_negative_size_is_config_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, "bench", "--reps", "3", *argv)
-        assert code == 2 and out == ""
-        message = stderr_json(err)["message"]
-        assert message.startswith(argv[-2].lstrip("-")) and argv[-1] in message
-
-    def test_writes_csv_file(self, capsys, tmp_path):
-        path = str(tmp_path / "bench.csv")
-        self.rows(capsys, "--out", path)
-        with open(path) as fh:
-            assert fh.readline().strip() == "layer,kind,n,params,macs,median_ms"
-
-
 class TestTrainCmd:
     def test_tiny_run_writes_artifacts(self, capsys, tmp_path):
         out = str(tmp_path / "run")
@@ -812,15 +748,55 @@ class TestTrainCmd:
         assert out == ""
         assert "lr" in stderr_json(err)["message"]
 
-    def test_dense_kind_forces_n_one(self, capsys, tmp_path):
-        code, stdout, _ = run_cli(
-            capsys, "train", "--steps", "1", "--batch", "2", "--size", "16",
-            "--ellipses", "3", "--dataset-size", "2", "--eval-size", "2",
-            "--multiples", "1", "--base", "4", "--layer-kind", "dense",
-            "--n", "4", "--seed", "1")
+    TINY = ("--steps", "1", "--batch", "2", "--size", "16", "--ellipses", "3",
+            "--dataset-size", "2", "--eval-size", "2", "--multiples", "1",
+            "--base", "4")
+
+    @pytest.mark.parametrize("kind,n", [("dense", 1), ("kronecker", 2)])
+    def test_omitted_n_is_the_kinds_default(self, capsys, kind, n):
+        code, stdout, _ = run_cli(capsys, "train", *self.TINY, "--layer-kind", kind)
         assert code == 0
         cfg = json.loads(stdout)["config"]
-        assert cfg["layer_kind"] == "dense" and cfg["n"] == 1
+        assert cfg["layer_kind"] == kind and cfg["n"] == n
+
+    def test_a_run_that_fails_saving_leaves_no_summary_and_no_checkpoint(
+            self, capsys, tmp_path, monkeypatch):
+        """`train --out` over an earlier run that stops on an array file:
+        the old summary is gone and the checkpoint does not load."""
+        out = str(tmp_path / "run")
+        assert run_cli(capsys, "train", *self.TINY, "--seed", "1", "--out", out)[0] == 0
+        real, count = blocks.write_kten, [0]
+
+        def flaky(*args):
+            count[0] += 1
+            if count[0] == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args)
+        monkeypatch.setattr(blocks, "write_kten", flaky)
+        code, stdout, err = run_cli(capsys, "train", *self.TINY, "--seed", "2", "--out", out)
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert "summary.json" not in os.listdir(out)
+        monkeypatch.undo()
+        kpath = str(tmp_path / "k.kten")
+        write_kten(kpath, np.zeros((2, 16, 16), dtype=np.float32))
+        code, stdout, err = run_cli(capsys, "reconstruct", "--input", kpath, "--checkpoint",
+                                    os.path.join(out, "checkpoint"), "--out",
+                                    str(tmp_path / "rec"))
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert run_cli(capsys, "train", *self.TINY, "--seed", "2", "--out", out)[0] == 0
+        assert sorted(os.listdir(out)) == ["checkpoint", "history.jsonl", "summary.json"]
+
+    @pytest.mark.parametrize("n", ["4", "2"])
+    def test_dense_kind_with_n_other_than_one_is_config_error(self, capsys, tmp_path, n):
+        """A given n is not ignored: dense takes n=1, as in count-params."""
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", *self.TINY, "--layer-kind",
+                                    "dense", "--n", n, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr_json(err)["error"] == "ConfigError"
+        assert not out.exists()
 
 
 PLANTED = (0.0, 1.0, 0.5, np.nan, np.inf, -np.inf)

@@ -311,10 +311,30 @@ class TestDenseCase:
 
     def test_weight_is_the_block_with_no_assembly_macs(self):
         dense = KroneckerLinear(6, 4, 1, rng=Rng(152), dtype=np.float64, **DENSE)
-        T.reset_mac_count()
+        m0 = T.mac_count()
         w = dense.materialize_weight()
-        assert T.mac_count() == 0
+        assert T.mac_count() - m0 == 0
         assert np.array_equal(w.data, dense.blocks.data[0])
+
+    @pytest.mark.parametrize("family", ["linear", "conv"])
+    @pytest.mark.parametrize("n", [None, 1, 2, 4])
+    def test_forward_macs_are_the_product_plus_assembly(self, family, n):
+        """A forward costs its dense product, B*in*out for a linear layer
+        and B*Ho*Wo*O*C*k^2 for a conv, plus n*in*out*k^2 to assemble a
+        factorized weight; a dense layer (n None here) assembles nothing."""
+        options = DENSE if n is None else {}
+        rng = Rng(156)
+        if family == "linear":  # B=3, in 8, out 16
+            layer = KroneckerLinear(8, 16, n or 1, rng=rng, **options)
+            x = Tensor(rng.uniform((3, 8), -1, 1, dtype=np.float32))
+            product, weight = 3 * 8 * 16, 8 * 16
+        else:  # B=2, C=4, O=8, k=3, stride 2: 9x7 -> Ho x Wo = 5x4
+            layer = KroneckerConv2d(4, 8, 3, n or 1, stride=2, padding=1, rng=rng, **options)
+            x = Tensor(rng.uniform((2, 9, 7, 4), -1, 1, dtype=np.float32))
+            product, weight = 2 * 5 * 4 * 8 * 4 * 9, 8 * 4 * 9
+        m0 = T.mac_count()
+        layer(x)
+        assert T.mac_count() - m0 == product + (0 if n is None else n * weight)
 
     def test_factorized_weight_is_one_tape_node(self):
         kc = KroneckerConv2d(4, 8, 3, 4, rng=Rng(153), dtype=np.float64)
