@@ -90,16 +90,11 @@ class TestHelpSnapshots:
                 continue
             assert "default:" in text
 
-    def test_missing_subcommand_is_a_config_error(self, capsys):
+    # timing lives in perfbench: `bench` is not a command
+    @pytest.mark.parametrize("argv", [[], ["bench"]], ids=["missing", "bench"])
+    def test_missing_or_unknown_subcommand_is_a_config_error(self, capsys, argv):
         with pytest.raises(SystemExit) as caught:
-            main([])
-        assert caught.value.code == 2
-        stderr_json(capsys.readouterr().err)
-
-    def test_bench_is_not_a_command(self, capsys):
-        """Timing lives in perfbench; `bench` is an unknown subcommand."""
-        with pytest.raises(SystemExit) as caught:
-            main(["bench"])
+            main(argv)
         assert caught.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
