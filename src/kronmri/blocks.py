@@ -134,7 +134,9 @@ class UNet(Module):
         if x.shape[2] % step or x.shape[3] % step:
             raise ShapeError(f"spatial dims {x.shape[2:]} must be divisible by {step}")
         # One op at a time through `h`, and each skip popped as it is
-        # concatenated: without a tape, nothing outlives its last reader.
+        # concatenated: nothing outlives its last reader, or under a tape
+        # the last VJP that reads it (each conv's pre-activation goes once
+        # `relu` has taken its mask).
         h = T.transpose(x, (0, 2, 3, 1))
         for conv in self._stem:
             h = conv(h)
@@ -245,11 +247,17 @@ def read_json_object(path: str) -> dict:
 def write_json(path: str, obj: dict) -> None:
     """Write `obj` to `path` as indented, key-sorted JSON, all at once: the
     text goes to `path` + ".tmp" first and is then renamed over `path`, so
-    `path` never holds part of a document."""
+    `path` never holds part of a document. If the write or the rename
+    fails, the ".tmp" file is removed and the error raised."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _named_arrays(path: str) -> set:

@@ -119,7 +119,11 @@ def cmd_gen_mask(args) -> int:
                               rng=Rng(args.seed))
     write_kten(args.out, mask.sampled)
     if args.pgm:
-        write_pgm(args.pgm, mask.sampled[None, :], maxval=1)
+        try:
+            write_pgm(args.pgm, mask.sampled[None, :], maxval=1)
+        except BaseException:  # a failed gen-mask leaves no file it wrote
+            os.remove(args.out)
+            raise
     _emit({"width": mask.width, "af": mask.af,
            "center_fraction": mask.center_fraction,
            "center_columns": mask.center_columns,

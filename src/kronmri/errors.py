@@ -22,4 +22,6 @@ class NumericError(KronMriError):
 
 
 class TapeError(KronMriError):
-    """Autodiff tape misuse: no recording, double backward, foreign tensors."""
+    """Autodiff tape misuse: a loss not recorded on a tape, nested tapes,
+    a second backward, recording onto a consumed tape, or an op that reads
+    a result recorded on another tape."""

@@ -36,13 +36,8 @@ def write_kten(path, arr: np.ndarray) -> None:
         raise ShapeError(f"KTEN supports float32/float64, got {arr.dtype}")
     if arr.ndim > 255:
         raise ShapeError(f"KTEN rank limit exceeded: {arr.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BB", _VERSION, code))
-        fh.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            fh.write(struct.pack("<Q", d))
-        fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    head = _MAGIC + struct.pack(f"<BBB{arr.ndim}Q", _VERSION, code, arr.ndim, *arr.shape)
+    _write_file(path, (head, arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()))
 
 
 def read_kten(path) -> np.ndarray:
@@ -85,6 +80,17 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     else:
         data = np.clip(np.rint(image * maxval), 0, maxval).astype(np.uint8)
     h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_file(path, (f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), data.tobytes()))
+
+
+def _write_file(path, parts) -> None:
+    """Write the byte strings `parts` to `path`. If a write fails after the
+    file was opened, the part-written file is removed and the error raised."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for part in parts:
+                fh.write(part)
+    except BaseException:
+        os.remove(path)
+        raise

@@ -5,6 +5,15 @@ returns leaf gradients. Recording is explicit: ops only build graph nodes
 while a tape is active (`with Tape(): ...`), otherwise they just compute
 values, which is what inference and finite differencing want.
 
+The tape records ops, not tensors. A node holds its op's VJP closure, with
+only the arrays that VJP reads, and for each input the input's node or,
+for a leaf, the leaf tensor; no node or tape holds an op's output. An op
+output thus lives only while the program or a VJP holds it, as without a
+tape. `backward` sums gradients by node and frees each node's VJP and
+inputs as it passes them. A taped result belongs to its tape alone: an op
+recorded on one tape that reads a result of another, consumed or not, is
+a TapeError.
+
 Ops are functions; a Tensor has no operator methods and holds float32 or
 float64 data only. Broadcasting is deliberately narrow: binary elementwise
 ops take a tensor first, then a tensor of its shape and dtype or a Python
@@ -92,11 +101,10 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("name", "out", "inputs", "vjp", "needs", "tape")
+    __slots__ = ("name", "inputs", "vjp", "needs", "tape")
 
-    def __init__(self, name, out, inputs, vjp, needs, tape):
+    def __init__(self, name, inputs, vjp, needs, tape):
         self.name = name
-        self.out = out
         self.inputs = inputs
         self.vjp = vjp
         self.needs = needs
@@ -157,9 +165,15 @@ def _apply(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
     if tape is not None:
         if tape.consumed:
             raise TapeError("recording onto a consumed tape")
-        needs = tuple(t.requires_grad or t.node is not None for t in inputs)
-        if any(needs):
-            node = _Node(name, out, inputs, vjp, needs, tape)
+        needs, keys = [], []
+        for t in inputs:
+            src = t.node
+            if src is not None and src.tape is not tape:
+                raise TapeError(f"op '{name}': an input was recorded on another tape")
+            needs.append(t.requires_grad)
+            keys.append(src or t)
+        if True in needs:
+            node = _Node(name, tuple(keys), vjp, tuple(needs), tape)
             tape.nodes.append(node)
             out.node = node
             out.requires_grad = True
@@ -180,33 +194,25 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
         raise TapeError("backward called twice on the same tape")
     tape.consumed = True
 
-    # Tensors hash by identity, so they key their own gradient sums.
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    # Gradient sums keyed by node, or by a leaf tensor itself. A node's
+    # inputs were recorded before it, so its sum is complete when the loop
+    # reaches it, and the keys left at the end are exactly the leaves.
+    grads: dict = {loss.node: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.pop(node.out, None)
+        g = grads.pop(node, None)
+        vjp, inputs = node.vjp, node.inputs
+        node.vjp = node.inputs = None  # frees what only this VJP read
         if g is None:
             continue
-        contribs = node.vjp(g, node.needs)
-        for t, gt in zip(node.inputs, contribs):
-            if gt is None:
-                continue
-            grads[t] = grads[t] + gt if t in grads else gt
+        for key, gk in zip(inputs, vjp(g, node.needs)):
+            if gk is not None:
+                grads[key] = grads[key] + gk if key in grads else gk
 
     out: dict[Tensor, Tensor] = {}
     for t, g in grads.items():
-        if t.requires_grad and t.node is None:
-            if not np.all(np.isfinite(g)):
-                raise NumericError("non-finite gradient for a leaf tensor")
-            out[t] = Tensor(g)
-
-    # The tape is single-use, so drop the graph eagerly. Tensor <-> node
-    # references form cycles that otherwise wait for the garbage collector,
-    # and the vjp closures pin every forward intermediate until then.
-    for node in tape.nodes:
-        node.out.node = None
-        node.inputs = ()
-        node.vjp = None
-    tape.nodes.clear()
+        if not np.all(np.isfinite(g)):
+            raise NumericError("non-finite gradient for a leaf tensor")
+        out[t] = Tensor(g)
     return out
 
 
@@ -275,14 +281,19 @@ def mul(a, b) -> Tensor:
 
 def relu(x: Tensor, gain: float = 1.0) -> Tensor:
     """`gain * max(x, 0)`: one fresh buffer scaled in place, bit for bit
-    `mul(relu(x), gain)` in value and gradient."""
+    `mul(relu(x), gain)` in value and gradient.
+
+    While a tape records, the VJP keeps the bool mask `x > 0`, not `x`, so
+    a taped `x` lives only as long as the program holds it. The output
+    cannot stand in for the mask: for a gain <= 0 its sign does not tell
+    whether x > 0."""
     s = x.data.dtype.type(gain)
     out = np.maximum(x.data, 0)
     out *= s
-    xd = x.data
+    mask = x.data > 0 if _ACTIVE_TAPE is not None else None
 
     def vjp(g, needs):
-        return ((g * s) * (xd > 0),)
+        return ((g * s) * mask,)
 
     return _apply("relu", (x,), out, vjp)
 
@@ -353,7 +364,7 @@ def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
     def vjp(g, needs):
         gt = g.reshape(p, r, q, s, -1).transpose(0, 2, 1, 3, 4).reshape(p * q, -1)
         ga = (bd @ gt.T).reshape(m, p, q) if needs[0] else None
-        gb = (ad @ gt).reshape(blocks.shape) if needs[1] else None
+        gb = (ad @ gt).reshape(m, r, s, *kernel) if needs[1] else None
         return (ga, gb)
 
     return _apply("kron_sum", (mixing, blocks), out, vjp)
@@ -525,8 +536,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     for the same reason: any other order changes float32 outputs in the
     last bits, and saved fixtures pin them.
 
-    The VJP keeps only `x.data`, which the tape holds anyway. With stride
-    s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
+    The VJP keeps only `x.data` and `w.data`, the arrays it reads, and the
+    tape keeps them only until `backward` has run the VJP. With stride s,
+    padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
     (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
     phase is a stride-1 correlation of its plane with that sub-kernel. The
@@ -619,7 +631,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
                                      gw is not None)
                     if gw is not None:
                         gw[:, :, py::stride, px::stride] = gws
-        if bias is None:
+        if len(needs) == 2:  # no bias
             return (gx, gw)
         gb = g.reshape(-1, o).sum(axis=0) if needs[2] else None
         return (gx, gw, gb)

@@ -124,7 +124,8 @@ def test_train_workload_call_forms():
     """The train workloads draw their data with `make_dataset` and read
     `truth`, `zf` and `mask_columns` from its samples. Each step calls
     `ConsistentModel(model)(x)` on a [B,2,H,W] zero-filled batch with no
-    mask argument, then `loss_total(out, y)` and `backward`."""
+    mask argument, then `loss_total(out, y)` and `backward`, and reads
+    `loss.item()` and `out.data` after `backward`."""
     spec = DatasetSpec(height=16, width=16, n_ellipses=3)
     samples = make_dataset(spec, 8, 0, 2)
     for s in samples:
@@ -140,6 +141,7 @@ def test_train_workload_call_forms():
     grads = backward(loss)
     assert out.shape == x.shape
     assert set(grads) == set(model.parameters())
+    assert np.isfinite(loss.item()) and out.data.shape == x.shape
 
 
 @pytest.mark.parametrize("with_backward", [False, True])

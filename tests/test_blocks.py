@@ -10,8 +10,10 @@ from kronmri.blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig,
                             WindowAttention, build_unet)
 from kronmri.errors import ConfigError, ShapeError
 from kronmri.layers import KroneckerConv2d
+from kronmri.losses import loss_total
 from kronmri.rng import Rng
-from kronmri.tensor import Tensor, grad_check
+from kronmri.tensor import Tape, Tensor, grad_check
+from kronmri.training import ConsistentModel
 
 
 def small_cfg(kind="dense", n=1):
@@ -269,6 +271,25 @@ class TestUNetGradients:
 
         report = grad_check(f, model.parameters(), tol=1e-3)
         assert report.passed, repr(report)
+
+    def test_taped_step_holds_no_tensor_in_a_vjp(self):
+        """The tape records ops, not tensors: no VJP of a taped U-Net step
+        with its loss, or of an attention and MLP step, holds a Tensor, so
+        an op output lives only while the program holds it."""
+        unet = ConsistentModel(build_unet(small_cfg("kronecker", 2), Rng(3)))
+        attn = WindowAttention(AttentionConfig(embed_dim=8, heads=2, window=2, n=2), Rng(4))
+        mlp = PhmMlp(8, 16, 2, Rng(5))
+        x = Tensor(Rng(6).uniform((2, 2, 8, 8), -1, 1, dtype=np.float32))
+        tokens = Tensor(Rng(7).uniform((2, 4, 8), -1, 1, dtype=np.float32))
+        with Tape() as tape:
+            loss = loss_total(unet(x), x)
+            loss = T.add(loss, T.mean_(mlp(T.reshape(attn(tokens), (8, 8)))))
+        names = {node.name for node in tape.nodes}
+        assert {"conv2d", "kron_sum", "relu", "fft2c", "softmax", "matmul"} <= names
+        held = [(node.name, cell.cell_contents) for node in tape.nodes
+                for cell in node.vjp.__closure__ or ()
+                if isinstance(cell.cell_contents, Tensor)]
+        assert held == []
 
 
 def attention_oracle(block: WindowAttention, x: np.ndarray) -> np.ndarray:

@@ -349,6 +349,7 @@ class TestSaveOverExisting:
         with pytest.raises(OSError):
             new.save(path)
         monkeypatch.undo()
+        assert not {"manifest.json", "manifest.json.tmp"} & set(os.listdir(path))
         with pytest.raises(OSError):
             UNet.load(path)
         code, stdout, err = reconstruct_from(tmp_path, path)

@@ -271,6 +271,18 @@ class TestGenMask:
         assert "covers all 16 columns" in stderr_json(err)["message"]
         assert not p.exists()
 
+    @pytest.mark.parametrize("bad", ["out", "pgm"])
+    def test_unwritable_output_leaves_no_file(self, capsys, tmp_path, bad):
+        """A gen-mask that cannot write its KTEN or its PGM strip exits 4
+        and leaves neither file, even the KTEN it had already written."""
+        paths = {"out": tmp_path / "m.kten", "pgm": tmp_path / "m.pgm"}
+        paths[bad] = tmp_path / "nodir" / f"m.{bad}"
+        code, stdout, err = run_cli(capsys, "gen-mask", "--out", str(paths["out"]),
+                                    "--width", "16", "--pgm", str(paths["pgm"]))
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert os.listdir(tmp_path) == []
+
 
 def parse_table(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]

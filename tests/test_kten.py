@@ -1,5 +1,6 @@
 """KTEN container: bit-exact round-trips, header validation, PGM export."""
 
+import errno
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kronmri import kten
 from kronmri.errors import ShapeError
 from kronmri.kten import read_kten, write_kten, write_pgm
 from kronmri.rng import Rng
@@ -121,3 +123,31 @@ class TestPgm:
     def test_rejects_3d(self, tmp_path):
         with pytest.raises(ShapeError):
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2)))
+
+
+class _FullDisk:
+    """A file opened for writing whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("write", [lambda p: write_kten(p, np.zeros(3)),
+                                   lambda p: write_pgm(p, np.zeros((2, 2)))],
+                         ids=["kten", "pgm"])
+def test_a_write_that_fails_leaves_no_part_written_file(tmp_path, monkeypatch, write):
+    monkeypatch.setattr(kten, "open", lambda path, mode: _FullDisk(open(path, mode)),
+                        raising=False)
+    path = tmp_path / "x"
+    with pytest.raises(OSError):
+        write(path)
+    assert not path.exists()

@@ -1,6 +1,7 @@
 """Autodiff engine: forward oracles, backward vs finite differences, tape rules."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -757,8 +758,9 @@ class TestConv2d:
         assert peak < out.data.nbytes + x.data.nbytes / 2
 
     def test_taped_forward_keeps_no_copy_of_the_input(self):
-        """Under a tape the VJP needs only `x.data`, which the tape holds
-        anyway: what the forward leaves behind besides its output is small."""
+        """Under a tape the VJP keeps only `x.data` and `w.data`, which the
+        caller holds too: what the forward leaves behind besides its output
+        is small."""
         rng = Rng(24)
         x = Tensor(rng.uniform((4, 64, 64, 64), -1, 1).astype(np.float32), requires_grad=True)
         w = Tensor(rng.uniform((32, 64, 3, 3), -1, 1).astype(np.float32), requires_grad=True)
@@ -937,8 +939,47 @@ class TestTapeSemantics:
         with Tape():
             loss = T.sum_(x)
         backward(loss)
-        with pytest.raises(TapeError):
+        with pytest.raises(TapeError, match="twice"):
             backward(loss)
+
+    def test_recording_onto_a_consumed_tape_raises(self):
+        x = leaf(np.ones(3))
+        with Tape():
+            loss = T.sum_(x)
+            backward(loss)
+            with pytest.raises(TapeError, match="consumed"):
+                T.mul(x, x)
+
+    @pytest.mark.parametrize("consumed", [True, False])
+    def test_input_from_another_tape_raises_naming_the_op(self, consumed):
+        """A taped result belongs to its tape: read under another tape it is
+        neither a leaf nor a constant, whether its own tape has run backward
+        or is still open."""
+        x = leaf(np.ones(3))
+        with Tape():
+            y = T.mul(x, x)
+            loss = T.sum_(y)
+        if consumed:
+            backward(loss)
+        with Tape():
+            with pytest.raises(TapeError, match="op 'add': .*another tape"):
+                T.add(y, x)
+
+    def test_taped_pre_activation_is_freed_before_backward(self):
+        """The tape holds no op output: once the program drops a conv's
+        output, only relu's mask of it is left for backward."""
+        rng = Rng(27)
+        x = leaf(rng.uniform((2, 6, 6, 2), -1, 1))
+        w1 = leaf(rng.uniform((3, 2, 3, 3), -1, 1))
+        w2 = leaf(rng.uniform((2, 3, 3, 3), -1, 1))
+        with Tape():
+            pre = T.conv2d(x, w1, padding=1)
+            freed = weakref.ref(pre.data)  # Tensor's __slots__ take no weakref
+            h = T.relu(pre, 2.0)
+            del pre
+            loss = T.sum_(T.conv2d(h, w2, padding=1))
+        assert freed() is None
+        assert set(backward(loss)) == {x, w1, w2}
 
     def test_non_scalar_loss_raises(self):
         x = leaf(np.ones(3))
