@@ -12,6 +12,7 @@ kronmri misused its own autodiff tape).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -89,6 +90,26 @@ def _magnitude_image(path: str) -> np.ndarray:
     raise ShapeError(f"{path}: expected a non-empty [2, H, W] or [H, W], got {arr.shape}")
 
 
+@contextlib.contextmanager
+def _all_or_nothing():
+    """Yield `write(writer, path, *args)`, which calls `writer(path, *args)`
+    and remembers `path` once the call returns. If the block raises, every
+    remembered file is removed, so a failed command leaves no file it wrote
+    (each writer removes a file it fails part-way through)."""
+    written = []
+
+    def write(writer, path, *args, **kwargs):
+        writer(path, *args, **kwargs)
+        written.append(path)
+
+    try:
+        yield write
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_data(args) -> int:
@@ -96,20 +117,18 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"count must be >= 1, got {args.count}")
     spec = DatasetSpec(height=args.height, width=args.width,
                        n_ellipses=args.ellipses)
-    os.makedirs(args.out, exist_ok=True)
-    files = []
-    for i in range(args.count):
-        s = make_sample(spec, args.af, args.seed, i)
-        for tag, arr in (("truth", s.truth), ("zf", s.zf),
-                         ("mask", s.mask_columns)):
-            name = f"sample{i:04d}.{tag}.kten"
-            write_kten(os.path.join(args.out, name), arr)
-            files.append(name)
     manifest = {"count": args.count, "seed": args.seed, "af": args.af,
                 "height": args.height, "width": args.width,
                 "ellipses": args.ellipses}
-    write_json(os.path.join(args.out, "dataset.json"), manifest)
-    _emit({"written": len(files) + 1, "out": args.out, **manifest})
+    os.makedirs(args.out, exist_ok=True)
+    with _all_or_nothing() as write:
+        for i in range(args.count):
+            s = make_sample(spec, args.af, args.seed, i)
+            for tag, arr in (("truth", s.truth), ("zf", s.zf),
+                             ("mask", s.mask_columns)):
+                write(write_kten, os.path.join(args.out, f"sample{i:04d}.{tag}.kten"), arr)
+        write(write_json, os.path.join(args.out, "dataset.json"), manifest)
+    _emit({"written": 3 * args.count + 1, "out": args.out, **manifest})
     return 0
 
 
@@ -117,13 +136,10 @@ def cmd_gen_mask(args) -> int:
     mask = gen_cartesian_mask(args.width, args.af,
                               center_fraction=args.center_fraction,
                               rng=Rng(args.seed))
-    write_kten(args.out, mask.sampled)
-    if args.pgm:
-        try:
-            write_pgm(args.pgm, mask.sampled[None, :], maxval=1)
-        except BaseException:  # a failed gen-mask leaves no file it wrote
-            os.remove(args.out)
-            raise
+    with _all_or_nothing() as write:
+        write(write_kten, args.out, mask.sampled)
+        if args.pgm:
+            write(write_pgm, args.pgm, mask.sampled[None, :], maxval=1)
     _emit({"width": mask.width, "af": mask.af,
            "center_fraction": mask.center_fraction,
            "center_columns": mask.center_columns,
@@ -200,12 +216,13 @@ def cmd_reconstruct(args) -> int:
                              "ssim": ssim(mag, truth_mag, dr)}
     # every input is checked before the first output is written
     os.makedirs(args.out, exist_ok=True)
-    write_kten(os.path.join(args.out, "recon.kten"), recon)
     peak = float(mag.max())
-    write_pgm(os.path.join(args.out, "recon.pgm"),
+    with _all_or_nothing() as write:
+        write(write_kten, os.path.join(args.out, "recon.kten"), recon)
+        write(write_pgm, os.path.join(args.out, "recon.pgm"),
               mag / peak if peak > 0 else mag, maxval=255)
-    if truth is not None:
-        write_json(os.path.join(args.out, "metrics.json"), result["metrics"])
+        if truth is not None:
+            write(write_json, os.path.join(args.out, "metrics.json"), result["metrics"])
     _emit(result)
     return 0
 

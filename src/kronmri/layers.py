@@ -3,10 +3,11 @@
 A layer of hypercomplex dimension n holds one mixing tensor A [n, n, n] and
 one block tensor S [n, out/n, in/n, *kernel], kernel () for linear and (k, k)
 for conv. Its weight sum_i kron(A[i], S[i]) is assembled by one `T.kron_sum`
-per forward pass. A layer drawn from an rng trains its mixing; a layer
-given its mixing keeps it frozen. A dense layer is n=1 given the mixing
-[[1]] (`**DENSE`): its weight is the block itself, with no assembly op and
-no assembly MACs.
+per forward pass, so a linear forward is two tape ops, `kron_sum` and
+`linear`, and a conv forward `kron_sum` and `conv2d`. A layer drawn from an
+rng trains its mixing; a layer given its mixing keeps it frozen. A dense
+layer is n=1 given the mixing [[1]] (`**DENSE`): its weight is the block
+itself, reshaped, with no assembly MACs.
 
 Parameter counts (`count_params`, which a layer's `param_count()` equals;
 mixing counts only when trainable):
@@ -160,8 +161,7 @@ class KroneckerLinear(_Factorized):
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"expected input [batch, {self.in_features}], got {x.shape}")
-        w = self.materialize_weight()
-        return T.add_bias(T.matmul(x, T.transpose(w, (1, 0))), self.bias)
+        return T.linear(x, self.materialize_weight(), self.bias)
 
 
 class KroneckerConv2d(_Factorized):

@@ -17,15 +17,26 @@ a TapeError.
 Ops are functions; a Tensor has no operator methods and holds float32 or
 float64 data only. Broadcasting is deliberately narrow: binary elementwise
 ops take a tensor first, then a tensor of its shape and dtype or a Python
-number (`mul(x, s)` is the one scaling op); `matmul` takes operands with
-equal leading axes; `sum_` and `mean_` reduce every element, and `concat`
-joins on the last axis. Every op validates shapes and dtypes up front and
-checks its output for NaN/Inf, so a numerical problem surfaces at the op
-that created it.
+number (`mul(x, s)` is the one scaling op); `matmul` multiplies
+activations, over equal leading axes, and `linear` is a whole linear layer,
+`x @ w.T + b`, in one op; `sum_` and `mean_` reduce every element, and
+`concat` joins on the last axis. Every op validates shapes and dtypes up
+front and checks its output for NaN/Inf, so a numerical problem surfaces at
+the op that created it.
 
-Multiply-accumulate counts for the contraction ops (matmul, kron_sum,
-conv2d) accumulate into a module-level running total, `mac_count()`; the
-MACs of some work are the difference of two reads around it.
+Multiply-accumulate counts for the contraction ops (matmul, linear,
+kron_sum, conv2d) accumulate into a module-level running total,
+`mac_count()`; the MACs of some work are the difference of two reads
+around it.
+
+Allocation: every op output and VJP temporary is a fresh numpy array, so a
+training step frees and re-allocates the same sizes step after step.
+Importing this module fixes glibc's heap thresholds (mmap above 4 MiB, trim
+above 32 MiB) so those arrays are reused from the heap instead of being
+handed back to the kernel at the end of each step and faulted in, zeroed,
+at the next; arrays of 4 MiB and more, where numpy asks for huge pages,
+stay mapped and are returned on free. Where the C library has no
+`mallopt`, the defaults stand.
 
 Image ops are channels-last: conv2d and upsample2x take and return
 [B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
@@ -38,11 +49,24 @@ How the conv forward and its VJP keep no copy of the input: see `conv2d`.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# The heap policy of the module docstring. glibc's default thresholds move
+# with the largest block freed; a whole perfbench phm-blocks run (1200
+# steps, seed 11, 2-core Xeon) took 1.25M minor page faults under them and
+# 37K with these.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h>
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    _mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 _mac_total = 0
 
@@ -370,20 +394,34 @@ def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
     return _apply("kron_sum", (mixing, blocks), out, vjp)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias add: [B,F] + [F]."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias expects [B,F] + [F], got {x.shape} and {b.shape}")
-    if x.data.dtype != b.data.dtype:
-        raise ShapeError(f"add_bias dtype mismatch {x.data.dtype} vs {b.data.dtype}")
-    out = x.data + b.data[None, :]
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A linear layer in one op, `x @ w.T + b`: [B,F] input, [O,F] weight
+    and [O] bias give [B,O].
+
+    `np.matmul(x, w.T)` hands the weight to BLAS with its transpose flag, so
+    no transposed copy is made, and the bias is added in place. The VJP
+    gives `g @ w`, `g.T @ x` and the column sums of `g`."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"linear expects [B,F], [O,F] and [O] operands, "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} "
+                         "do not fit [B,F] x [O,F] + [O]")
+    if not x.data.dtype == w.data.dtype == b.data.dtype:
+        raise ShapeError(f"linear dtype mismatch {x.data.dtype}, {w.data.dtype} "
+                         f"and {b.data.dtype}")
+    _count_macs(x.size * w.shape[0])  # B * F * O
+    xd, wd = x.data, w.data
+    out = np.matmul(xd, wd.T)
+    out += b.data
 
     def vjp(g, needs):
-        gx = g if needs[0] else None
-        gb = g.sum(axis=0) if needs[1] else None
-        return (gx, gb)
+        gx = g @ wd if needs[0] else None
+        gw = g.T @ xd if needs[1] else None
+        gb = g.sum(axis=0) if needs[2] else None
+        return (gx, gw, gb)
 
-    return _apply("add_bias", (x, b), out, vjp)
+    return _apply("linear", (x, w, b), out, vjp)
 
 
 # Fewest output pixels in one GEMM block of the conv2d forward. On

@@ -57,7 +57,7 @@ def test_every_kronmri_name_perfbench_imports_resolves():
 def test_tensor_ops_finds_the_ops_it_traces():
     ops = set(workloads.tensor_ops().values())
     assert {"kspace.fft2c", "kspace.ifft2c", "kspace.apply_mask",
-            "tensor.conv2d", "tensor.kron_sum"} <= ops
+            "tensor.conv2d", "tensor.kron_sum", "tensor.linear"} <= ops
 
 
 def test_patched_apply_sees_the_fft2c_node(monkeypatch):

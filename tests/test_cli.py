@@ -230,6 +230,17 @@ class TestGenData:
         assert stderr_json(err)["error"] == "ConfigError"
         assert not out.exists()
 
+    def test_failed_manifest_write_leaves_no_sample_file(self, capsys, tmp_path):
+        """With dataset.json a directory the last write fails: gen-data
+        exits 4 and removes the sample files it had already written."""
+        out = tmp_path / "d"
+        (out / "dataset.json").mkdir(parents=True)
+        code, stdout, err = run_cli(capsys, "gen-data", "--out", str(out), "--count", "2",
+                                    "--height", "16", "--width", "16")
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert os.listdir(out) == ["dataset.json"]
+
 
 class TestGenMask:
     def test_deterministic_and_binary(self, capsys, tmp_path):
@@ -567,6 +578,18 @@ class TestReconstruct:
         payload = json.loads(stdout)
         assert payload["mode"] == "zero_filled"
         assert payload["metrics"] == metrics
+
+    def test_failed_metrics_write_leaves_no_image_file(self, capsys, tmp_path):
+        """With metrics.json a directory the last write fails: reconstruct
+        exits 4 and removes recon.kten and recon.pgm."""
+        kpath, tpath, mpath, _, _ = self.make_kspace(tmp_path)
+        out = tmp_path / "rec"
+        (out / "metrics.json").mkdir(parents=True)
+        code, stdout, err = run_cli(capsys, "reconstruct", "--input", kpath, "--mask", mpath,
+                                    "--truth", tpath, "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert os.listdir(out) == ["metrics.json"]
 
     def test_model_mode_restores_measured_columns(self, capsys, tmp_path):
         kpath, tpath, mpath, truth, mask = self.make_kspace(tmp_path, seed=9)

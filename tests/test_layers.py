@@ -342,6 +342,15 @@ class TestDenseCase:
             kc.materialize_weight()
         assert [node.name for node in tape.nodes] == ["kron_sum"]
 
+    @pytest.mark.parametrize("options,nodes", [({}, ["kron_sum", "linear"]),
+                                               (DENSE, ["reshape", "linear"])])
+    def test_linear_call_is_its_weight_and_one_linear_node(self, options, nodes):
+        layer = KroneckerLinear(8, 4, 2 if not options else 1, rng=Rng(154), **options)
+        x = Tensor(Rng(155).uniform((3, 8), -1, 1, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            layer(x)
+        assert [node.name for node in tape.nodes] == nodes
+
     @pytest.mark.parametrize("n,taps,train", [(1, 1, False), (1, 9, False), (2, 1, True),
                                               (4, 9, True), (2, 9, False)])
     def test_count_params_matches_parameters(self, n, taps, train):

@@ -1,5 +1,9 @@
 """Autodiff engine: forward oracles, backward vs finite differences, tape rules."""
 
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -325,6 +329,52 @@ class TestMatmul:
         num = fd_grad(lambda: float((ta.data @ tb.data).sum()), [ta.data, tb.data])
         assert np.allclose(grads[ta].data, num[0], atol=1e-6)
         assert np.allclose(grads[tb].data, num[1], atol=1e-6)
+
+
+class TestLinear:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(bsz=st.integers(1, 5), f=st.integers(1, 5), o=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_and_grad_check(self, bsz, f, o, seed):
+        rng = Rng(seed)
+        x, w, b = (rng.uniform(shape, -1, 1) for shape in ((bsz, f), (o, f), (o,)))
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == (bsz, o)
+        assert np.allclose(out, x @ w.T + b, rtol=1e-12, atol=1e-12)
+
+        tx, tw, tb = leaf(x), leaf(w), leaf(b)
+        r = Tensor(rng.uniform((bsz, o), -1, 1))
+        report = grad_check(lambda: T.sum_(T.mul(T.linear(tx, tw, tb), r)), [tx, tw, tb])
+        assert report.passed, repr(report)
+
+    @pytest.mark.parametrize("sx,sw,sb", [
+        ((3,), (2, 3), (2,)),          # x not 2-D
+        ((2, 2, 3), (2, 3), (2,)),     # x not 2-D
+        ((4, 3), (2, 5), (2,)),        # feature mismatch
+        ((4, 3), (2, 3), (3,)),        # bias of the wrong length
+        ((4, 3), (2, 3), (1, 2)),      # bias not 1-D
+    ])
+    def test_shape_errors(self, sx, sw, sb):
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(Tensor(np.ones(sx)), Tensor(np.ones(sw)), Tensor(np.ones(sb)))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_mixed_dtypes_are_shape_errors(self, which):
+        arrs = [np.ones((4, 3)), np.ones((2, 3)), np.ones(2)]
+        arrs[which] = arrs[which].astype(np.float32)
+        with pytest.raises(ShapeError, match="dtype mismatch"):
+            T.linear(*map(Tensor, arrs))
+
+    @pytest.mark.parametrize("f,o", [(128, 128), (128, 256), (256, 128)])
+    def test_bitwise_a_contiguous_transposed_weight_at_phm_shapes(self, f, o):
+        """Reading the weight through BLAS's transpose flag rounds as the
+        product with a contiguous copy of `w.T` did, at the [512, F] x
+        [F, O] float32 shapes of the phm blocks' projections."""
+        rng = Rng(31)
+        x, w, b = (rng.uniform(shape, -1, 1, dtype=np.float32)
+                   for shape in ((512, f), (o, f), (o,)))
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert np.array_equal(out, x @ np.ascontiguousarray(w.T) + b)
 
 
 class TestKron:
@@ -1078,6 +1128,11 @@ class TestMacCounting:
         T.matmul(Tensor(np.ones((*lead, 3, 4))), Tensor(np.ones((*lead, 4, 5))))
         assert mac_count() - m0 == int(np.prod(lead)) * 3 * 4 * 5
 
+    def test_linear_count(self):
+        m0 = mac_count()
+        T.linear(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 4))), Tensor(np.ones(5)))
+        assert mac_count() - m0 == 3 * 4 * 5
+
     def test_conv_count(self):
         m0 = mac_count()
         T.conv2d(Tensor(nhwc(np.ones((2, 3, 8, 8)))), Tensor(np.ones((4, 3, 3, 3))), padding=1)
@@ -1116,3 +1171,47 @@ class TestNumericGuards:
         finally:
             tracemalloc.stop()
         assert peak < out.data.nbytes + out.data.nbytes / 4
+
+
+_HAS_MALLOPT = hasattr(ctypes.CDLL(None), "mallopt")
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not _HAS_MALLOPT, reason="the C library has no mallopt")
+    def test_warm_training_steps_fault_in_no_fresh_pages(self):
+        """Once warm, a taped attention + MLP step reuses the heap blocks
+        the previous step freed instead of faulting in fresh pages: the
+        phm-blocks workload's block at batch 8 x 64 tokens."""
+        code = """if True:
+            import resource
+            import numpy as np
+            from kronmri import tensor as T
+            from kronmri.blocks import AttentionConfig, PhmMlp, WindowAttention
+            from kronmri.rng import Rng
+            from kronmri.tensor import Tape, Tensor, backward
+            rng = Rng(5)
+            attn = WindowAttention(AttentionConfig(embed_dim=128, heads=4, window=4, n=4),
+                                   rng.fork(0))
+            mlp = PhmMlp(128, 256, 4, rng.fork(1))
+            x = Tensor(rng.fork(2).uniform((8, 64, 128), -1, 1, dtype=np.float32))
+
+            def step():
+                with Tape():
+                    h = T.add(x, attn(x))
+                    y = mlp(T.reshape(h, (512, 128)))
+                    loss = T.mean_(T.mul(y, y))
+                backward(loss)
+
+            for _ in range(3):
+                step()
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(10):
+                step()
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / 10)
+        """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(run.stdout) < 50
