@@ -246,14 +246,17 @@ def read_json_object(path: str) -> dict:
 
 def write_json(path: str, obj: dict) -> None:
     """Write `obj` to `path` as indented, key-sorted JSON, all at once: the
-    text goes to `path` + ".tmp" first and is then renamed over `path`, so
-    `path` never holds part of a document. If the write or the rename
-    fails, the ".tmp" file is removed and the error raised."""
+    text goes to `path` + ".tmp" first, is flushed to disk (`os.fsync`) and
+    is then renamed over `path`, so `path` never holds part of a document,
+    not even after a crash. If the write or the rename fails, the ".tmp"
+    file is removed and the error raised."""
     tmp = path + ".tmp"
     fh = open(tmp, "w")
     try:
         with fh:
             json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)

@@ -516,7 +516,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite value is a NumericError from the check that meets it
+        # (every op output, gradient and score is checked); numpy's warning
+        # about the overflow behind it would be a second, non-JSON report.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (KronMriError, OSError, MemoryError) as err:
         name = "OSError" if isinstance(err, OSError) else type(err).__name__
         print(json.dumps({"error": name, "message": str(err)}), file=sys.stderr)

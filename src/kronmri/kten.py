@@ -84,13 +84,16 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
 
 
 def _write_file(path, parts) -> None:
-    """Write the byte strings `parts` to `path`. If a write fails after the
-    file was opened, the part-written file is removed and the error raised."""
+    """Write the byte strings `parts` to `path` and flush them to disk
+    (`os.fsync`) before the close. If a write fails after the file was
+    opened, the part-written file is removed and the error raised."""
     fh = open(path, "wb")
     try:
         with fh:
             for part in parts:
                 fh.write(part)
+            fh.flush()
+            os.fsync(fh.fileno())
     except BaseException:
         os.remove(path)
         raise

@@ -93,10 +93,12 @@ def ssim(xhat, x, data_range: float) -> float:
     if not (np.isfinite(data_range) and data_range > 0):
         raise ConfigError(f"data_range must be finite and positive, got {data_range}")
 
-    with np.errstate(all="ignore"):
+    try:
         c1 = (SSIM_K1 * data_range) ** 2
         c2 = (SSIM_K2 * data_range) ** 2
-
+    except OverflowError:
+        raise NumericError(f"ssim: data_range {data_range} overflows the window constants")
+    with np.errstate(all="ignore"):
         mu_a = _local_means(a)
         mu_b = _local_means(b)
         var_a = _local_means(a * a) - mu_a * mu_a

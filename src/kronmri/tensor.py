@@ -307,17 +307,20 @@ def relu(x: Tensor, gain: float = 1.0) -> Tensor:
     """`gain * max(x, 0)`: one fresh buffer scaled in place, bit for bit
     `mul(relu(x), gain)` in value and gradient.
 
-    While a tape records, the VJP keeps the bool mask `x > 0`, not `x`, so
-    a taped `x` lives only as long as the program holds it. The output
-    cannot stand in for the mask: for a gain <= 0 its sign does not tell
-    whether x > 0."""
+    While a tape records, the VJP keeps the mask `x > 0` packed to one bit
+    per element (`np.packbits`, ceil(x.size / 8) bytes), not `x`, so a taped
+    `x` lives only as long as the program holds it. The output cannot stand
+    in for the mask: for a gain <= 0 its sign does not tell whether x > 0."""
     s = x.data.dtype.type(gain)
     out = np.maximum(x.data, 0)
     out *= s
-    mask = x.data > 0 if _ACTIVE_TAPE is not None else None
+    bits = np.packbits(x.data > 0) if _ACTIVE_TAPE is not None else None
+    shape = x.shape
 
     def vjp(g, needs):
-        return ((g * s) * mask,)
+        gx = g * s
+        gx *= np.unpackbits(bits, count=g.size).view(bool).reshape(shape)
+        return (gx,)
 
     return _apply("relu", (x,), out, vjp)
 
@@ -441,8 +444,11 @@ _GEMM_BLOCK_ROWS = 1024
 
 # Byte budget of one block of shifted-gradient rows in the conv2d VJP
 # (`_phase_vjp`). On a 2-core Xeon, blocks of 0.5 to 8 MiB timed alike for
-# the desk U-Net's training step.
-_SHIFT_BLOCK_BYTES = 1 << 21
+# the desk U-Net's training step, and the block sits inside the VJP where a
+# taped step peaks: at 0.5 MiB the tracemalloc peak of a taped desk step
+# (forward and backward, relu masks as bits) read 30.5 MiB, against
+# 32.0 MiB at 2 MiB.
+_SHIFT_BLOCK_BYTES = 1 << 19
 
 
 def _row_windows(x: np.ndarray, padding: int, s: int, ho: int, r0: int, r1: int,

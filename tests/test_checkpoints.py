@@ -333,6 +333,29 @@ class TestSaveOverExisting:
         assert outside.read_text() == "keep"
         assert files(path) == before
 
+    def test_manifest_is_synced_whole_before_it_is_renamed(self, tmp_path, monkeypatch):
+        """write_json calls os.fsync on the temporary file once its text is
+        written, then os.replace moves that same file over the manifest."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            st = os.stat(src)
+            calls.append(("replace", st.st_ino, st.st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "manifest.json"
+        blocks.write_json(str(path), {"format": 1, "layers": []})
+        st = os.stat(path)
+        assert calls == [("fsync", st.st_ino, st.st_size), ("replace", st.st_ino, st.st_size)]
+
     # the kron n=2 [1,2] U-Net has 45 array files
     @pytest.mark.parametrize("stop", [("write_kten", 1), ("write_kten", 21),
                                       ("write_kten", 45), ("replace", 1)],

@@ -42,12 +42,16 @@ def run_cli(capsys, *args):
 
 def run_cli_shown(*args):
     """`main` in process with its streams redirected and every warning
-    shown: a warning counts as stderr output, as it would on a console."""
+    shown: a warning counts as stderr output, as it would on a console.
+    An argparse refusal's SystemExit gives the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(list(args))
+        try:
+            code = main(list(args))
+        except SystemExit as stop:
+            code = stop.code
     shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
                     for w in caught)
     return code, out.getvalue(), err.getvalue() + shown
@@ -129,6 +133,23 @@ class TestExitCodes:
                                "--tol", "1e-18")
         assert code == 3
         assert stderr_json(err)["error"] == "NumericError"
+
+    @pytest.mark.parametrize("argv", [
+        ["grad-check", "--target", "linear", "--h", "1e300"],
+        # the update itself overflows float32, then the next op reads inf
+        ["train", "--lr", "1e300"],
+        # the update is finite, but step 2's forward overflows
+        ["train", "--lr", "1e30", "--steps", "2"]])
+    def test_overflow_is_one_numeric_error_line(self, tmp_path, argv):
+        """numpy's overflow warnings are not printed before the JSON line."""
+        if argv[0] == "train":
+            argv = argv + ["--size", "16", "--base", "2", "--multiples", "1,2",
+                           "--batch", "1", "--dataset-size", "2", "--eval-size", "1",
+                           "--out", str(tmp_path / "run")]
+        code, out, err = run_cli_shown(*argv)
+        assert code == 3
+        assert stderr_json(err)["error"] == "NumericError"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("extra", [["--h", "0"], ["--h", "nan"], ["--tol", "inf"],
                                        ["--target", "unet", "--tol", "-1"]])
@@ -529,6 +550,15 @@ class TestMetricsCmd:
         assert code == 3 and out == ""
         assert stderr_json(err)["error"] == "NumericError"
 
+    def test_data_range_whose_ssim_constants_overflow_is_numeric_error(self, tmp_path):
+        """Identical images give PSNR's +inf sentinel without reading the
+        range, so SSIM's (K2 * range)**2 is the first to overflow."""
+        pa, _ = self.write_phantom(tmp_path, "a.kten", 8)
+        code, out, err = run_cli_shown("metrics", "--recon", pa, "--truth", pa,
+                                       "--data-range=1e300")
+        assert code == 3 and out == ""
+        assert stderr_json(err)["error"] == "NumericError"
+
     @pytest.mark.parametrize("data_range", ["nan", "inf", "-inf", "0", "-1"])
     def test_data_range_not_finite_and_positive_is_config_error(self, tmp_path,
                                                                 data_range):
@@ -925,3 +955,109 @@ class TestKtenBoundaryGate:
             result = check_outcome(*run_cli_shown(*argv))
             if result is not None:
                 check_scores(result)
+
+
+# Drawn argv values for the fuzzed-argv gate. Sizes, counts and steps stay
+# small (no draw allocates more than a few MB or trains more than two
+# steps); seeds and floats range freely; NOT_NUMBERS are texts argparse
+# must refuse or read as the small numbers they spell.
+NOT_NUMBERS = ["", "x", "1.5", "nan", "inf", "0x10", "1e3", "+2", " 3", "1_0", "٣", "-0"]
+FLOATS = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "1e300", "1", "x", ""])
+          | st.floats().map(repr))
+SEEDS = st.integers(-2 ** 70, 2 ** 70).map(str) | st.sampled_from(NOT_NUMBERS)
+
+
+def mostly(valid, invalid=("-1", "0")):
+    """One of `valid` three draws in four, else one of `invalid` or of
+    NOT_NUMBERS, so that most drawn commands get past their checks."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(
+        list(valid) if i else list(invalid) + NOT_NUMBERS))
+
+
+def sizes(lo, hi):
+    return mostly([str(v) for v in range(lo, hi + 1)])
+
+
+AFS = mostly(["8", "16"], ["4"])
+
+
+@st.composite
+def fuzzed_argv(draw, inputs, out):
+    """(argv, command) for one subcommand, every option drawn or left out;
+    options that would train long or allocate much are always given.
+    `inputs` names the prepared files, `out` the path outputs go under."""
+    command = draw(st.sampled_from(COMMANDS))
+    opts = {
+        "gen-data": {"--count": sizes(1, 2), "--seed": SEEDS, "--af": AFS,
+                     "--height": sizes(16, 40), "--width": sizes(16, 40),
+                     "--ellipses": sizes(1, 8)},
+        "gen-mask": {"--width": sizes(16, 400), "--af": AFS, "--center-fraction": FLOATS,
+                     "--seed": SEEDS, "--pgm": st.just(out + ".pgm")},
+        "train": {"--out": st.just(out), "--seed": SEEDS, "--af": AFS, "--lr": FLOATS,
+                  "--layer-kind": mostly(["dense", "kron", "kronecker"], ["x"]),
+                  "--n": sizes(1, 2), "--ellipses": sizes(1, 8),
+                  "--eval-every": sizes(0, 3)},
+        "reconstruct": {key: mostly([inputs[key[2:]]], [out + ".missing"])
+                        for key in ("--mask", "--checkpoint", "--truth")},
+        "metrics": {"--data-range": FLOATS},
+        "count-params": {},
+        "verify-algebra": {"--algebra": mostly(["complex", "quaternion", "all"], ["x"]),
+                           "--trials": sizes(1, 20), "--seed": SEEDS, "--tol": FLOATS},
+        "grad-check": {"--seed": SEEDS, "--h": FLOATS, "--tol": FLOATS}}[command]
+    given = {
+        "gen-data": {"--out": st.just(out)},
+        "gen-mask": {"--out": st.just(out + ".kten")},
+        "train": {"--steps": sizes(1, 2), "--batch": sizes(1, 3), "--base": mostly(["2", "4"]),
+                  "--multiples": mostly(["1,2", "2", "1,2,2"], ["", "0", "-1,2", "1,,2", "a"]),
+                  "--size": mostly(["16", "24"], ["-1", "0", "17"]),
+                  "--dataset-size": sizes(1, 4), "--eval-size": sizes(1, 2)},
+        "reconstruct": {"--input": st.just(inputs["input"]), "--out": st.just(out)},
+        "metrics": {"--recon": st.just(inputs["truth"]), "--truth": st.just(inputs["truth"])},
+        "count-params": {"--config": mostly([inputs["config"]], [out + ".missing"])},
+        # "unet" and "all" take seconds per check, so the gate leaves them out
+        "grad-check": {"--target": mostly(["linear", "conv", "mlp", "attention", "loss"],
+                                          ["x"])},
+    }.get(command, {})
+    argv = [command]
+    for flag, values in {**given, **opts}.items():
+        if flag in given or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv, command
+
+
+class TestFuzzedArgv:
+    """Every subcommand on drawn argv: exit 0, or exit 2, 3 or 4 with one
+    JSON stderr line (warnings counted) and no file written."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        truth = gen_phantom(16, 16, 3, Rng(41), dtype=np.float32)
+        paths = {name: str(root / f"{name}.kten") for name in ("input", "truth", "mask")}
+        write_kten(paths["input"], fft2c(truth).data)
+        write_kten(paths["truth"], truth.data)
+        write_kten(paths["mask"], gen_cartesian_mask(16, 8, rng=Rng(42)).sampled)
+        paths["checkpoint"] = str(root / "ckpt")
+        build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=2,
+                              layer_kind="kronecker", n=2), Rng(43)).save(paths["checkpoint"])
+        paths["config"] = str(root / "cfg.json")
+        with open(paths["config"], "w") as fh:
+            json.dump({"model": "unet", "channel_multiples": [1, 2], "base_channels": 4}, fh)
+        return paths
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(data=st.data())
+    def test_argv_is_accepted_or_rejected_cleanly(self, inputs, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, command = data.draw(fuzzed_argv(inputs, os.path.join(tmp, "out")))
+            code, stdout, err = run_cli_shown(*argv)
+            written = os.listdir(tmp)
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert written == []
+            stderr_json(err)
+        else:
+            assert err == ""
+            if command != "count-params":
+                json.loads(stdout)

@@ -1,6 +1,7 @@
 """KTEN container: bit-exact round-trips, header validation, PGM export."""
 
 import errno
+import os
 import struct
 
 import numpy as np
@@ -151,3 +152,23 @@ def test_a_write_that_fails_leaves_no_part_written_file(tmp_path, monkeypatch, w
     with pytest.raises(OSError):
         write(path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("write", [lambda p: write_kten(p, np.zeros(3)),
+                                   lambda p: write_pgm(p, np.zeros((2, 2)))],
+                         ids=["kten", "pgm"])
+def test_a_written_file_is_synced_whole_before_the_close(tmp_path, monkeypatch, write):
+    """One os.fsync, on the file's own descriptor, once every byte is written."""
+    synced = []
+    real = os.fsync
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_ino, st.st_size))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    path = tmp_path / "x"
+    write(path)
+    st = os.stat(path)
+    assert synced == [(st.st_ino, st.st_size)]

@@ -188,3 +188,8 @@ class TestSsim:
     def test_bad_data_range_rejected(self, dr):
         with pytest.raises(ConfigError):
             ssim(np.zeros((16, 16)), np.zeros((16, 16)), dr)
+
+    def test_range_whose_constants_overflow_is_numeric_error(self):
+        """(K2 * range)**2 overflows float64 above about 4.5e155."""
+        with pytest.raises(NumericError, match="data_range"):
+            ssim(np.zeros((16, 16)), np.zeros((16, 16)), 1e300)

@@ -245,11 +245,13 @@ class TestElementwiseGradients:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
-           shape=hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
+           shape=st.one_of(st.sampled_from([(), (0, 3), (5,), (13,)]),
+                           hnp.array_shapes(min_dims=1, max_dims=4, max_side=6)),
            s=st.floats(-8, 8, allow_nan=False))
     def test_relu_gain_is_bitwise_scale_of_relu(self, data, dtype, shape, s):
         """Forward and gradient are the bytes of `mul(relu(x), s)`, signed
-        zeros included."""
+        zeros included. The drawn shapes include 0-d, empty and sizes that
+        are not a multiple of 8, where the packed mask has a partial byte."""
         elems = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
         x = data.draw(hnp.arrays(dtype, shape, elements=elems))
         g = data.draw(hnp.arrays(dtype, shape, elements=elems))
@@ -264,6 +266,32 @@ class TestElementwiseGradients:
         assert fused.dtype == gfused.dtype == dtype
         assert fused.tobytes() == ref.tobytes()
         assert gfused.tobytes() == gref.tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_relu_vjp_keeps_the_mask_as_bits(self, monkeypatch, taped):
+        """Taped, relu's VJP holds one array: the mask packed to one bit per
+        element, ceil(x.size / 8) bytes of uint8. Untaped it holds none."""
+        vjps = []
+        apply = T._apply
+
+        def spy(name, inputs, out_data, vjp):
+            vjps.append(vjp)
+            return apply(name, inputs, out_data, vjp)
+
+        monkeypatch.setattr(T, "_apply", spy)
+        x = Tensor(Rng(5).uniform((3, 7, 5), -1, 1, dtype=np.float32), requires_grad=True)
+        if taped:
+            with Tape():
+                T.relu(x, 2.0)
+        else:
+            T.relu(x, 2.0)
+        held = [c.cell_contents for c in vjps[0].__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        if taped:
+            assert len(held) == 1
+            assert held[0].dtype == np.uint8 and held[0].nbytes == -(-x.data.size // 8)
+        else:
+            assert held == []
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
