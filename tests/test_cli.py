@@ -1004,7 +1004,7 @@ def fuzzed_argv(draw, inputs, out):
         "verify-algebra": {"--algebra": mostly(["complex", "quaternion", "all"], ["x"]),
                            "--trials": sizes(1, 20), "--seed": SEEDS, "--tol": FLOATS},
         "grad-check": {"--seed": SEEDS, "--h": FLOATS, "--tol": FLOATS}}[command]
-    given = {
+    always = {
         "gen-data": {"--out": st.just(out)},
         "gen-mask": {"--out": st.just(out + ".kten")},
         "train": {"--steps": sizes(1, 2), "--batch": sizes(1, 3), "--base": mostly(["2", "4"]),
@@ -1019,8 +1019,8 @@ def fuzzed_argv(draw, inputs, out):
                                           ["x"])},
     }.get(command, {})
     argv = [command]
-    for flag, values in {**given, **opts}.items():
-        if flag in given or draw(st.booleans()):
+    for flag, values in {**always, **opts}.items():
+        if flag in always or draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")
     return argv, command
 
@@ -1045,7 +1045,7 @@ class TestFuzzedArgv:
             json.dump({"model": "unet", "channel_multiples": [1, 2], "base_channels": 4}, fh)
         return paths
 
-    @settings(max_examples=600, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
               suppress_health_check=list(HealthCheck))
     @given(data=st.data())
     def test_argv_is_accepted_or_rejected_cleanly(self, inputs, data):
