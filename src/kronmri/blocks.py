@@ -135,26 +135,28 @@ class UNet(Module):
             raise ShapeError(f"spatial dims {x.shape[2:]} must be divisible by {step}")
         # One op at a time through `h`, and each skip popped as it is
         # concatenated: nothing outlives its last reader, or under a tape
-        # the last VJP that reads it (each conv's pre-activation goes once
-        # `relu` has taken its mask).
+        # the last VJP that reads it. Each activation is one array: relu
+        # rectifies in place the conv output that only it reads, and
+        # untaped, an upsample or a skip concat is a join the next conv
+        # reads from its sources, never built (`T.conv2d`).
         h = T.transpose(x, (0, 2, 3, 1))
         for conv in self._stem:
             h = conv(h)
-            h = T.relu(h, ACT_GAIN)
+            h = T.relu(h, ACT_GAIN, inplace=True)
         skips = []
         for convs in self._downs:
             skips.append(h)
             for conv in convs:
                 h = conv(h)
-                h = T.relu(h, ACT_GAIN)
+                h = T.relu(h, ACT_GAIN, inplace=True)
         for up, *convs in self._ups:
             h = T.upsample2x(h)
             h = up(h)
-            h = T.relu(h, ACT_GAIN)
+            h = T.relu(h, ACT_GAIN, inplace=True)
             h = T.concat([skips.pop(), h])
             for conv in convs:
                 h = conv(h)
-                h = T.relu(h, ACT_GAIN)
+                h = T.relu(h, ACT_GAIN, inplace=True)
         h = self._head(h)
         out = T.transpose(h, (0, 3, 1, 2))
         if self.residual:

@@ -38,7 +38,9 @@ def _fft2c_data(x: np.ndarray, inverse: bool) -> np.ndarray:
         z = (np.fft.ifft2 if inverse else np.fft.fft2)(z, norm="ortho")
         z = np.fft.fftshift(z, axes=(-2, -1))
         out = np.stack([z.real, z.imag], axis=-3)
-        return out.astype(x.dtype)  # numpy's FFT computes in double precision
+        # numpy's FFT keeps the input's precision (complex64 in, complex64
+        # out), so this cast copies nothing; it only pins the output dtype.
+        return out.astype(x.dtype, copy=False)
 
 
 def fft2c(img: Tensor) -> Tensor:

@@ -187,7 +187,7 @@ class KroneckerConv2d(_Factorized):
                          dtype, mixing)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 4 or x.shape[3] != self.in_channels:
+        if len(x.shape) != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"expected input [B, H, W, {self.in_channels}], got {x.shape}")
         w = self.materialize_weight()
         return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)

@@ -38,6 +38,12 @@ at the next; arrays of 4 MiB and more, where numpy asks for huge pages,
 stay mapped and are returned on free. Where the C library has no
 `mallopt`, the defaults stand.
 
+Two exceptions keep each activation of an untaped U-Net forward to one
+array. `relu(x, gain, inplace=True)` rectifies `x.data` itself, for a
+caller whose `x` has no other reader. Without a tape, `concat` and
+`upsample2x` return a join (`_Join`) that keeps its sources and builds
+`.data` only when something reads it; `conv2d` reads the sources instead.
+
 Image ops are channels-last: conv2d and upsample2x take and return
 [B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
 with no transposing copy. The conv kernel stays [O,C,k,k], its im2col
@@ -121,7 +127,64 @@ class Tensor:
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
+
+
+class _Join(Tensor):
+    """An untaped `concat` or `upsample2x` result, built only when read.
+
+    `parts` are (array, up) pairs joined in order on the last (channel)
+    axis, each source taken as is or, where `up`, a [B,h,w,C] array
+    nearest-2x upsampled. The sources must not change while the join
+    lives. `conv2d` lays its input rows straight from the parts, so the
+    U-Net's joins are never built; any other reader of `.data` gets the
+    joined array, built once, and from then on the join has that array as
+    its one part. The sources are checked for NaN/Inf here, in place of
+    the output they make up, and the error names the op."""
+
+    __slots__ = ("parts", "_shape", "_built")
+
+    def __init__(self, name: str, parts: tuple, shape: tuple):
+        for src, _ in parts:
+            if not _all_finite(src):
+                raise NumericError(f"non-finite values in output of op '{name}'")
+        self.parts, self._shape, self._built = parts, shape, None
+        self.requires_grad, self.node = False, None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._built is None:
+            self._built = _build_join(self.parts, self._shape)
+            self.parts = ((self._built, False),)
+        return self._built
+
+    @property
+    def shape(self) -> tuple:
+        return self._shape
+
+    @property
+    def dtype(self):
+        return self.parts[0][0].dtype
+
+
+def _parts(x: Tensor) -> tuple:
+    """(array, up) parts whose channel join is `x.data` (see `_Join`)."""
+    return x.parts if isinstance(x, _Join) else ((x.data, False),)
+
+
+def _build_join(parts: tuple, shape: tuple) -> np.ndarray:
+    """The channel (last-axis) join of `parts` as one fresh array."""
+    out = np.empty(shape, dtype=parts[0][0].dtype)
+    c0 = 0
+    for src, up in parts:
+        c1 = c0 + src.shape[-1]
+        if up:
+            bsz, h, w, _ = src.shape
+            out.reshape(bsz, h, 2, w, 2, -1)[..., c0:c1] = src[:, :, None, :, None]
+        else:
+            out[..., c0:c1] = src
+        c0 = c1
+    return out
 
 
 class _Node:
@@ -303,18 +366,23 @@ def mul(a, b) -> Tensor:
     return _apply("mul", inputs, out, vjp)
 
 
-def relu(x: Tensor, gain: float = 1.0) -> Tensor:
+def relu(x: Tensor, gain: float = 1.0, inplace: bool = False) -> Tensor:
     """`gain * max(x, 0)`: one fresh buffer scaled in place, bit for bit
     `mul(relu(x), gain)` in value and gradient.
+
+    With `inplace`, `x.data` itself is rectified and becomes the output, so
+    no buffer is made. Only a caller whose `x` has no other reader may ask
+    for it, with or without a tape: the U-Net's conv outputs, say, which no
+    VJP keeps (the conv VJP keeps its input).
 
     While a tape records, the VJP keeps the mask `x > 0` packed to one bit
     per element (`np.packbits`, ceil(x.size / 8) bytes), not `x`, so a taped
     `x` lives only as long as the program holds it. The output cannot stand
     in for the mask: for a gain <= 0 its sign does not tell whether x > 0."""
     s = x.data.dtype.type(gain)
-    out = np.maximum(x.data, 0)
-    out *= s
     bits = np.packbits(x.data > 0) if _ACTIVE_TAPE is not None else None
+    out = np.maximum(x.data, 0, out=x.data if inplace else None)
+    out *= s
     shape = x.shape
 
     def vjp(g, needs):
@@ -451,23 +519,47 @@ _GEMM_BLOCK_ROWS = 1024
 _SHIFT_BLOCK_BYTES = 1 << 19
 
 
-def _row_windows(x: np.ndarray, padding: int, s: int, ho: int, r0: int, r1: int,
+def _lay_rows(parts: tuple, b: int, a: int, dst: np.ndarray) -> None:
+    """Lay input rows a .. a+T-1 of image b channel-major into `dst`
+    [C, T, W], the input being the channel join of `parts` (see `_Join`).
+
+    A plain part is one transposing copy. An upsampled part is four, one
+    per output phase (dy, dx): the rows t of `dst` with a+t = dy mod 2 and
+    every other column from dx take consecutive source rows from (a+t)//2.
+    """
+    c0 = 0
+    for src, up in parts:
+        c1 = c0 + src.shape[3]
+        if not up:
+            dst[c0:c1] = src[b, a:a + dst.shape[1]].transpose(2, 0, 1)
+        else:
+            for dy in (0, 1):
+                t = (dy - a) % 2
+                q, n = (a + t) // 2, len(range(t, dst.shape[1], 2))
+                for dx in (0, 1):
+                    dst[c0:c1, t::2, dx::2] = src[b, q:q + n].transpose(2, 0, 1)
+        c0 = c1
+
+
+def _row_windows(parts: tuple, hw: tuple, padding: int, s: int, ho: int, r0: int, r1: int,
                  rows: np.ndarray, out: np.ndarray) -> None:
     """Gather the im2col operand of output image rows r0..r1 into `out`.
 
-    Output image row r is row r % Ho of image r // Ho, so a range may cross
-    images. An image's share of n rows from row y reads the zero-padded
-    input rows s*y .. s*(y+n-1)+k-1, which one transposing copy lays
-    channel-major into `rows` ([C, s*(n-1)+k, Wp], reused); rows in the
-    padding are zeroed, and the padding columns are never written, so they
-    keep the zeros the buffer was made with. `out` is [C, k, k, r1-r0, Wo]:
-    read as `out.reshape(C*k*k, -1).T` it is the F-ordered im2col block,
-    one row per output pixel and its columns in (c, i, j) order. Tap (i, j)
-    of an image's share is one copy of C x n runs of Wo values, every s-th
-    row and column of `rows` from (i, j).
+    The input, [B,H,W,C] with (H, W) = `hw`, is the channel join of
+    `parts`, read where it lies: a skip concat or a 2x upsample is never
+    built for the conv. Output image row r is row r % Ho of image r // Ho,
+    so a range may cross images. An image's share of n rows from row y
+    reads the zero-padded input rows s*y .. s*(y+n-1)+k-1, which
+    `_lay_rows` lays channel-major into `rows` ([C, s*(n-1)+k, Wp],
+    reused); rows in the padding are zeroed, and the padding columns are
+    never written, so they keep the zeros the buffer was made with. `out`
+    is [C, k, k, r1-r0, Wo]: read as `out.reshape(C*k*k, -1).T` it is the
+    F-ordered im2col block, one row per output pixel and its columns in
+    (c, i, j) order. Tap (i, j) of an image's share is one copy of C x n
+    runs of Wo values, every s-th row and column of `rows` from (i, j).
     """
     k, wo = out.shape[1], out.shape[4]
-    h, wd = x.shape[1:3]
+    h, wd = hw
     r = r0
     while r < r1:
         b, y = divmod(r, ho)
@@ -478,7 +570,7 @@ def _row_windows(x: np.ndarray, padding: int, s: int, ho: int, r0: int, r1: int,
         p[:, :t0] = 0
         p[:, max(t0, t1):] = 0
         if t1 > t0:
-            p[:, t0:t1, padding:padding + wd] = x[b, a + t0:a + t1].transpose(2, 0, 1)
+            _lay_rows(parts, b, a + t0, p[:, t0:t1, padding:padding + wd])
         dst = out[:, :, :, r - r0:r - r0 + n]
         for i in range(k):
             for j in range(k):
@@ -560,7 +652,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     (a short tail joins the last block), with or without a tape. For each
     image's share of a block, the zero-padded input rows it reads are laid
     channel-major into one reused [C, s*(rows-1)+k, Wp] buffer by one
-    transposing copy, and the block's im2col operand is gathered from there
+    transposing copy; an untaped `concat` or `upsample2x` input (`_Join`)
+    is laid from its sources, so it is never built, and the GEMM operand is
+    the same. The block's im2col operand is gathered from there
     into one reused [C,k,k,rows,Wo] buffer (`_row_windows`), one strided
     copy per tap; read as [C*k*k, rows*Wo] and transposed it is the
     F-ordered [rows*Wo, C*k*k] im2col block with (c,i,j) columns, and
@@ -596,10 +690,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     input-gradient rows are written straight into the gradient; a phase no
     tap reads (s > k) gets zero input gradient.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4:
+    if len(x.shape) != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
-    if x.data.dtype != w.data.dtype:
-        raise ShapeError(f"conv2d dtype mismatch {x.data.dtype} vs {w.data.dtype}")
+    if x.dtype != w.data.dtype:
+        raise ShapeError(f"conv2d dtype mismatch {x.dtype} vs {w.data.dtype}")
     bsz, h, wd, c = x.shape
     o, cw, kh, kw = w.shape
     for size, axis in ((bsz, "batch"), (c, "channel"), (o, "output-channel")):
@@ -622,24 +716,27 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     if bias is not None:
         if bias.data.ndim != 1 or bias.shape[0] != o:
             raise ShapeError(f"conv2d bias must be [O]={o}, got {bias.shape}")
-        if bias.data.dtype != x.data.dtype:
+        if bias.data.dtype != x.dtype:
             raise ShapeError("conv2d bias dtype mismatch")
 
     _count_macs(bsz * o * ho * wo * c * k * k)
-    xd = x.data
+    dtype, parts = x.dtype, _parts(x)
+    # The array the VJP reads. Untaped there is no VJP to run, and an
+    # unbuilt join stays unbuilt.
+    xd = x.data if _ACTIVE_TAPE is not None else None
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
     per = -(-_GEMM_BLOCK_ROWS // wo)
     bounds = [i * per for i in range(max(1, nrows // per))] + [nrows]
     most = nrows - bounds[-2]  # rows of the largest block, the last
     ckk = c * k * k
-    buf = np.empty(ckk * most * wo, dtype=xd.dtype)
-    rows = np.zeros((c, stride * (min(most, ho) - 1) + k, wp), dtype=xd.dtype)
+    buf = np.empty(ckk * most * wo, dtype=dtype)
+    rows = np.zeros((c, stride * (min(most, ho) - 1) + k, wp), dtype=dtype)
     wr = w.data.reshape(o, ckk)
-    out = np.empty((nrows * wo, o), dtype=xd.dtype)
+    out = np.empty((nrows * wo, o), dtype=dtype)
     for r0, r1 in zip(bounds, bounds[1:]):
         blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
-        _row_windows(xd, padding, stride, ho, r0, r1, rows, blk)
+        _row_windows(parts, (h, wd), padding, stride, ho, r0, r1, rows, blk)
         cols = blk.reshape(ckk, -1).T
         if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
             cols = np.ascontiguousarray(cols)
@@ -737,15 +834,21 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def concat(parts) -> Tensor:
     """Join tensors of one dtype on their last axis; every other axis must
-    match."""
+    match. Without a tape the join is built only when read (`_Join`)."""
     parts = tuple(parts)
-    if any(t.data.dtype != parts[0].data.dtype for t in parts):
-        raise ShapeError(f"concat: dtype mismatch {[t.data.dtype.name for t in parts]}")
-    try:
-        out = np.concatenate([t.data for t in parts], axis=-1)
-    except ValueError as e:  # no parts, a 0-d part, or other axes that differ
-        raise ShapeError(f"concat: {e}") from None
+    if not parts or any(len(t.shape) == 0 for t in parts):
+        raise ShapeError(f"concat needs one or more parts of rank >= 1, "
+                         f"got shapes {[t.shape for t in parts]}")
+    if any(t.dtype != parts[0].dtype for t in parts):
+        raise ShapeError(f"concat: dtype mismatch {[t.dtype.name for t in parts]}")
+    if any(t.shape[:-1] != parts[0].shape[:-1] for t in parts):
+        raise ShapeError(f"concat: shapes {[t.shape for t in parts]} differ "
+                         "off the last axis")
     sizes = [t.shape[-1] for t in parts]
+    srcs = tuple((t.data, False) for t in parts)
+    shape = (*parts[0].shape[:-1], sum(sizes))
+    if _ACTIVE_TAPE is None:
+        return _Join("concat", srcs, shape)
 
     def vjp(g, needs):
         grads = []
@@ -755,16 +858,19 @@ def concat(parts) -> Tensor:
             start += sz
         return tuple(grads)
 
-    return _apply("concat", parts, out, vjp)
+    return _apply("concat", parts, _build_join(srcs, shape), vjp)
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x spatial upsampling, channels-last [B,H,W,C]."""
+    """Nearest-neighbour 2x spatial upsampling, channels-last [B,H,W,C].
+    Without a tape the result is built only when read (`_Join`)."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample2x expects [B,H,W,C], got {x.shape}")
     bsz, h, w, c = x.shape
-    out = np.empty((bsz, h, 2, w, 2, c), dtype=x.data.dtype)
-    out[...] = x.data[:, :, None, :, None, :]
+    srcs = ((x.data, True),)
+    shape = (bsz, 2 * h, 2 * w, c)
+    if _ACTIVE_TAPE is None:
+        return _Join("upsample2x", srcs, shape)
 
     def vjp(g, needs):
         gx = g[:, 0::2, 0::2] + g[:, 0::2, 1::2]
@@ -772,7 +878,7 @@ def upsample2x(x: Tensor) -> Tensor:
         gx += g[:, 1::2, 1::2]
         return (gx,)
 
-    return _apply("upsample2x", (x,), out.reshape(bsz, 2 * h, 2 * w, c), vjp)
+    return _apply("upsample2x", (x,), _build_join(srcs, shape), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -61,7 +61,14 @@ class Adam:
                                    f"at step {self.t}")
             m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * garr
             v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * garr * garr
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            # An update that overflows the dtype is caught here, before it
+            # is written, and not by the next op that reads the parameter.
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            if not np.all(np.isfinite(new)):
+                raise NumericError(f"non-finite update for parameter {name!r} "
+                                   f"at step {self.t}")
+            p.data[...] = new
 
 
 @dataclass

@@ -8,6 +8,7 @@ fail when a change to kronmri would break the benchmark.
 
 import ast
 import importlib
+import inspect
 import os
 import sys
 
@@ -118,6 +119,28 @@ def test_capture_convs_records_one_call_per_conv_layer(with_backward):
     assert [call["name"] for call in calls] == names
     assert calls[0]["x_grad"] is False and calls[-1]["x_grad"] is with_backward
     assert {(call["stride"], call["padding"]) for call in calls} == {(1, 1), (2, 1)}
+
+
+def test_apply_keeps_the_four_parameters_perfbench_wraps():
+    """`workloads.instrumented` replaces `T._apply` with a function of
+    (name, inputs, out_data, vjp) that calls the saved one with those four
+    arguments; another parameter would break every traced run."""
+    assert list(inspect.signature(T._apply).parameters) == ["name", "inputs", "out_data", "vjp"]
+
+
+def test_untaped_capture_sees_the_upsampled_and_concatenated_inputs():
+    """Untaped, the convs after an upsample and a skip concat read a join
+    that is never built; the replay still records the joined shape, as a
+    taped forward's built arrays have it."""
+    cfg = UNetConfig(channel_multiples=[1, 2, 2], base_channels=2)
+    x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
+    untaped = replay.capture_convs(build_unet(cfg, Rng(0)), x, False)
+    taped = replay.capture_convs(build_unet(cfg, Rng(0)), x, True)
+    shapes = {call["name"]: call["x_shape"] for call in untaped}
+    assert shapes == {call["name"]: call["x_shape"] for call in taped}
+    assert shapes["up2.up"] == (1, 4, 4, 4) and shapes["up2.conv1"] == (1, 4, 4, 8)
+    assert shapes["up1.up"] == (1, 8, 8, 4) and shapes["up1.conv1"] == (1, 8, 8, 4)
+    assert not any(call["x_grad"] for call in untaped)
 
 
 def test_train_workload_call_forms():

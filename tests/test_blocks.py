@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kronmri import tensor as T
-from kronmri.blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig,
+from kronmri.blocks import (ACT_GAIN, AttentionConfig, PhmMlp, UNet, UNetConfig,
                             WindowAttention, build_unet)
 from kronmri.errors import ConfigError, ShapeError
 from kronmri.layers import KroneckerConv2d
@@ -125,13 +125,14 @@ class TestUNetForward:
 
     def test_untaped_forward_peak_is_a_few_activations(self):
         """The desk U-Net ([4,8,8]x8, n=2) at 128x128. Its largest activation
-        A is a 64-channel map at full size: the upsampled input of up1.up's
-        conv and the skip concat, 4 MiB in float32. The peak comes at
-        up1.up's conv: its input A, its output A/2, the stem skip A/2 that
-        waits for the concat, and the forward's block buffers (about 0.6A),
-        about 2.7A in all. 3A leaves room for the small tensors, but not
-        for one more input-sized copy, nor for a 64x64 map (A/4) held past
-        its last reader, such as up1's upsampling input or a spent skip."""
+        A would be a 64-channel map at full size, 4 MiB in float32: up1's
+        skip concat, or the upsampled input of up1.up's conv. Untaped,
+        neither is built; the conv reads their sources, so at up1.conv1 the
+        live set is the two A/2 halves, the A/2 output and the forward's
+        block buffers. At 128x128 those buffers set the peak; 3A leaves room
+        for the small tensors, but not for one more input-sized copy, nor
+        for a 64x64 map (A/4) held past its last reader, such as up1's
+        upsampling input or a spent skip."""
         model = build_unet(UNetConfig(channel_multiples=[4, 8, 8], base_channels=8,
                                       layer_kind="kronecker", n=2), Rng(0))
         x = Tensor(Rng(1).uniform((1, 2, 128, 128), -1, 1, dtype=np.float32))
@@ -144,6 +145,65 @@ class TestUNetForward:
             tracemalloc.stop()
         assert out.shape == x.shape
         assert peak < 3 * largest
+
+    def test_untaped_forward_builds_no_join_at_256(self):
+        """The desk U-Net at 256x256, where activations, not the GEMM block
+        buffers, set the peak. A = 16 MiB, the 64-channel full-size map.
+        With the skip concat and the upsampled map built, and relu writing
+        a fresh buffer, the forward peaked at 2.18A; it now peaks at 1.68A,
+        the two halves of up1's concat, up1.conv1's output and its
+        buffers."""
+        model = build_unet(UNetConfig(channel_multiples=[4, 8, 8], base_channels=8,
+                                      layer_kind="kronecker", n=2), Rng(0))
+        x = Tensor(Rng(1).uniform((1, 2, 256, 256), -1, 1, dtype=np.float32))
+        largest = 256 * 256 * 64 * 4
+        tracemalloc.start()
+        try:
+            out = model(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape
+        assert peak < 1.9 * largest
+
+    @pytest.mark.parametrize("cfg", [
+        UNetConfig(channel_multiples=[4, 8, 8], base_channels=8, layer_kind="kronecker", n=2),
+        UNetConfig(channel_multiples=[1, 2, 2, 4], base_channels=3, layer_kind="dense", n=1)])
+    def test_untaped_forward_is_bitwise_the_built_joins(self, cfg):
+        """With a nonzero head, the untaped forward, whose convs read the
+        skip concats and 2x upsamples from their sources, equals a forward
+        that builds each join with `np.concatenate` and `np.repeat`, and
+        rectifies into fresh arrays, byte for byte."""
+        model = build_unet(cfg, Rng(0))
+        randomize_head(model)
+        x = Tensor(Rng(1).uniform((2, 2, 40, 24), -1, 1, dtype=np.float32))
+
+        def conv(layer, a):
+            return T.conv2d(Tensor(a), layer.materialize_weight(), layer.bias,
+                            stride=layer.stride, padding=layer.padding).data
+
+        def relu(a):
+            out = np.maximum(a, 0)
+            out *= np.float32(ACT_GAIN)
+            return out
+
+        h = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1))
+        for layer in model._stem:
+            h = relu(conv(layer, h))
+        skips = []
+        for convs in model._downs:
+            skips.append(h)
+            for layer in convs:
+                h = relu(conv(layer, h))
+        for up, *convs in model._ups:
+            h = relu(conv(up, np.repeat(np.repeat(h, 2, axis=1), 2, axis=2)))
+            h = np.concatenate([skips.pop(), h], axis=-1)
+            for layer in convs:
+                h = relu(conv(layer, h))
+        want = conv(model._head, h).transpose(0, 3, 1, 2) + x.data
+        got = model(x).data
+        assert np.abs(got - x.data).max() > 0.01  # the head is live
+        assert got.tobytes() == want.tobytes()
 
     def test_taped_desk_step_peak(self):
         """A taped desk step (B=4, 64x64, [4,8,8]x8, n=2), forward and

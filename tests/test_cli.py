@@ -151,6 +151,17 @@ class TestExitCodes:
         assert stderr_json(err)["error"] == "NumericError"
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_update_aborts_the_step_that_made_it(self, tmp_path):
+        """Adam checks each update before writing it, so the error names the
+        training step and the parameter, not a later op that read it."""
+        code, _, err = run_cli_shown(
+            "train", "--lr", "1e300", "--steps", "1", "--size", "16", "--base", "2",
+            "--multiples", "1,2", "--batch", "1", "--dataset-size", "2", "--eval-size", "1")
+        assert code == 3
+        message = stderr_json(err)["message"]
+        assert message.startswith("training aborted at step 1: ")
+        assert "non-finite update for parameter 'stem.conv1." in message
+
     @pytest.mark.parametrize("extra", [["--h", "0"], ["--h", "nan"], ["--tol", "inf"],
                                        ["--target", "unet", "--tol", "-1"]])
     def test_grad_check_bad_step_or_tolerance_is_config_error(self, capsys, extra):

@@ -1,5 +1,6 @@
 """Autodiff engine: forward oracles, backward vs finite differences, tape rules."""
 
+import contextlib
 import ctypes
 import os
 import subprocess
@@ -991,6 +992,88 @@ class TestReductionsAndShapes:
 
         num = fd_grad(scalar, [x.data])
         assert np.allclose(g, num[0], atol=1e-6)
+
+
+@st.composite
+def joined_convs(draw):
+    """(B, h, w, channels, k, stride, padding) of a conv over an upsampled
+    [B,2h,2w,C] map or a [B,2h,2w,C0+C1] concat: up to 2 x 28 x 28 output
+    pixels, so a forward block may cross images, and odd padding makes
+    input rows start at either parity of the upsample."""
+    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    assume(k <= 2 * min(h, w) + 2 * padding)
+    chans = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    return draw(st.integers(1, 2)), h, w, chans, k, stride, padding
+
+
+class TestUntapedJoins:
+    """Without a tape, `concat` and `upsample2x` return joins that are
+    built only when read, and `conv2d` reads their sources."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_join_data_is_bitwise_the_built_array(self, dtype):
+        rng = Rng(40)
+        a = rng.uniform((2, 3, 5, 2), -1, 1).astype(dtype)
+        b = rng.uniform((2, 3, 5, 3), -1, 1).astype(dtype)
+        cat, up = T.concat([Tensor(a), Tensor(b)]), T.upsample2x(Tensor(a))
+        for join in (cat, up):
+            assert isinstance(join, T._Join) and join.dtype == dtype
+        assert cat.shape == (2, 3, 5, 5) and up.shape == (2, 6, 10, 2)
+        assert cat._built is None and up._built is None  # shape and dtype build nothing
+        assert cat.data.tobytes() == np.concatenate([a, b], axis=-1).tobytes()
+        assert up.data.tobytes() == np.repeat(np.repeat(a, 2, axis=1), 2, axis=2).tobytes()
+        assert up.data is up.data  # built once
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(geom=joined_convs(), dtype=st.sampled_from([np.float32, np.float64]))
+    @example(geom=(2, 14, 14, [3, 2], 3, 1, 1), dtype=np.float32)
+    @example(geom=(1, 32, 32, [2, 1], 3, 1, 1), dtype=np.float32)  # four blocks
+    def test_conv_of_a_join_is_bitwise_the_conv_of_the_built_array(self, geom, dtype):
+        bsz, h, w, chans, k, stride, padding = geom
+        rng = Rng(sum(chans) + 7 * h + w)
+        srcs = [rng.uniform((bsz, 2 * h, 2 * w, c), -1, 1).astype(dtype) for c in chans]
+        small = rng.uniform((bsz, h, w, chans[0]), -1, 1).astype(dtype)
+        b = Tensor(rng.uniform((4,), -1, 1).astype(dtype))
+        for join, built in ((T.upsample2x(Tensor(small)),
+                             np.repeat(np.repeat(small, 2, axis=1), 2, axis=2)),
+                            (T.concat([Tensor(a) for a in srcs]), np.concatenate(srcs, axis=-1))):
+            w_ = Tensor(rng.uniform((4, built.shape[3], k, k), -1, 1).astype(dtype))
+            got = T.conv2d(join, w_, b, stride=stride, padding=padding).data
+            want = T.conv2d(Tensor(built), w_, b, stride=stride, padding=padding).data
+            assert join._built is None
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("op", ["concat", "upsample2x"])
+    def test_non_finite_source_names_the_op(self, op, taped):
+        a = np.ones((1, 2, 2, 3))
+        a[0, 1, 0, 2] = np.nan
+        parts = [Tensor(np.ones((1, 2, 2, 1))), Tensor(a)]
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(NumericError, match=f"op '{op}'"):
+                T.concat(parts) if op == "concat" else T.upsample2x(parts[1])
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_relu_leaves_its_input_unless_inplace(self, taped):
+        """`relu` writes a fresh output and leaves a leaf as it was; only
+        `inplace` rectifies the input's own buffer, with the same bytes and,
+        taped, the same gradient."""
+        x0 = Rng(41).uniform((3, 4, 5), -1, 1)
+        g = Rng(42).uniform((3, 4, 5), -1, 1)
+        results = []
+        for inplace in (False, True):
+            x = leaf(x0.copy())
+            with Tape() if taped else contextlib.nullcontext():
+                y = T.relu(x, 2.0, inplace=inplace)
+                loss = T.sum_(T.mul(y, Tensor(g))) if taped else None
+            assert (y.data is x.data) == inplace
+            assert np.array_equal(x.data, y.data if inplace else x0)
+            results.append(y.data.tobytes())
+            if taped:
+                results.append(backward(loss)[x].data.tobytes())
+        half = len(results) // 2
+        assert results[:half] == results[half:]
 
 
 class TestTapeSemantics:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ class TestAdam:
         opt.step({p: Tensor(np.zeros(4))})
         assert opt.t == 1
         assert np.array_equal(p.data, before)
+
+    @pytest.mark.parametrize("start,lr,grad", [(1.0, 1e300, 1.0),  # the update overflows
+                                               (3e38, 1e38, -1.0)])  # the new value does
+    def test_overflowing_update_is_refused_before_it_is_written(self, start, lr, grad):
+        """A step whose new parameter value is not finite in the dtype raises
+        a NumericError naming the parameter and the step, with no numpy
+        warning first, and writes nothing into the parameter."""
+        p = Tensor(np.full(3, start, dtype=np.float32), requires_grad=True)
+        before = p.data.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"parameter 'w' at step 1"):
+                Adam([("w", p)], lr=lr).step({p: Tensor(np.full(3, grad, dtype=np.float32))})
+        assert p.data.tobytes() == before.tobytes()
 
     def test_missing_gradient_keeps_parameters(self):
         p = Tensor(Rng(1).uniform((4,), -1, 1), requires_grad=True)
