@@ -167,11 +167,6 @@ class _Join(Tensor):
         return self.parts[0][0].dtype
 
 
-def _parts(x: Tensor) -> tuple:
-    """(array, up) parts whose channel join is `x.data` (see `_Join`)."""
-    return x.parts if isinstance(x, _Join) else ((x.data, False),)
-
-
 def _build_join(parts: tuple, shape: tuple) -> np.ndarray:
     """The channel (last-axis) join of `parts` as one fresh array."""
     out = np.empty(shape, dtype=parts[0][0].dtype)
@@ -720,7 +715,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             raise ShapeError("conv2d bias dtype mismatch")
 
     _count_macs(bsz * o * ho * wo * c * k * k)
-    dtype, parts = x.dtype, _parts(x)
+    dtype = x.dtype
+    parts = x.parts if isinstance(x, _Join) else ((x.data, False),)
     # The array the VJP reads. Untaped there is no VJP to run, and an
     # unbuilt join stays unbuilt.
     xd = x.data if _ACTIVE_TAPE is not None else None

@@ -48,27 +48,37 @@ class Adam:
         self.t = 0
 
     def step(self, grads: dict) -> None:
+        """One update of every parameter with a gradient. A non-finite
+        gradient, or a new value that overflows the parameter's dtype, is a
+        NumericError naming the parameter and the step, raised before that
+        parameter is written."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for (name, p), m, v in zip(self.named, self.m, self.v):
-            g = grads.get(p)
-            if g is None:
-                continue
-            garr = g.data
-            if not np.all(np.isfinite(garr)):
-                raise NumericError(f"non-finite gradient for parameter {name!r} "
-                                   f"at step {self.t}")
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * garr
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * garr * garr
-            # An update that overflows the dtype is caught here, before it
-            # is written, and not by the next op that reads the parameter.
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            if not np.all(np.isfinite(new)):
-                raise NumericError(f"non-finite update for parameter {name!r} "
-                                   f"at step {self.t}")
-            p.data[...] = new
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            for (name, p), m, v in zip(self.named, self.m, self.v):
+                g = grads.get(p)
+                if g is None:
+                    continue
+                garr = g.data
+                if not np.all(np.isfinite(garr)):
+                    raise NumericError(f"non-finite gradient for parameter {name!r} "
+                                       f"at step {self.t}")
+                m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * garr
+                v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * garr * garr
+                # p - lr * (m / c1) / (sqrt(v / c2) + eps), operation by
+                # operation in that order, in two temporaries.
+                new = m / c1
+                new *= self.lr
+                den = v / c2
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                new /= den
+                np.subtract(p.data, new, out=new)
+                if not np.isfinite(new).all():
+                    raise NumericError(f"non-finite update for parameter {name!r} "
+                                       f"at step {self.t}")
+                p.data[...] = new
 
 
 @dataclass
