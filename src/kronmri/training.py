@@ -49,9 +49,10 @@ class Adam:
 
     def step(self, grads: dict) -> None:
         """One update of every parameter with a gradient. A non-finite
-        gradient, or a new value that overflows the parameter's dtype, is a
-        NumericError naming the parameter and the step, raised before that
-        parameter is written."""
+        gradient, a second moment that overflows (the update would silently
+        be zero from then on) or a new value that overflows the parameter's
+        dtype is a NumericError naming the parameter and the step, raised
+        before that parameter is written."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
@@ -64,10 +65,15 @@ class Adam:
                 if not np.all(np.isfinite(garr)):
                     raise NumericError(f"non-finite gradient for parameter {name!r} "
                                        f"at step {self.t}")
-                m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * garr
-                v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * garr * garr
-                # p - lr * (m / c1) / (sqrt(v / c2) + eps), operation by
-                # operation in that order, in two temporaries.
+                # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and the new
+                # value p - lr * (m / c1) / (sqrt(v / c2) + eps), operation
+                # by operation in that order, in place where the order allows.
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * garr
+                g2 = (1.0 - ADAM_BETA2) * garr
+                g2 *= garr
+                v *= ADAM_BETA2
+                v += g2
                 new = m / c1
                 new *= self.lr
                 den = v / c2
@@ -75,7 +81,7 @@ class Adam:
                 den += ADAM_EPS
                 new /= den
                 np.subtract(p.data, new, out=new)
-                if not np.isfinite(new).all():
+                if not (np.isfinite(new).all() and np.isfinite(den).all()):
                     raise NumericError(f"non-finite update for parameter {name!r} "
                                        f"at step {self.t}")
                 p.data[...] = new

@@ -38,11 +38,13 @@ class TestAdam:
         assert np.array_equal(p.data, before)
 
     @pytest.mark.parametrize("start,lr,grad", [(1.0, 1e300, 1.0),  # the update overflows
-                                               (3e38, 1e38, -1.0)])  # the new value does
+                                               (3e38, 1e38, -1.0),  # the new value does
+                                               (1.0, 1e-3, 1e25)])  # the second moment does
     def test_overflowing_update_is_refused_before_it_is_written(self, start, lr, grad):
-        """A step whose new parameter value is not finite in the dtype raises
-        a NumericError naming the parameter and the step, with no numpy
-        warning first, and writes nothing into the parameter."""
+        """A step whose new parameter value or second moment is not finite in
+        the dtype raises a NumericError naming the parameter and the step,
+        with no numpy warning first, and writes nothing into the parameter.
+        A second moment of inf would make every later update zero."""
         p = Tensor(np.full(3, start, dtype=np.float32), requires_grad=True)
         before = p.data.copy()
         with warnings.catch_warnings():
