@@ -246,23 +246,28 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
-def write_json(path: str, obj: dict) -> None:
-    """Write `obj` to `path` as indented, key-sorted JSON, all at once: the
-    text goes to `path` + ".tmp" first, is flushed to disk (`os.fsync`) and
-    is then renamed over `path`, so `path` never holds part of a document,
-    not even after a crash. If the write or the rename fails, the ".tmp"
-    file is removed and the error raised."""
+def write_whole(path: str, dump) -> None:
+    """Write a text file all at once: `dump(fh)` writes the text to `path` +
+    ".tmp", which is flushed to disk (`os.fsync`) and then renamed over
+    `path`, so `path` never holds part of a document, not even after a
+    crash. If the write or the rename fails, the ".tmp" file is removed, an
+    earlier `path` is left as it was, and the error raised."""
     tmp = path + ".tmp"
     fh = open(tmp, "w")
     try:
         with fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
+            dump(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_json(path: str, obj: dict) -> None:
+    """Write `obj` to `path` as indented, key-sorted JSON, whole (`write_whole`)."""
+    write_whole(path, lambda fh: json.dump(obj, fh, indent=1, sort_keys=True))
 
 
 def _named_arrays(path: str) -> set:

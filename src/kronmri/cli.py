@@ -31,8 +31,7 @@ from .losses import loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
 from .tensor import Tensor, grad_check
-from .training import (ConsistentModel, DatasetSpec, TrainConfig, evaluate,
-                       held_out_seed, make_sample, train, write_history)
+from .training import ConsistentModel, DatasetSpec, TrainConfig, make_sample, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,38 +156,13 @@ def _unet_config_from_args(args) -> UNetConfig:
 
 def cmd_train(args) -> int:
     ucfg = _unet_config_from_args(args)
-    model = ConsistentModel(build_unet(ucfg, Rng(args.seed)))
     spec = DatasetSpec(height=args.size, width=args.size,
                        n_ellipses=args.ellipses)
     cfg = TrainConfig(steps=args.steps, batch=args.batch, seed=args.seed,
                       af=args.af, dataset_size=args.dataset_size,
                       eval_every=args.eval_every, eval_size=args.eval_size,
                       lr=args.lr)
-    eval_seed = held_out_seed(cfg.seed)
-    baseline = evaluate(None, spec, cfg.af, eval_seed, cfg.eval_size)
-    history = train(model, spec, cfg)
-    final = evaluate(model, spec, cfg.af, eval_seed, cfg.eval_size)
-    summary = {"config": {**ucfg.to_dict(), "steps": cfg.steps,
-                          "batch": cfg.batch, "seed": cfg.seed, "af": cfg.af,
-                          "lr": cfg.lr, "dataset_size": cfg.dataset_size,
-                          "size": args.size, "ellipses": args.ellipses},
-               "zero_filled": {k: baseline[k] for k in
-                               ("psnr_mean", "psnr_std", "ssim_mean", "ssim_std")},
-               "final": {k: final[k] for k in
-                         ("psnr_mean", "psnr_std", "ssim_mean", "ssim_std")},
-               "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
-               "final_loss": history[-1]["loss"]}
-    if args.out:
-        # the summary is written last, whole: a run dir with one is complete
-        summary_path = os.path.join(args.out, "summary.json")
-        os.makedirs(args.out, exist_ok=True)
-        if os.path.isfile(summary_path):
-            os.remove(summary_path)
-        model.save(os.path.join(args.out, "checkpoint"))
-        write_history(os.path.join(args.out, "history.jsonl"), history)
-        write_json(summary_path, summary)
-        summary["out"] = args.out
-    _emit(summary)
+    _emit(run(ucfg, spec, cfg, out=args.out))
     return 0
 
 

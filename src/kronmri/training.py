@@ -2,18 +2,22 @@
 
 Datasets are synthetic phantoms generated on the fly from (seed, index),
 so a (config, seed) pair fixes the whole run: masks, batches, parameter
-trajectory, history. No files are read; `train` returns the history and
-`write_history` writes it as JSON lines.
+trajectory, history. No files are read. `step` is one optimizer step on a
+batch, `train` loops it over the dataset and returns the history, and
+`run` is a whole run: baseline and final scores around `train`, and, given
+an output directory, the checkpoint, the history and the summary.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .blocks import UNet, UNetConfig, write_json, write_whole
 from .errors import ConfigError, NumericError
 from .kspace import (apply_mask, complex_magnitude, fft2c, gen_cartesian_mask,
                      gen_phantom, ifft2c)
@@ -216,6 +220,17 @@ def evaluate(model, spec: DatasetSpec, af: int, seed: int, count: int) -> dict:
                 "samples": records}
 
 
+def step(model, opt: Adam, x: Tensor, y: Tensor) -> tuple[float, Tensor]:
+    """One optimizer step on the batch (x, y): the forward and `loss_total`
+    under a Tape, `backward`, then `opt.step`. Returns the loss and the
+    model's output."""
+    with Tape():
+        out = model(x)
+        loss = loss_total(out, y)
+    opt.step(backward(loss))
+    return loss.item(), out
+
+
 def train(model, spec: DatasetSpec, cfg: TrainConfig) -> list[dict]:
     """Mini-batch Adam training; returns the history record list.
 
@@ -227,28 +242,19 @@ def train(model, spec: DatasetSpec, cfg: TrainConfig) -> list[dict]:
     order_rng = Rng(cfg.seed).fork(3)
     eval_seed = held_out_seed(cfg.seed)
     opt = Adam(model.named_parameters(), lr=cfg.lr)
-    budget = model.param_count()
 
     history = []
     queue: list[int] = []
-    for step in range(1, cfg.steps + 1):
+    for t in range(1, cfg.steps + 1):
         while len(queue) < cfg.batch:
             queue.extend(int(i) for i in order_rng.shuffle(cfg.dataset_size))
         picks = [data[queue.pop(0)] for _ in range(cfg.batch)]
-        x = _stack(picks, "zf")
-        y = _stack(picks, "truth")
         try:
-            with Tape():
-                loss = loss_total(model(x), y)
-            grads = backward(loss)
-            opt.step(grads)
+            loss, _ = step(model, opt, _stack(picks, "zf"), _stack(picks, "truth"))
         except NumericError as err:
-            raise NumericError(f"training aborted at step {step}: {err}") from err
-        if model.param_count() != budget:
-            raise ConfigError(f"parameter budget changed at step {step}: "
-                              f"{budget} -> {model.param_count()}")
-        rec = {"step": step, "loss": loss.item()}
-        if cfg.eval_every and step % cfg.eval_every == 0:
+            raise NumericError(f"training aborted at step {t}: {err}") from err
+        rec = {"step": t, "loss": loss}
+        if cfg.eval_every and t % cfg.eval_every == 0:
             scores = evaluate(model, spec, cfg.af, eval_seed, cfg.eval_size)
             rec["psnr"] = scores["psnr_mean"]
             rec["ssim"] = scores["ssim_mean"]
@@ -258,6 +264,44 @@ def train(model, spec: DatasetSpec, cfg: TrainConfig) -> list[dict]:
 
 
 def write_history(path: str, history: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for rec in history:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Write one key-sorted JSON line per record, whole (`write_whole`)."""
+    write_whole(path, lambda fh: fh.writelines(json.dumps(rec, sort_keys=True) + "\n"
+                                               for rec in history))
+
+
+_SCORES = ("psnr_mean", "psnr_std", "ssim_mean", "ssim_std")
+
+
+def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None = None) -> dict:
+    """A whole training run; returns its summary.
+
+    Builds a U-Net of `ucfg` from `cfg.seed` behind data consistency,
+    scores the zero-filled baseline on the held-out set, trains, and scores
+    the model. With `out`, writes `checkpoint/`, `history.jsonl` and
+    `summary.json` there, and the returned summary also names `out`. An
+    old summary is deleted first and the new one is written last, so a
+    directory with a summary holds a complete run.
+    """
+    model = ConsistentModel(UNet(ucfg, Rng(cfg.seed)))
+    eval_seed = held_out_seed(cfg.seed)
+    baseline = evaluate(None, spec, cfg.af, eval_seed, cfg.eval_size)
+    history = train(model, spec, cfg)
+    final = evaluate(model, spec, cfg.af, eval_seed, cfg.eval_size)
+    summary = {"config": {**ucfg.to_dict(), "steps": cfg.steps,
+                          "batch": cfg.batch, "seed": cfg.seed, "af": cfg.af,
+                          "lr": cfg.lr, "dataset_size": cfg.dataset_size,
+                          "size": spec.height, "ellipses": spec.n_ellipses},
+               "zero_filled": {k: baseline[k] for k in _SCORES},
+               "final": {k: final[k] for k in _SCORES},
+               "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
+               "final_loss": history[-1]["loss"]}
+    if out:
+        summary_path = os.path.join(out, "summary.json")
+        os.makedirs(out, exist_ok=True)
+        if os.path.isfile(summary_path):
+            os.remove(summary_path)
+        model.save(os.path.join(out, "checkpoint"))
+        write_history(os.path.join(out, "history.jsonl"), history)
+        write_json(summary_path, summary)
+        summary["out"] = out
+    return summary

@@ -9,6 +9,7 @@ verdict per test name). The two training runs share one module fixture.
 """
 
 import cmath
+import json
 import math
 import os
 import time
@@ -16,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from kronmri import training
 from kronmri.algebra import preset, verify_algebra
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri.cli import _grad_targets
@@ -25,8 +27,7 @@ from kronmri.metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, psnr,
                              ssim)
 from kronmri.rng import Rng
 from kronmri.tensor import Tensor, grad_check
-from kronmri.training import (ConsistentModel, DatasetSpec, TrainConfig,
-                              evaluate, held_out_seed, train, write_history)
+from kronmri.training import DatasetSpec, TrainConfig
 
 
 def check(num: int, passed: bool, detail: str) -> None:
@@ -251,18 +252,12 @@ def desk_runs(tmp_path_factory):
     for tag in ("first", "second"):
         out = tmp_path_factory.mktemp(f"desk_{tag}")
         started = time.perf_counter()
-        model = ConsistentModel(build_unet(DESK_UNET, Rng(DESK_TRAIN.seed)))
-        eval_seed = held_out_seed(DESK_TRAIN.seed)
-        baseline = evaluate(None, DESK_SPEC, DESK_TRAIN.af, eval_seed,
-                            DESK_TRAIN.eval_size)
-        history = train(model, DESK_SPEC, DESK_TRAIN)
-        final = evaluate(model, DESK_SPEC, DESK_TRAIN.af, eval_seed,
-                         DESK_TRAIN.eval_size)
+        summary = training.run(DESK_UNET, DESK_SPEC, DESK_TRAIN, out=str(out))
         elapsed = time.perf_counter() - started
-        model.save(str(out / "checkpoint"))
-        write_history(str(out / "history.jsonl"), history)
+        with open(out / "history.jsonl") as fh:
+            history = [json.loads(line) for line in fh]
         runs.append({"dir": out, "history": history, "elapsed": elapsed,
-                     "gain": final["psnr_mean"] - baseline["psnr_mean"]})
+                     "gain": summary["psnr_gain_db"]})
     return runs
 
 

@@ -21,7 +21,7 @@ from kronmri.blocks import UNet, UNetConfig, build_unet
 from kronmri.losses import loss_total
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
-from kronmri.training import ConsistentModel, DatasetSpec, make_dataset
+from kronmri.training import ConsistentModel, DatasetSpec, TrainConfig, make_dataset, train
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -165,6 +165,19 @@ def test_train_workload_call_forms():
     assert out.shape == x.shape
     assert set(grads) == set(model.parameters())
     assert np.isfinite(loss.item()) and out.data.shape == x.shape
+
+
+def test_train_workload_times_the_programs_step(tmp_path):
+    """Three steps of the desk train workload give bitwise the losses of
+    `train` on the same data, batch order and initial weights."""
+    wl = workloads.TrainWorkload(7, str(tmp_path), "kronecker", 2)
+    wl.prepare(wl.generate())
+    wl.build()
+    losses = [wl.op(harness.NullTracer())[0] for _ in range(3)]
+    cfg = TrainConfig(steps=3, batch=workloads.BATCH, seed=7, af=workloads.AF,
+                      dataset_size=workloads.DATASET_SIZE)
+    history = train(ConsistentModel(workloads.desk_unet()), workloads.SPEC, cfg)
+    assert losses == [rec["loss"] for rec in history]
 
 
 @pytest.mark.parametrize("with_backward", [False, True])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -11,11 +12,13 @@ from kronmri.blocks import UNetConfig, build_unet
 from kronmri.errors import ConfigError, NumericError
 from kronmri import tensor as T
 from kronmri.kspace import fft2c, ifft2c
+from kronmri.losses import loss_total
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
 from kronmri.training import (Adam, ConsistentModel, DatasetSpec, Sample,
                               TrainConfig, evaluate, held_out_seed,
-                              make_dataset, make_sample, train, write_history)
+                              make_dataset, make_sample, run, step, train,
+                              write_history)
 
 
 def tiny_model(seed=0, dtype=np.float32):
@@ -273,6 +276,65 @@ class TestTrain:
             lines = fh.readlines()
         assert [json.loads(line) for line in lines] == history
         assert len(lines) == 2
+
+    def test_failed_history_write_keeps_the_earlier_file(self, tmp_path):
+        path = str(tmp_path / "history.jsonl")
+        write_history(path, [{"step": 1, "loss": 0.5}])
+        with open(path, "rb") as fh:
+            before = fh.read()
+        with pytest.raises(TypeError):
+            write_history(path, [{"step": 1, "loss": 0.25}, {"step": 2, "loss": object()}])
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert os.listdir(tmp_path) == ["history.jsonl"]
+
+
+class TestStep:
+    def test_two_steps_equal_the_hand_rolled_step(self):
+        """`step` is the forward and `loss_total` under a Tape, `backward`
+        and `Adam.step`, as the benchmark's train op writes them out."""
+        samples = make_dataset(tiny_spec(), 8, 0, 2)
+        x = Tensor(np.stack([s.zf for s in samples]))
+        y = Tensor(np.stack([s.truth for s in samples]))
+
+        def by_hand(model, opt, x, y):
+            with Tape():
+                out = model(x)
+                loss = loss_total(out, y)
+            opt.step(backward(loss))
+            return loss.item(), out
+
+        runs = []
+        for one_step in (step, by_hand):
+            model = ConsistentModel(tiny_model(seed=2))
+            opt = Adam(model.named_parameters(), lr=1e-3)
+            records = []
+            for _ in range(2):
+                loss, out = one_step(model, opt, x, y)
+                records.append((loss, out.data.tobytes()))
+            runs.append(records)
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] != runs[0][1][0]  # the first step moved the model
+
+
+class TestRun:
+    UNET = UNetConfig(channel_multiples=[1, 2], base_channels=2)
+    CFG = TrainConfig(steps=2, batch=2, seed=3, dataset_size=2, eval_size=2)
+
+    def test_writes_only_with_out_and_returns_what_it_writes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        summary = run(self.UNET, tiny_spec(), self.CFG)
+        assert os.listdir(tmp_path) == []
+        out = tmp_path / "run"
+        assert run(self.UNET, tiny_spec(), self.CFG, out=str(out)) == {**summary, "out": str(out)}
+        assert sorted(os.listdir(out)) == ["checkpoint", "history.jsonl", "summary.json"]
+        with open(out / "summary.json") as fh:
+            assert json.load(fh) == summary
+        with open(out / "history.jsonl") as fh:
+            history = [json.loads(line) for line in fh]
+        assert [rec["step"] for rec in history] == [1, 2]
+        assert summary["final_loss"] == history[-1]["loss"]
+        assert summary["config"]["size"] == 16 and summary["config"]["seed"] == 3
 
 
 class TestConsistentModel:
