@@ -38,11 +38,14 @@ at the next; arrays of 4 MiB and more, where numpy asks for huge pages,
 stay mapped and are returned on free. Where the C library has no
 `mallopt`, the defaults stand.
 
-Two exceptions keep each activation of an untaped U-Net forward to one
-array. `relu(x, gain, inplace=True)` rectifies `x.data` itself, for a
-caller whose `x` has no other reader. Without a tape, `concat` and
-`upsample2x` return a join (`_Join`) that keeps its sources and builds
-`.data` only when something reads it; `conv2d` reads the sources instead.
+Two exceptions keep each activation of a U-Net forward to one array.
+`relu(x, gain, inplace=True)` rectifies `x.data` itself, for a caller whose
+`x` has no other reader. `concat` and `upsample2x` return a join (`_Join`)
+that keeps its sources and builds `.data` only when something reads it;
+`conv2d` reads the sources instead. Under a tape the join still records its
+node, so another reader of `.data` gets correct gradients, but `conv2d`
+records the join's sources as its own inputs and gives each its gradient:
+the join's node gets none, and its VJP never runs.
 
 Image ops are channels-last: conv2d and upsample2x take and return
 [B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
@@ -131,31 +134,39 @@ class Tensor:
 
 
 class _Join(Tensor):
-    """An untaped `concat` or `upsample2x` result, built only when read.
+    """A `concat` or `upsample2x` result, built only when read.
 
     `parts` are (array, up) pairs joined in order on the last (channel)
     axis, each source taken as is or, where `up`, a [B,h,w,C] array
     nearest-2x upsampled. The sources must not change while the join
-    lives. `conv2d` lays its input rows straight from the parts, so the
-    U-Net's joins are never built; any other reader of `.data` gets the
-    joined array, built once, and from then on the join has that array as
-    its one part. The sources are checked for NaN/Inf here, in place of
-    the output they make up, and the error names the op."""
+    lives. Under a tape the join records its op's node like any op output,
+    and `sources` holds the source tensors, one per part (None when no
+    node was recorded). `conv2d` lays its input rows straight from the
+    parts and, taped, records the sources as its inputs, so the U-Net's
+    joins are never built and their nodes get no gradient. Any other
+    reader of `.data` gets the joined array, built once, and from then on
+    the join has that array as its one part; its gradient reaches the
+    sources through the join's node. The sources are checked for NaN/Inf
+    here, in place of the output they make up, and the error names the
+    op."""
 
-    __slots__ = ("parts", "_shape", "_built")
+    __slots__ = ("parts", "sources", "_shape", "_built")
 
-    def __init__(self, name: str, parts: tuple, shape: tuple):
-        for src, _ in parts:
+    def __init__(self, name: str, sources: tuple, up: bool, shape: tuple, vjp):
+        self.parts = tuple((t.data, up) for t in sources)
+        for src, _ in self.parts:
             if not _all_finite(src):
                 raise NumericError(f"non-finite values in output of op '{name}'")
-        self.parts, self._shape, self._built = parts, shape, None
+        self._shape, self._built = shape, None
         self.requires_grad, self.node = False, None
+        _record(name, sources, self, vjp)
+        self.sources = sources if self.node is not None else None
 
     @property
     def data(self) -> np.ndarray:
         if self._built is None:
             self._built = _build_join(self.parts, self._shape)
-            self.parts = ((self._built, False),)
+            self.parts, self.sources = ((self._built, False),), None
         return self._built
 
     @property
@@ -243,23 +254,30 @@ def _apply(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
     out = Tensor(out_data)
     if not _all_finite(out.data):
         raise NumericError(f"non-finite values in output of op '{name}'")
-    tape = _ACTIVE_TAPE
-    if tape is not None:
-        if tape.consumed:
-            raise TapeError("recording onto a consumed tape")
-        needs, keys = [], []
-        for t in inputs:
-            src = t.node
-            if src is not None and src.tape is not tape:
-                raise TapeError(f"op '{name}': an input was recorded on another tape")
-            needs.append(t.requires_grad)
-            keys.append(src or t)
-        if True in needs:
-            node = _Node(name, tuple(keys), vjp, tuple(needs), tape)
-            tape.nodes.append(node)
-            out.node = node
-            out.requires_grad = True
+    _record(name, inputs, out, vjp)
     return out
+
+
+def _record(name: str, inputs: tuple, out: Tensor, vjp) -> None:
+    """Record `out` as the output of op `name` on the active tape, if there
+    is one and an input needs a gradient (see `_apply`)."""
+    tape = _ACTIVE_TAPE
+    if tape is None:
+        return
+    if tape.consumed:
+        raise TapeError("recording onto a consumed tape")
+    needs, keys = [], []
+    for t in inputs:
+        src = t.node
+        if src is not None and src.tape is not tape:
+            raise TapeError(f"op '{name}': an input was recorded on another tape")
+        needs.append(t.requires_grad)
+        keys.append(src or t)
+    if True in needs:
+        node = _Node(name, tuple(keys), vjp, tuple(needs), tape)
+        tape.nodes.append(node)
+        out.node = node
+        out.requires_grad = True
 
 
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
@@ -574,15 +592,17 @@ def _row_windows(parts: tuple, hw: tuple, padding: int, s: int, ho: int, r0: int
 
 
 def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
-               xv: np.ndarray, gxv: np.ndarray | None, need_w: bool) -> np.ndarray | None:
+               parts: list, up: bool, need_w: bool) -> np.ndarray | None:
     """Both gradients of a stride-1 cross-correlation of one plane grid
     [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient laid on the grid.
 
-    Only the grid's input pixels are visited: `xv` [B,hx,wx,C], a view of
-    the input, holds them, and `start` (u0, v0) is the grid pixel of
-    xv[:, 0, 0]; the grid's padding pixels contribute to neither gradient.
-    Writes their input gradient into `gxv` (same shape) unless it is None,
-    and returns the kernel gradient if `need_w`. `gext` is the output
+    Only the grid's input pixels are visited. They are the channel join of
+    `parts`, (xv, gxv) pairs in channel order: `xv` holds a part's pixels,
+    [B,hx,wx,Cp], or where `up` its [B,hx/2,wx/2,Cp] source, nearest-2x
+    upsampled; `gxv` (xv's shape) receives their input gradient unless it
+    is None. `start` (u0, v0) is the grid pixel of input pixel (0, 0); the
+    grid's padding pixels contribute to neither gradient. Returns the
+    kernel gradient if `need_w`. `gext` is the output
     gradient [B,Ho,Wo,O] on the flattened grid, zero elsewhere, behind
     (ka-1)*Wv + (kb-1) zero rows; tap (a, b) is then a shift by whole rows,
     and S[m, a', b'] = gext[m + a'*Wv + b'] is the gradient of the output
@@ -590,16 +610,21 @@ def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
     shift that wraps past a row or image edge lands on zero rows. One
     read-only view gives S for whole input rows. It is copied a block of
     rows of one image at a time (`_SHIFT_BLOCK_BYTES`, one reused buffer,
-    runs of kb*O contiguous values), and each block gives its rows of the
-    input gradient, `S @ wflip` with the kernel flipped to [ka*kb*O, C],
-    and its share of the flipped kernel gradient, `xrows.T @ S`, its pixels
-    read from `xv`.
+    runs of kb*O contiguous values), and each block gives each part its
+    rows of the input gradient, `S @ wflip` over the part's columns of the
+    kernel flipped to [ka*kb*O, C], and the part's rows of the flipped
+    kernel gradient, `xrows.T @ S`, its pixels read from `xv`. Where `up`,
+    the block is summed 2x2 as it is copied, one row per source pixel:
+    that sum is the transpose of nearest upsampling, so the same two GEMMs
+    on it give the source's gradients, at a quarter of the MACs.
     """
     o = gext.shape[1]
     ka, kb = w.shape[2:]
     hu, wv = grid
     u0, v0 = start
-    bsz, hx, wx, c = xv.shape
+    bsz, hx, wx, _ = parts[0][0].shape
+    if up:
+        hx, wx = 2 * hx, 2 * wx
     lead = (ka - 1) * wv + (kb - 1)
     # as_strided reads past the end silently: the last row S reads must be in gext.
     last = ((bsz - 1) * hu + u0 + hx - 1) * wv + v0 + wx - 1 + lead
@@ -611,27 +636,56 @@ def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
         (hu * wv * o * e, wv * o * e, o * e, wv * o * e, o * e, e), writeable=False)
     kko = ka * kb * o
     rows = max(1, _SHIFT_BLOCK_BYTES // (max(wx, 1) * kko * e))
-    sbuf = np.empty((min(rows, hx), wx, ka, kb, o), dtype=gext.dtype)
-    wflip = None if gxv is None else np.ascontiguousarray(
+    if up:  # whole 2x2 blocks: rows and columns come in pairs
+        rows = max(2, rows - rows % 2)
+    f = 2 if up else 1
+    sbuf = np.empty((min(rows, hx) // f, wx // f, ka, kb, o), dtype=gext.dtype)
+    wflip = None if all(gxv is None for _, gxv in parts) else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
-    acc = np.zeros((c, kko), dtype=gext.dtype) if need_w else None
+    acc = np.zeros((w.shape[1], kko), dtype=gext.dtype) if need_w else None
     for b in range(bsz):
         for y0 in range(0, hx, rows):
             y1 = min(hx, y0 + rows)
-            blk = sbuf[:y1 - y0]
-            np.copyto(blk, shifted[b, y0:y1])
+            blk = sbuf[:(y1 - y0) // f]
+            if up:
+                np.add(shifted[b, y0:y1:2, 0::2], shifted[b, y0:y1:2, 1::2], out=blk)
+                blk += shifted[b, y0 + 1:y1:2, 0::2]
+                blk += shifted[b, y0 + 1:y1:2, 1::2]
+            else:
+                np.copyto(blk, shifted[b, y0:y1])
             blk = blk.reshape(-1, kko)
-            if gxv is not None:
-                dst = gxv[b, y0:y1]
-                if dst.flags.c_contiguous:
-                    np.matmul(blk, wflip, out=dst.reshape(-1, c))
-                else:
-                    dst[...] = (blk @ wflip).reshape(dst.shape)
-            if acc is not None:
-                acc += xv[b, y0:y1].reshape(-1, c).T @ blk
+            c0 = 0
+            for xv, gxv in parts:
+                c1 = c0 + xv.shape[3]
+                if gxv is not None:
+                    dst = gxv[b, y0 // f:y1 // f]
+                    if dst.flags.c_contiguous:
+                        np.matmul(blk, wflip[:, c0:c1], out=dst.reshape(-1, c1 - c0))
+                    else:
+                        dst[...] = (blk @ wflip[:, c0:c1]).reshape(dst.shape)
+                if acc is not None:
+                    acc[c0:c1] += xv[b, y0 // f:y1 // f].reshape(-1, c1 - c0).T @ blk
+                c0 = c1
     if acc is None:
         return None
     return acc.reshape(-1, ka, kb, o)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+
+
+def _conv_input(x: Tensor, stride: int) -> tuple:
+    """The (array, up) parts `conv2d` reads of its input `x` (see `_Join`),
+    and the tensors its node records in x's place, one per part.
+
+    Taped, an unbuilt join's parts are read and its sources recorded; a
+    join no tape recorded is a constant, its parts wrapped as tensors that
+    need no gradient. The VJP pools an upsampled part at stride 1 only, so
+    at a larger stride the join is built and recorded as itself."""
+    if not isinstance(x, _Join):
+        return ((x.data, False),), (x,)
+    if _ACTIVE_TAPE is None:
+        return x.parts, (x,)
+    if x._built is not None or stride > 1 and any(up for _, up in x.parts):
+        return ((x.data, False),), (x,)
+    return x.parts, x.sources or tuple(Tensor(a) for a, _ in x.parts)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
@@ -647,9 +701,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     (a short tail joins the last block), with or without a tape. For each
     image's share of a block, the zero-padded input rows it reads are laid
     channel-major into one reused [C, s*(rows-1)+k, Wp] buffer by one
-    transposing copy; an untaped `concat` or `upsample2x` input (`_Join`)
-    is laid from its sources, so it is never built, and the GEMM operand is
-    the same. The block's im2col operand is gathered from there
+    transposing copy; a `concat` or `upsample2x` input (`_Join`) is laid
+    from its sources, so it is never built, and the GEMM operand is the
+    same. The block's im2col operand is gathered from there
     into one reused [C,k,k,rows,Wo] buffer (`_row_windows`), one strided
     copy per tap; read as [C*k*k, rows*Wo] and transposed it is the
     F-ordered [rows*Wo, C*k*k] im2col block with (c,i,j) columns, and
@@ -669,21 +723,31 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     for the same reason: any other order changes float32 outputs in the
     last bits, and saved fixtures pin them.
 
-    The VJP keeps only `x.data` and `w.data`, the arrays it reads, and the
-    tape keeps them only until `backward` has run the VJP. With stride s,
-    padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
+    The VJP keeps only the input's arrays and `w.data`, the arrays it
+    reads, and the tape keeps them only until `backward` has run the VJP. A
+    join's arrays are its sources': taped, the node records the sources in
+    x's place and gives each its own gradient (`_conv_input`). With stride
+    s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
     (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
     phase is a stride-1 correlation of its plane with that sub-kernel. The
     output gradient is laid once on the planes' common [B,Hu,Wu] grid,
     behind the zero rows the largest sub-kernel's shifts need, and each
     phase reads it from its own offset. `_phase_vjp` gives both of a
-    phase's gradients from one gather of the shifted output gradient,
+    phase's gradients from one gather of the shifted output gradient S,
     indexed by the phase's input pixels x[:, y0::s, x0::s]: a padding pixel
     contributes to neither gradient. Stride 1 is one phase, the whole
     input, whose kernel-gradient rows are a reshape of `x` and whose
     input-gradient rows are written straight into the gradient; a phase no
-    tap reads (s > k) gets zero input gradient.
+    tap reads (s > k) gets zero input gradient. A concat's source takes its
+    input gradient from its own columns of the flipped kernel and gives
+    the kernel-gradient rows of its own channels. An upsampled source never
+    meets its full-resolution gradient: nearest 2x upsampling U is
+    transposed by summing each 2x2 block, so with P = U.T @ S the source's
+    input gradient U.T @ (S @ wflip) is P @ wflip and its kernel-gradient
+    share (U @ src).T @ S is src.T @ P, two GEMMs at a quarter of the MACs.
+    That holds at stride 1; at a larger stride an upsampled join is built,
+    and its own VJP takes the gradient back to the source.
     """
     if len(x.shape) != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -716,10 +780,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     _count_macs(bsz * o * ho * wo * c * k * k)
     dtype = x.dtype
-    parts = x.parts if isinstance(x, _Join) else ((x.data, False),)
-    # The array the VJP reads. Untaped there is no VJP to run, and an
-    # unbuilt join stays unbuilt.
-    xd = x.data if _ACTIVE_TAPE is not None else None
+    parts, srcs = _conv_input(x, stride)
     # Blocks of `per` output image rows; the last also takes the short tail.
     nrows = bsz * ho
     per = -(-_GEMM_BLOCK_ROWS // wo)
@@ -744,15 +805,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     phases = min(stride, k)
     hu, wu = -(-hp // stride), -(-wp // stride)
     lead = (-(-k // stride) - 1) * (wu + 1)  # phase (0, 0)'s, the largest sub-kernel's
-
-    inputs = (x, w) if bias is None else (x, w, bias)
+    nparts = len(parts)
+    up = parts[0][1]  # a join is a concat of plain parts or one upsampled source
+    inputs = (*srcs, w) if bias is None else (*srcs, w, bias)
 
     def vjp(g, needs):
-        gx = None
-        if needs[0]:  # every input pixel is in a phase a tap reads unless s > k
-            gx = (np.empty if stride <= k else np.zeros)((bsz, h, wd, c), dtype=g.dtype)
-        gw = np.zeros((o, c, k, k), dtype=g.dtype) if needs[1] else None
-        if needs[0] or needs[1]:
+        # Every input pixel is in a phase a tap reads unless s > k.
+        gxs = [(np.empty if stride <= k else np.zeros)(a.shape, dtype=g.dtype) if need else None
+               for (a, _), need in zip(parts, needs)]
+        need_w = needs[nparts]
+        gw = np.zeros((o, c, k, k), dtype=g.dtype) if need_w else None
+        if need_w or any(needs[:nparts]):
             gext = np.zeros((lead + bsz * hu * wu, o), dtype=g.dtype)
             gext[lead:].reshape(bsz, hu, wu, o)[:, :ho, :wo] = g
             for py in range(phases):
@@ -760,18 +823,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
                 for px in range(phases):
                     x0 = (px - padding) % stride
                     ws = wd_arr[:, :, py::stride, px::stride]
+                    views = [(a[:, y0::stride, x0::stride],
+                              None if gx is None else gx[:, y0::stride, x0::stride])
+                             for (a, _), gx in zip(parts, gxs)]
                     gws = _phase_vjp(gext[lead - (ws.shape[2] - 1) * wu - (ws.shape[3] - 1):],
                                      ws, (hu, wu),
                                      ((y0 + padding) // stride, (x0 + padding) // stride),
-                                     xd[:, y0::stride, x0::stride],
-                                     None if gx is None else gx[:, y0::stride, x0::stride],
-                                     gw is not None)
-                    if gw is not None:
+                                     views, up, need_w)
+                    if need_w:
                         gw[:, :, py::stride, px::stride] = gws
-        if len(needs) == 2:  # no bias
-            return (gx, gw)
-        gb = g.reshape(-1, o).sum(axis=0) if needs[2] else None
-        return (gx, gw, gb)
+        if len(needs) == nparts + 1:  # no bias
+            return (*gxs, gw)
+        return (*gxs, gw, g.reshape(-1, o).sum(axis=0) if needs[-1] else None)
 
     return _apply("conv2d", inputs, out.reshape(bsz, ho, wo, o), vjp)
 
@@ -830,7 +893,7 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def concat(parts) -> Tensor:
     """Join tensors of one dtype on their last axis; every other axis must
-    match. Without a tape the join is built only when read (`_Join`)."""
+    match. The join is built only when read (`_Join`)."""
     parts = tuple(parts)
     if not parts or any(len(t.shape) == 0 for t in parts):
         raise ShapeError(f"concat needs one or more parts of rank >= 1, "
@@ -841,10 +904,6 @@ def concat(parts) -> Tensor:
         raise ShapeError(f"concat: shapes {[t.shape for t in parts]} differ "
                          "off the last axis")
     sizes = [t.shape[-1] for t in parts]
-    srcs = tuple((t.data, False) for t in parts)
-    shape = (*parts[0].shape[:-1], sum(sizes))
-    if _ACTIVE_TAPE is None:
-        return _Join("concat", srcs, shape)
 
     def vjp(g, needs):
         grads = []
@@ -854,19 +913,15 @@ def concat(parts) -> Tensor:
             start += sz
         return tuple(grads)
 
-    return _apply("concat", parts, _build_join(srcs, shape), vjp)
+    return _Join("concat", parts, False, (*parts[0].shape[:-1], sum(sizes)), vjp)
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x spatial upsampling, channels-last [B,H,W,C].
-    Without a tape the result is built only when read (`_Join`)."""
+    The result is built only when read (`_Join`)."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample2x expects [B,H,W,C], got {x.shape}")
     bsz, h, w, c = x.shape
-    srcs = ((x.data, True),)
-    shape = (bsz, 2 * h, 2 * w, c)
-    if _ACTIVE_TAPE is None:
-        return _Join("upsample2x", srcs, shape)
 
     def vjp(g, needs):
         gx = g[:, 0::2, 0::2] + g[:, 0::2, 1::2]
@@ -874,7 +929,7 @@ def upsample2x(x: Tensor) -> Tensor:
         gx += g[:, 1::2, 1::2]
         return (gx,)
 
-    return _apply("upsample2x", (x,), _build_join(srcs, shape), vjp)
+    return _Join("upsample2x", (x,), True, (bsz, 2 * h, 2 * w, c), vjp)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -280,8 +280,11 @@ def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None =
     the model. With `out`, writes `checkpoint/`, `history.jsonl` and
     `summary.json` there, and the returned summary also names `out`. An
     old summary is deleted first and the new one is written last, so a
-    directory with a summary holds a complete run.
+    directory with a summary holds a complete run. An empty `out` is a
+    ConfigError, raised before anything is built.
     """
+    if out == "":
+        raise ConfigError("out must name a directory, got an empty path")
     model = ConsistentModel(UNet(ucfg, Rng(cfg.seed)))
     eval_seed = held_out_seed(cfg.seed)
     baseline = evaluate(None, spec, cfg.af, eval_seed, cfg.eval_size)
@@ -295,7 +298,7 @@ def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None =
                "final": {k: final[k] for k in _SCORES},
                "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
                "final_loss": history[-1]["loss"]}
-    if out:
+    if out is not None:
         summary_path = os.path.join(out, "summary.json")
         os.makedirs(out, exist_ok=True)
         if os.path.isfile(summary_path):

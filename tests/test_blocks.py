@@ -205,27 +205,62 @@ class TestUNetForward:
         assert np.abs(got - x.data).max() > 0.01  # the head is live
         assert got.tobytes() == want.tobytes()
 
-    def test_taped_desk_step_peak(self):
-        """A taped desk step (B=4, 64x64, [4,8,8]x8, n=2), forward and
-        backward, peaks below 32 MiB: relu keeps its mask as bits and the
-        conv VJP copies its shifted gradient in 0.5 MiB blocks. With a byte
-        per mask element and 2 MiB blocks it peaked at 35.2 MiB, and with
-        the bits alone at 32.0 MiB."""
+    @staticmethod
+    def desk_step(kind, n):
+        """A desk model (B=4, 64x64, [4,8,8]x8) and its taped step: the
+        forward and loss under a tape, then `backward` in `after_forward`'s
+        place if it is given, the tape then handed to it."""
         model = ConsistentModel(build_unet(UNetConfig(
-            channel_multiples=[4, 8, 8], base_channels=8, layer_kind="kronecker", n=2), Rng(0)))
+            channel_multiples=[4, 8, 8], base_channels=8, layer_kind=kind, n=n), Rng(0)))
         samples = make_dataset(DatasetSpec(height=64, width=64, n_ellipses=6), 8, 5, 4)
         x = Tensor(np.stack([s.zf for s in samples]))
         y = Tensor(np.stack([s.truth for s in samples]))
+
+        def step(after_forward=None):
+            with Tape() as tape:
+                loss = loss_total(model(x), y)
+            if after_forward is not None:
+                after_forward(tape)
+            return T.backward(loss)
+        return model, step
+
+    @pytest.mark.parametrize("kind,n,mib", [("kronecker", 2, 24.5), ("dense", 1, 23.0)])
+    def test_taped_desk_step_peak(self, kind, n, mib):
+        """A taped desk step, forward and backward, peaks below `mib` MiB
+        (measured on a 2-core Xeon: 23.75 MiB Kronecker n=2, 22.23 MiB
+        dense): relu keeps its mask as bits, the conv VJP copies its
+        shifted gradient in 0.5 MiB blocks, and no skip concat or 2x
+        upsample is built. With the joins built and kept by the tape it
+        peaked at 30.5 and 29.0 MiB, and with a byte per mask element and
+        2 MiB blocks as well at 35.2 MiB (Kronecker)."""
+        model, step = self.desk_step(kind, n)
         tracemalloc.start()
         try:
-            with Tape():
-                loss = loss_total(model(x), y)
-            grads = T.backward(loss)
+            grads = step()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(grads) == len(model.parameters())
-        assert peak < 32 * 2**20
+        assert peak < mib * 2**20
+
+    def test_taped_desk_step_builds_no_join(self, monkeypatch):
+        """In a taped desk step every conv reads its skip concat or 2x
+        upsample from the sources: no join is built, and the concat and
+        upsample nodes get no gradient, so their VJPs never run."""
+        def no_build(*args):
+            raise AssertionError("a join was built")
+        monkeypatch.setattr(T, "_build_join", no_build)
+        ran = []
+
+        def spy_joins(tape):
+            joins = [node for node in tape.nodes if node.name in ("concat", "upsample2x")]
+            assert len(joins) == 4
+            for node in joins:
+                node.vjp = lambda g, needs, name=node.name: ran.append(name)
+        model, step = self.desk_step("kronecker", 2)
+        grads = step(spy_joins)
+        assert len(grads) == len(model.parameters())
+        assert ran == []
 
     def test_indivisible_spatial_rejected(self):
         model = build_unet(small_cfg(), Rng(0))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kronmri import blocks, cli
+from kronmri import blocks, cli, training
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri.cli import build_parser, main
 from kronmri.errors import TapeError
@@ -858,6 +858,17 @@ class TestTrainCmd:
         assert stderr_json(err)["error"] == "OSError"
         assert run_cli(capsys, "train", *self.TINY, "--seed", "2", "--out", out)[0] == 0
         assert sorted(os.listdir(out)) == ["checkpoint", "history.jsonl", "summary.json"]
+
+    def test_empty_out_is_config_error_before_training(self, capsys, monkeypatch):
+        """`--out ''` names no directory: refused with one JSON line before a
+        step runs, not a run that trains and writes nothing."""
+        def no_training(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(training, "train", no_training)
+        code, stdout, err = run_cli(capsys, "train", *self.TINY, "--out", "")
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert stderr_json(err)["error"] == "ConfigError"
 
     @pytest.mark.parametrize("n", ["4", "2"])
     def test_dense_kind_with_n_other_than_one_is_config_error(self, capsys, tmp_path, n):

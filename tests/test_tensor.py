@@ -1076,6 +1076,128 @@ class TestUntapedJoins:
         assert results[:half] == results[half:]
 
 
+@st.composite
+def taped_joins(draw):
+    """(op, B, h, w, channels, needs, k, stride, padding) of a conv over the
+    `concat` of [B,h,w,Ci] sources or the `upsample2x` of one [B,h,w,C]
+    source; `needs` says which sources require a gradient."""
+    op = draw(st.sampled_from(["concat", "upsample2x"]))
+    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    scale = 2 if op == "upsample2x" else 1
+    assume(k <= scale * min(h, w) + 2 * padding)
+    chans = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3 if op == "concat" else 1))
+    needs = draw(st.lists(st.booleans(), min_size=len(chans), max_size=len(chans)))
+    return op, draw(st.integers(1, 2)), h, w, chans, needs, k, stride, padding
+
+
+def join_of(op, srcs):
+    return T.concat(srcs) if op == "concat" else T.upsample2x(srcs[0])
+
+
+class TestTapedJoins:
+    """Under a tape `concat` and `upsample2x` return joins too, and a conv
+    of a join records the join's sources as its inputs and reads their
+    arrays: an upsampled source's gradients are taken from the 2x2 sums of
+    the shifted output gradient."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(geom=taped_joins())
+    @example(geom=("upsample2x", 2, 7, 5, [3], [True], 3, 1, 1))
+    @example(geom=("concat", 2, 9, 8, [2, 1, 3], [False, True, True], 3, 2, 1))
+    @example(geom=("upsample2x", 1, 3, 4, [2], [True], 3, 2, 1))  # builds the join
+    def test_gradients_match_the_built_join_and_its_vjp(self, geom):
+        """Float64 oracle: each source's gradient and the kernel and bias
+        gradients of `conv2d(join)` are, within rtol 1e-10, those of
+        `conv2d` on the built array followed by the concat or upsample
+        VJP; the output is bitwise the same. Only an upsampled join at
+        stride > 1 is built."""
+        op, bsz, h, w, chans, needs, k, stride, padding = geom
+        rng = Rng(len(chans) + 5 * h + 11 * w + 31 * k)
+        arrs = [rng.uniform((bsz, h, w, c), -1, 1) for c in chans]
+        if op == "concat":
+            built = np.concatenate(arrs, axis=-1)
+        else:
+            built = np.repeat(np.repeat(arrs[0], 2, axis=1), 2, axis=2)
+        wt = leaf(rng.uniform((3, built.shape[3], k, k), -1, 1))
+        b = leaf(rng.uniform((3,), -1, 1))
+        srcs = [Tensor(a, requires_grad=need) for a, need in zip(arrs, needs)]
+        xb = leaf(built)
+
+        with Tape():
+            join = join_of(op, srcs)
+            out = T.conv2d(join, wt, b, stride=stride, padding=padding)
+            g = Tensor(Rng(7).uniform(out.shape, -1, 1))
+            loss = T.sum_(T.mul(out, g))
+        got = backward(loss)
+        with Tape():
+            ref_out = T.conv2d(xb, wt, b, stride=stride, padding=padding)
+            ref_loss = T.sum_(T.mul(ref_out, g))
+        ref = backward(ref_loss)
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        assert (join._built is None) == (op == "concat" or stride == 1)
+        gx = ref[xb].data
+        if op == "concat":
+            want = np.split(gx, np.cumsum(chans)[:-1], axis=-1)
+        else:
+            want = [gx.reshape(bsz, h, 2, w, 2, -1).sum(axis=(2, 4))]
+        for src, need, wx in zip(srcs, needs, want):
+            if need:
+                np.testing.assert_allclose(got[src].data, wx, rtol=1e-10,
+                                           atol=1e-10 * np.abs(wx).max())
+            else:
+                assert src not in got
+        for p in (wt, b):
+            np.testing.assert_allclose(got[p].data, ref[p].data, rtol=1e-10,
+                                       atol=1e-10 * np.abs(ref[p].data).max())
+
+    @pytest.mark.parametrize("op", ["concat", "upsample2x"])
+    def test_another_reader_of_the_data_gets_the_joins_vjp(self, op):
+        """A join read as `.data` by another op is built, and its gradient
+        reaches the sources through the join's own node, summed with the
+        conv's."""
+        rng = Rng(43)
+        srcs = [leaf(rng.uniform((2, 3, 4, c), -1, 1)) for c in (2, 1)][:2 if op == "concat" else 1]
+        wt = leaf(rng.uniform((2, 3 if op == "concat" else 2, 3, 3), -1, 1))
+
+        def f():
+            join = join_of(op, srcs)
+            y = T.conv2d(join, wt, padding=1)
+            return T.add(T.sum_(T.mul(y, y)), T.sum_(T.mul(join, join)))
+
+        report = grad_check(f, [*srcs, wt])
+        assert report.passed, repr(report)
+
+    def test_an_untaped_join_read_under_a_tape_is_a_constant(self):
+        """A join made without a tape has no node: a taped conv of it gives
+        its sources no gradient, even a leaf that requires one."""
+        rng = Rng(44)
+        a = leaf(rng.uniform((1, 4, 4, 2), -1, 1))
+        wt = leaf(rng.uniform((2, 2, 3, 3), -1, 1))
+        for join in (T.concat([a]), T.upsample2x(a), T.concat([a, Tensor(a.data)])):
+            w_ = wt if join.shape[3] == 2 else leaf(rng.uniform((2, 4, 3, 3), -1, 1))
+            with Tape():
+                loss = T.sum_(T.conv2d(join, w_, padding=1))
+            grads = backward(loss)
+            assert list(grads) == [w_]
+
+    def test_grad_check_through_an_upsample_and_a_skip_concat(self):
+        """Central differences through the U-Net's up path: a conv of an
+        upsampled map, concatenated behind a skip, and a conv of that."""
+        rng = Rng(45)
+        x, skip = leaf(rng.uniform((2, 3, 4, 2), -1, 1)), leaf(rng.uniform((2, 6, 8, 2), -1, 1))
+        w1, w2 = leaf(rng.uniform((3, 2, 3, 3), -0.5, 0.5)), leaf(rng.uniform((2, 5, 3, 3), -0.5, 0.5))
+        b1 = leaf(rng.uniform((3,), -0.5, 0.5))
+
+        def f():
+            h = T.conv2d(T.upsample2x(x), w1, b1, padding=1)
+            y = T.conv2d(T.concat([skip, h]), w2, padding=1)
+            return T.mul(T.mean_(T.mul(y, y)), 0.5)
+
+        report = grad_check(f, [x, skip, w1, b1, w2])
+        assert report.passed, repr(report)
+
+
 class TestTapeSemantics:
     def test_backward_of_sum_is_ones(self):
         x = leaf(np.arange(5.0))
