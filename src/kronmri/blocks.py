@@ -137,9 +137,9 @@ class UNet(Module):
         # concatenated: nothing outlives its last reader, or under a tape
         # the last VJP that reads it. Each activation is one array: relu
         # rectifies in place the conv output that only it reads, and an
-        # upsample or a skip concat is a join the next conv reads from its
-        # sources, never built, with or without a tape; taped, that conv's
-        # VJP gives the sources their gradients (`T.conv2d`).
+        # upsample or a skip concat is a join: only the next conv reads it,
+        # from its sources, and taped gives the sources their gradients
+        # (`T.conv2d`).
         h = T.transpose(x, (0, 2, 3, 1))
         for conv in self._stem:
             h = conv(h)

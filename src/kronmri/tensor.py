@@ -40,12 +40,11 @@ stay mapped and are returned on free. Where the C library has no
 
 Two exceptions keep each activation of a U-Net forward to one array.
 `relu(x, gain, inplace=True)` rectifies `x.data` itself, for a caller whose
-`x` has no other reader. `concat` and `upsample2x` return a join (`_Join`)
-that keeps its sources and builds `.data` only when something reads it;
-`conv2d` reads the sources instead. Under a tape the join still records its
-node, so another reader of `.data` gets correct gradients, but `conv2d`
-records the join's sources as its own inputs and gives each its gradient:
-the join's node gets none, and its VJP never runs.
+`x` has no other reader. `concat` and `upsample2x` return a join (`_Join`):
+a description of a `conv2d` input, which the conv reads from the join's
+sources, and nothing else. A join has no `.data` and records no node;
+taped, `conv2d` records the sources as its own inputs and gives each its
+gradient.
 
 Image ops are channels-last: conv2d and upsample2x take and return
 [B,H,W,C] activations, so the conv GEMM's [B*Ho*Wo, O] result is its output
@@ -134,40 +133,35 @@ class Tensor:
 
 
 class _Join(Tensor):
-    """A `concat` or `upsample2x` result, built only when read.
+    """A `concat` or `upsample2x` result: the input of a `conv2d`, and
+    nothing else.
 
     `parts` are (array, up) pairs joined in order on the last (channel)
     axis, each source taken as is or, where `up`, a [B,h,w,C] array
-    nearest-2x upsampled. The sources must not change while the join
-    lives. Under a tape the join records its op's node like any op output,
-    and `sources` holds the source tensors, one per part (None when no
-    node was recorded). `conv2d` lays its input rows straight from the
-    parts and, taped, records the sources as its inputs, so the U-Net's
-    joins are never built and their nodes get no gradient. Any other
-    reader of `.data` gets the joined array, built once, and from then on
-    the join has that array as its one part; its gradient reaches the
-    sources through the join's node. The sources are checked for NaN/Inf
-    here, in place of the output they make up, and the error names the
-    op."""
+    nearest-2x upsampled, and `sources` are the tensors they come from, one
+    per part. The sources must not change while the join lives. `conv2d`
+    lays its input rows straight from the parts and, taped, records the
+    sources as its inputs, so a join is never built and records no node of
+    its own; it requires a gradient when a source does. It has no `.data`:
+    any other op given a join raises a ShapeError that names the join's op.
+    The sources are checked for NaN/Inf here, in place of the output they
+    make up, and the error names the op."""
 
-    __slots__ = ("parts", "sources", "_shape", "_built")
+    __slots__ = ("parts", "sources", "_shape")
 
-    def __init__(self, name: str, sources: tuple, up: bool, shape: tuple, vjp):
+    def __init__(self, name: str, sources: tuple, up: bool, shape: tuple):
         self.parts = tuple((t.data, up) for t in sources)
         for src, _ in self.parts:
             if not _all_finite(src):
                 raise NumericError(f"non-finite values in output of op '{name}'")
-        self._shape, self._built = shape, None
-        self.requires_grad, self.node = False, None
-        _record(name, sources, self, vjp)
-        self.sources = sources if self.node is not None else None
+        self.sources, self._shape = sources, shape
+        self.requires_grad = any(t.requires_grad for t in sources)
+        self.node = None
 
     @property
     def data(self) -> np.ndarray:
-        if self._built is None:
-            self._built = _build_join(self.parts, self._shape)
-            self.parts, self.sources = ((self._built, False),), None
-        return self._built
+        name = "upsample2x" if self.parts[0][1] else "concat"
+        raise ShapeError(f"the result of '{name}' is read only by conv2d; it has no data")
 
     @property
     def shape(self) -> tuple:
@@ -176,21 +170,6 @@ class _Join(Tensor):
     @property
     def dtype(self):
         return self.parts[0][0].dtype
-
-
-def _build_join(parts: tuple, shape: tuple) -> np.ndarray:
-    """The channel (last-axis) join of `parts` as one fresh array."""
-    out = np.empty(shape, dtype=parts[0][0].dtype)
-    c0 = 0
-    for src, up in parts:
-        c1 = c0 + src.shape[-1]
-        if up:
-            bsz, h, w, _ = src.shape
-            out.reshape(bsz, h, 2, w, 2, -1)[..., c0:c1] = src[:, :, None, :, None]
-        else:
-            out[..., c0:c1] = src
-        c0 = c1
-    return out
 
 
 class _Node:
@@ -246,7 +225,8 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _apply(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
-    """Wrap an op result, recording a node when a tape is active.
+    """Wrap an op result, recording a node when a tape is active and an
+    input needs a gradient.
 
     `vjp(g, needs)` must return per-input gradient arrays (None where
     `needs` is False), aligned with `inputs`.
@@ -254,16 +234,9 @@ def _apply(name: str, inputs: tuple, out_data: np.ndarray, vjp) -> Tensor:
     out = Tensor(out_data)
     if not _all_finite(out.data):
         raise NumericError(f"non-finite values in output of op '{name}'")
-    _record(name, inputs, out, vjp)
-    return out
-
-
-def _record(name: str, inputs: tuple, out: Tensor, vjp) -> None:
-    """Record `out` as the output of op `name` on the active tape, if there
-    is one and an input needs a gradient (see `_apply`)."""
     tape = _ACTIVE_TAPE
     if tape is None:
-        return
+        return out
     if tape.consumed:
         raise TapeError("recording onto a consumed tape")
     needs, keys = [], []
@@ -278,6 +251,7 @@ def _record(name: str, inputs: tuple, out: Tensor, vjp) -> None:
         tape.nodes.append(node)
         out.node = node
         out.requires_grad = True
+    return out
 
 
 def backward(loss: Tensor) -> dict[Tensor, Tensor]:
@@ -310,9 +284,9 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
 
     out: dict[Tensor, Tensor] = {}
     for t, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient for a leaf tensor")
         out[t] = Tensor(g)
+        if not _all_finite(out[t].data):
+            raise NumericError("non-finite gradient for a leaf tensor")
     return out
 
 
@@ -671,23 +645,6 @@ def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
     return acc.reshape(-1, ka, kb, o)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
 
 
-def _conv_input(x: Tensor, stride: int) -> tuple:
-    """The (array, up) parts `conv2d` reads of its input `x` (see `_Join`),
-    and the tensors its node records in x's place, one per part.
-
-    Taped, an unbuilt join's parts are read and its sources recorded; a
-    join no tape recorded is a constant, its parts wrapped as tensors that
-    need no gradient. The VJP pools an upsampled part at stride 1 only, so
-    at a larger stride the join is built and recorded as itself."""
-    if not isinstance(x, _Join):
-        return ((x.data, False),), (x,)
-    if _ACTIVE_TAPE is None:
-        return x.parts, (x,)
-    if x._built is not None or stride > 1 and any(up for _, up in x.parts):
-        return ((x.data, False),), (x,)
-    return x.parts, x.sources or tuple(Tensor(a) for a, _ in x.parts)
-
-
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation, channels-last: [B,H,W,C] input and [O,C,k,k]
@@ -697,8 +654,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     An empty batch, channel or output-channel axis is a ShapeError.
 
     Nothing the size of the input is copied or kept. The forward runs over
-    blocks of at least `_GEMM_BLOCK_ROWS` output pixels in whole image rows
-    (a short tail joins the last block), with or without a tape. For each
+    blocks of whole image rows, as equal as can be and each of at least
+    `_GEMM_BLOCK_ROWS` output pixels, with or without a tape. For each
     image's share of a block, the zero-padded input rows it reads are laid
     channel-major into one reused [C, s*(rows-1)+k, Wp] buffer by one
     transposing copy; a `concat` or `upsample2x` input (`_Join`) is laid
@@ -725,8 +682,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     The VJP keeps only the input's arrays and `w.data`, the arrays it
     reads, and the tape keeps them only until `backward` has run the VJP. A
-    join's arrays are its sources': taped, the node records the sources in
-    x's place and gives each its own gradient (`_conv_input`). With stride
+    join's arrays are its sources': the node records the sources in x's
+    place and gives each its own gradient. With stride
     s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
     (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
@@ -746,8 +703,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     transposed by summing each 2x2 block, so with P = U.T @ S the source's
     input gradient U.T @ (S @ wflip) is P @ wflip and its kernel-gradient
     share (U @ src).T @ S is src.T @ P, two GEMMs at a quarter of the MACs.
-    That holds at stride 1; at a larger stride an upsampled join is built,
-    and its own VJP takes the gradient back to the source.
+    That holds at stride 1 only, so an `upsample2x` input at a larger
+    stride is a ShapeError.
     """
     if len(x.shape) != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects [B,H,W,C] and [O,C,k,k], got {x.shape} and {w.shape}")
@@ -764,6 +721,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d kernels must be square, got {kh}x{kw}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/padding ({stride}, {padding})")
+    parts, srcs = (x.parts, x.sources) if isinstance(x, _Join) else (((x.data, False),), (x,))
+    up = parts[0][1]  # a join is a concat of plain parts or one upsampled source
+    if up and stride > 1:
+        raise ShapeError(f"conv2d of an upsample2x result takes stride 1, got {stride}")
     k = kh
     hp, wp = h + 2 * padding, wd + 2 * padding
     if k > hp or k > wp:
@@ -780,12 +741,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     _count_macs(bsz * o * ho * wo * c * k * k)
     dtype = x.dtype
-    parts, srcs = _conv_input(x, stride)
-    # Blocks of `per` output image rows; the last also takes the short tail.
+    # Blocks of output image rows whose sizes differ by one row at most,
+    # each of at least `per` rows unless there is only one.
     nrows = bsz * ho
     per = -(-_GEMM_BLOCK_ROWS // wo)
-    bounds = [i * per for i in range(max(1, nrows // per))] + [nrows]
-    most = nrows - bounds[-2]  # rows of the largest block, the last
+    nblk = max(1, nrows // per)
+    bounds = [nrows * i // nblk for i in range(nblk + 1)]
+    most = -(-nrows // nblk)  # rows of the largest block
     ckk = c * k * k
     buf = np.empty(ckk * most * wo, dtype=dtype)
     rows = np.zeros((c, stride * (min(most, ho) - 1) + k, wp), dtype=dtype)
@@ -806,7 +768,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     hu, wu = -(-hp // stride), -(-wp // stride)
     lead = (-(-k // stride) - 1) * (wu + 1)  # phase (0, 0)'s, the largest sub-kernel's
     nparts = len(parts)
-    up = parts[0][1]  # a join is a concat of plain parts or one upsampled source
     inputs = (*srcs, w) if bias is None else (*srcs, w, bias)
 
     def vjp(g, needs):
@@ -893,7 +854,7 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def concat(parts) -> Tensor:
     """Join tensors of one dtype on their last axis; every other axis must
-    match. The join is built only when read (`_Join`)."""
+    match. The result is a `conv2d` input only (`_Join`)."""
     parts = tuple(parts)
     if not parts or any(len(t.shape) == 0 for t in parts):
         raise ShapeError(f"concat needs one or more parts of rank >= 1, "
@@ -903,33 +864,16 @@ def concat(parts) -> Tensor:
     if any(t.shape[:-1] != parts[0].shape[:-1] for t in parts):
         raise ShapeError(f"concat: shapes {[t.shape for t in parts]} differ "
                          "off the last axis")
-    sizes = [t.shape[-1] for t in parts]
-
-    def vjp(g, needs):
-        grads = []
-        start = 0
-        for sz, need in zip(sizes, needs):
-            grads.append(np.ascontiguousarray(g[..., start:start + sz]) if need else None)
-            start += sz
-        return tuple(grads)
-
-    return _Join("concat", parts, False, (*parts[0].shape[:-1], sum(sizes)), vjp)
+    return _Join("concat", parts, False, (*parts[0].shape[:-1], sum(t.shape[-1] for t in parts)))
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x spatial upsampling, channels-last [B,H,W,C].
-    The result is built only when read (`_Join`)."""
+    The result is a stride-1 `conv2d` input only (`_Join`)."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample2x expects [B,H,W,C], got {x.shape}")
     bsz, h, w, c = x.shape
-
-    def vjp(g, needs):
-        gx = g[:, 0::2, 0::2] + g[:, 0::2, 1::2]
-        gx += g[:, 1::2, 0::2]
-        gx += g[:, 1::2, 1::2]
-        return (gx,)
-
-    return _Join("upsample2x", (x,), True, (bsz, 2 * h, 2 * w, c), vjp)
+    return _Join("upsample2x", (x,), True, (bsz, 2 * h, 2 * w, c))
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -129,9 +129,10 @@ def test_apply_keeps_the_four_parameters_perfbench_wraps():
 
 
 def test_untaped_capture_sees_the_upsampled_and_concatenated_inputs():
-    """Untaped, the convs after an upsample and a skip concat read a join
-    that is never built; the replay still records the joined shape, as a
-    taped forward's built arrays have it."""
+    """The convs after an upsample and a skip concat read a join, which is
+    never built; the replay records the joined shape, taped or not, and
+    under a tape every conv after `stem.conv1` reads an input that needs a
+    gradient, so the replay times the up convs' input gradients too."""
     cfg = UNetConfig(channel_multiples=[1, 2, 2], base_channels=2)
     x = Tensor(np.ones((1, 2, 8, 8), dtype=np.float32))
     untaped = replay.capture_convs(build_unet(cfg, Rng(0)), x, False)
@@ -141,6 +142,7 @@ def test_untaped_capture_sees_the_upsampled_and_concatenated_inputs():
     assert shapes["up2.up"] == (1, 4, 4, 4) and shapes["up2.conv1"] == (1, 4, 4, 8)
     assert shapes["up1.up"] == (1, 8, 8, 4) and shapes["up1.conv1"] == (1, 8, 8, 4)
     assert not any(call["x_grad"] for call in untaped)
+    assert [call["name"] for call in taped if not call["x_grad"]] == ["stem.conv1"]
 
 
 def test_train_workload_call_forms():

@@ -136,6 +136,13 @@ def blocked_convs(draw):
     return bsz, h, w, k, stride, padding
 
 
+def identity_conv(x):
+    """A 1x1 conv of `x` whose kernel is the identity: values and input
+    gradients pass through it exactly."""
+    c = x.shape[3]
+    return T.conv2d(x, Tensor(np.eye(c, dtype=x.dtype).reshape(c, c, 1, 1)))
+
+
 def leaf(arr):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=True)
 
@@ -698,7 +705,8 @@ class TestConv2d:
         streamed = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1)
         return taped.data, streamed.data
 
-    # (B, C, H=W, stride): output rows per block, blocks, tail rows
+    # (B, C, H=W, stride): fewest output rows per block (`per`), blocks, and
+    # the tail of rows past the last whole `per`, which the blocks share
     STREAMED = [(2, 8, 40, 1),    # 26 rows, 3 blocks, tail 2, a block across images
                 (3, 16, 70, 2),   # 35x35 output: 30 rows, 3 blocks, tail 15
                 (4, 4, 33, 1),    # 32 rows, 4 blocks, tail 4
@@ -709,6 +717,27 @@ class TestConv2d:
         ho = (hw + 2 - 3) // stride + 1
         per = -(-T._GEMM_BLOCK_ROWS // ho)  # square output: Wo = Ho
         assert bsz * ho // per >= 3 and bsz * ho % per and per % ho
+
+    @pytest.mark.parametrize("bsz,c,hw,stride", STREAMED)
+    def test_forward_blocks_differ_by_one_row_at_most(self, monkeypatch, bsz, c, hw, stride):
+        """The blocks share the tail: their sizes differ by one row at most,
+        and each still has at least `_GEMM_BLOCK_ROWS` output pixels, so
+        the reused im2col block buffer is as small as the pinned rounding
+        allows."""
+        sizes = []
+        row_windows = T._row_windows
+
+        def spy(parts, hw_, padding, s, ho, r0, r1, rows, out):
+            sizes.append(r1 - r0)
+            return row_windows(parts, hw_, padding, s, ho, r0, r1, rows, out)
+
+        monkeypatch.setattr(T, "_row_windows", spy)
+        x = Tensor(np.ones((bsz, hw, hw, c), dtype=np.float32))
+        out = T.conv2d(x, Tensor(np.ones((2, c, 3, 3), dtype=np.float32)),
+                       stride=stride, padding=1)
+        assert len(sizes) >= 3 and sum(sizes) == bsz * out.shape[1]
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) * out.shape[2] >= T._GEMM_BLOCK_ROWS
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("o", [2, 8, 32])
@@ -931,10 +960,10 @@ class TestReductionsAndShapes:
         assert np.array_equal(g, w.T)
 
     def test_concat_splits_gradient(self):
-        a, b = leaf(np.ones((2, 3, 2))), leaf(np.ones((2, 3, 3)))
-        w = Rng(25).uniform((2, 3, 5), -1, 1)
+        a, b = leaf(np.ones((2, 3, 4, 2))), leaf(np.ones((2, 3, 4, 3)))
+        w = Rng(25).uniform((2, 3, 4, 5), -1, 1)
         with Tape():
-            loss = T.sum_(T.mul(T.concat([a, b]), Tensor(w)))
+            loss = T.sum_(T.mul(identity_conv(T.concat([a, b])), Tensor(w)))
         grads = backward(loss)
         assert np.array_equal(grads[a].data, w[..., :2])
         assert np.array_equal(grads[b].data, w[..., 2:])
@@ -951,7 +980,7 @@ class TestReductionsAndShapes:
     def test_upsample_values_and_grad(self):
         x = leaf(nhwc(np.arange(4.0).reshape(1, 1, 2, 2)))
         with Tape():
-            y = T.upsample2x(x)
+            y = identity_conv(T.upsample2x(x))
             loss = T.sum_(y)
         up = nchw(y.data)
         assert up.shape == (1, 1, 4, 4)
@@ -964,7 +993,7 @@ class TestReductionsAndShapes:
         x = leaf(rng.uniform((2, 3, 4, 5), -1, 1))
         g = rng.uniform((2, 6, 8, 5), -1, 1)
         with Tape():
-            loss = T.sum_(T.mul(T.upsample2x(x), Tensor(g)))
+            loss = T.sum_(T.mul(identity_conv(T.upsample2x(x)), Tensor(g)))
         expect = g.reshape(2, 3, 2, 4, 2, 5).sum(axis=(2, 4))
         assert np.allclose(backward(loss)[x].data, expect, rtol=0, atol=1e-12)
 
@@ -997,9 +1026,10 @@ class TestReductionsAndShapes:
 @st.composite
 def joined_convs(draw):
     """(B, h, w, channels, k, stride, padding) of a conv over an upsampled
-    [B,2h,2w,C] map or a [B,2h,2w,C0+C1] concat: up to 2 x 28 x 28 output
-    pixels, so a forward block may cross images, and odd padding makes
-    input rows start at either parity of the upsample."""
+    [B,2h,2w,C] map, which is read at stride 1, or a [B,2h,2w,C0+C1]
+    concat: up to 2 x 28 x 28 output pixels, so a forward block may cross
+    images, and odd padding makes input rows start at either parity of the
+    upsample."""
     k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
     h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
     assume(k <= 2 * min(h, w) + 2 * padding)
@@ -1008,11 +1038,11 @@ def joined_convs(draw):
 
 
 class TestUntapedJoins:
-    """Without a tape, `concat` and `upsample2x` return joins that are
-    built only when read, and `conv2d` reads their sources."""
+    """`concat` and `upsample2x` return joins, which only `conv2d` reads,
+    from their sources."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_join_data_is_bitwise_the_built_array(self, dtype):
+    def test_identity_conv_of_a_join_is_bitwise_the_built_array(self, dtype):
         rng = Rng(40)
         a = rng.uniform((2, 3, 5, 2), -1, 1).astype(dtype)
         b = rng.uniform((2, 3, 5, 3), -1, 1).astype(dtype)
@@ -1020,10 +1050,29 @@ class TestUntapedJoins:
         for join in (cat, up):
             assert isinstance(join, T._Join) and join.dtype == dtype
         assert cat.shape == (2, 3, 5, 5) and up.shape == (2, 6, 10, 2)
-        assert cat._built is None and up._built is None  # shape and dtype build nothing
-        assert cat.data.tobytes() == np.concatenate([a, b], axis=-1).tobytes()
-        assert up.data.tobytes() == np.repeat(np.repeat(a, 2, axis=1), 2, axis=2).tobytes()
-        assert up.data is up.data  # built once
+        assert identity_conv(cat).data.tobytes() == np.concatenate([a, b], axis=-1).tobytes()
+        assert identity_conv(up).data.tobytes() == np.repeat(
+            np.repeat(a, 2, axis=1), 2, axis=2).tobytes()
+
+    @pytest.mark.parametrize("read", [
+        lambda j: j.data, lambda j: T.add(j, 1.0), lambda j: T.relu(j),
+        lambda j: T.reshape(j, (-1,)), lambda j: T.concat([j])],
+        ids=["data", "add", "relu", "reshape", "concat"])
+    @pytest.mark.parametrize("op", ["concat", "upsample2x"])
+    def test_any_reader_but_conv2d_is_a_shape_error_naming_the_op(self, op, read):
+        a = Tensor(np.ones((1, 2, 3, 2)))
+        join = join_of(op, [a, a])
+        with pytest.raises(ShapeError, match=f"'{op}'"):
+            read(join)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_conv_of_an_upsample_at_stride_2_is_a_shape_error(self, taped):
+        """The conv VJP pools an upsampled source's gradient at stride 1
+        only, so no stride is read but 1, with or without a tape."""
+        x = leaf(np.ones((1, 3, 3, 2)))
+        with Tape() if taped else contextlib.nullcontext():
+            with pytest.raises(ShapeError, match="upsample2x.*stride 1, got 2"):
+                T.conv2d(T.upsample2x(x), Tensor(np.ones((2, 2, 3, 3))), stride=2, padding=1)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(geom=joined_convs(), dtype=st.sampled_from([np.float32, np.float64]))
@@ -1035,13 +1084,13 @@ class TestUntapedJoins:
         srcs = [rng.uniform((bsz, 2 * h, 2 * w, c), -1, 1).astype(dtype) for c in chans]
         small = rng.uniform((bsz, h, w, chans[0]), -1, 1).astype(dtype)
         b = Tensor(rng.uniform((4,), -1, 1).astype(dtype))
-        for join, built in ((T.upsample2x(Tensor(small)),
-                             np.repeat(np.repeat(small, 2, axis=1), 2, axis=2)),
-                            (T.concat([Tensor(a) for a in srcs]), np.concatenate(srcs, axis=-1))):
+        for join, built, s in ((T.upsample2x(Tensor(small)),
+                                np.repeat(np.repeat(small, 2, axis=1), 2, axis=2), 1),
+                               (T.concat([Tensor(a) for a in srcs]),
+                                np.concatenate(srcs, axis=-1), stride)):
             w_ = Tensor(rng.uniform((4, built.shape[3], k, k), -1, 1).astype(dtype))
-            got = T.conv2d(join, w_, b, stride=stride, padding=padding).data
-            want = T.conv2d(Tensor(built), w_, b, stride=stride, padding=padding).data
-            assert join._built is None
+            got = T.conv2d(join, w_, b, stride=s, padding=padding).data
+            want = T.conv2d(Tensor(built), w_, b, stride=s, padding=padding).data
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("taped", [False, True])
@@ -1080,9 +1129,11 @@ class TestUntapedJoins:
 def taped_joins(draw):
     """(op, B, h, w, channels, needs, k, stride, padding) of a conv over the
     `concat` of [B,h,w,Ci] sources or the `upsample2x` of one [B,h,w,C]
-    source; `needs` says which sources require a gradient."""
+    source, read at stride 1; `needs` says which sources require a
+    gradient."""
     op = draw(st.sampled_from(["concat", "upsample2x"]))
-    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    k, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    stride = 1 if op == "upsample2x" else draw(st.integers(1, 2))
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     scale = 2 if op == "upsample2x" else 1
     assume(k <= scale * min(h, w) + 2 * padding)
@@ -1096,22 +1147,19 @@ def join_of(op, srcs):
 
 
 class TestTapedJoins:
-    """Under a tape `concat` and `upsample2x` return joins too, and a conv
-    of a join records the join's sources as its inputs and reads their
-    arrays: an upsampled source's gradients are taken from the 2x2 sums of
-    the shifted output gradient."""
+    """A taped conv of a join records the join's sources as its inputs and
+    reads their arrays: an upsampled source's gradients are taken from the
+    2x2 sums of the shifted output gradient."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(geom=taped_joins())
     @example(geom=("upsample2x", 2, 7, 5, [3], [True], 3, 1, 1))
     @example(geom=("concat", 2, 9, 8, [2, 1, 3], [False, True, True], 3, 2, 1))
-    @example(geom=("upsample2x", 1, 3, 4, [2], [True], 3, 2, 1))  # builds the join
     def test_gradients_match_the_built_join_and_its_vjp(self, geom):
         """Float64 oracle: each source's gradient and the kernel and bias
         gradients of `conv2d(join)` are, within rtol 1e-10, those of
         `conv2d` on the built array followed by the concat or upsample
-        VJP; the output is bitwise the same. Only an upsampled join at
-        stride > 1 is built."""
+        VJP (the split or the 2x2 sum); the output is bitwise the same."""
         op, bsz, h, w, chans, needs, k, stride, padding = geom
         rng = Rng(len(chans) + 5 * h + 11 * w + 31 * k)
         arrs = [rng.uniform((bsz, h, w, c), -1, 1) for c in chans]
@@ -1135,7 +1183,6 @@ class TestTapedJoins:
             ref_loss = T.sum_(T.mul(ref_out, g))
         ref = backward(ref_loss)
         assert out.data.tobytes() == ref_out.data.tobytes()
-        assert (join._built is None) == (op == "concat" or stride == 1)
         gx = ref[xb].data
         if op == "concat":
             want = np.split(gx, np.cumsum(chans)[:-1], axis=-1)
@@ -1151,35 +1198,36 @@ class TestTapedJoins:
             np.testing.assert_allclose(got[p].data, ref[p].data, rtol=1e-10,
                                        atol=1e-10 * np.abs(ref[p].data).max())
 
-    @pytest.mark.parametrize("op", ["concat", "upsample2x"])
-    def test_another_reader_of_the_data_gets_the_joins_vjp(self, op):
-        """A join read as `.data` by another op is built, and its gradient
-        reaches the sources through the join's own node, summed with the
-        conv's."""
-        rng = Rng(43)
-        srcs = [leaf(rng.uniform((2, 3, 4, c), -1, 1)) for c in (2, 1)][:2 if op == "concat" else 1]
-        wt = leaf(rng.uniform((2, 3 if op == "concat" else 2, 3, 3), -1, 1))
-
-        def f():
-            join = join_of(op, srcs)
-            y = T.conv2d(join, wt, padding=1)
-            return T.add(T.sum_(T.mul(y, y)), T.sum_(T.mul(join, join)))
-
-        report = grad_check(f, [*srcs, wt])
-        assert report.passed, repr(report)
-
-    def test_an_untaped_join_read_under_a_tape_is_a_constant(self):
-        """A join made without a tape has no node: a taped conv of it gives
-        its sources no gradient, even a leaf that requires one."""
+    def test_an_untaped_join_read_under_a_tape_gives_its_sources_gradients(self):
+        """A join made without a tape is read as its sources: a taped conv
+        of it gives them, bitwise, the gradients that a join made under the
+        tape gets them, and a source that needs none gets none."""
         rng = Rng(44)
         a = leaf(rng.uniform((1, 4, 4, 2), -1, 1))
-        wt = leaf(rng.uniform((2, 2, 3, 3), -1, 1))
-        for join in (T.concat([a]), T.upsample2x(a), T.concat([a, Tensor(a.data)])):
-            w_ = wt if join.shape[3] == 2 else leaf(rng.uniform((2, 4, 3, 3), -1, 1))
+        c = Tensor(rng.uniform((1, 4, 4, 2), -1, 1))
+        for make in (lambda: T.concat([a]), lambda: T.upsample2x(a), lambda: T.concat([a, c])):
+            wt = leaf(rng.uniform((2, make().shape[3], 3, 3), -1, 1))
+            untaped_join = make()
             with Tape():
-                loss = T.sum_(T.conv2d(join, w_, padding=1))
-            grads = backward(loss)
-            assert list(grads) == [w_]
+                loss = T.sum_(T.conv2d(untaped_join, wt, padding=1))
+            got = backward(loss)
+            with Tape():
+                loss = T.sum_(T.conv2d(make(), wt, padding=1))
+            want = backward(loss)
+            assert set(got) == set(want) == {a, wt}
+            for p in (a, wt):
+                assert got[p].data.tobytes() == want[p].data.tobytes()
+
+    @pytest.mark.parametrize("op", ["concat", "upsample2x"])
+    def test_a_join_read_on_another_tape_is_a_tape_error(self, op):
+        """A join of a result recorded on one tape, read by a conv on
+        another, is refused like any input from another tape."""
+        h = leaf(Rng(46).uniform((1, 3, 3, 2), -1, 1))
+        with Tape():
+            join = join_of(op, [T.relu(h), h])
+        with Tape():
+            with pytest.raises(TapeError, match="op 'conv2d'.*another tape"):
+                T.conv2d(join, leaf(np.ones((2, join.shape[3], 3, 3))), padding=1)
 
     def test_grad_check_through_an_upsample_and_a_skip_concat(self):
         """Central differences through the U-Net's up path: a conv of an
