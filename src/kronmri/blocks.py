@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .kten import read_kten, write_kten
+from .kten import read_kten, write_file, write_kten
 from .layers import DENSE, KroneckerConv2d, KroneckerLinear, Module, check_sizes, nested
 from .rng import Rng
 from .tensor import Tensor
@@ -170,10 +170,10 @@ class UNet(Module):
     def save(self, path: str) -> None:
         """Write the checkpoint into `path`. Array files that a checkpoint
         already there names, and this one does not, are deleted first, then
-        its manifest; the new manifest is written last, by `write_json`. A
-        save that stops part-way thus leaves no manifest, and nothing that
-        loads. A name there that leaves `path` is a ConfigError before any
-        file is deleted or written."""
+        its manifest; each array and, last, the new manifest are written
+        whole (`kten.write_file`). A save that stops part-way thus leaves no
+        manifest, and nothing that loads. A name there that leaves `path`
+        is a ConfigError before any file is deleted or written."""
         entries = [{"name": name, "manifest": layer.manifest(),
                     "arrays": {aname: f"{idx:03d}_{aname}.kten" for aname in layer.arrays()}}
                    for idx, (name, layer) in enumerate(self._layers)]
@@ -247,28 +247,9 @@ def read_json_object(path: str) -> dict:
     return obj
 
 
-def write_whole(path: str, dump) -> None:
-    """Write a text file all at once: `dump(fh)` writes the text to `path` +
-    ".tmp", which is flushed to disk (`os.fsync`) and then renamed over
-    `path`, so `path` never holds part of a document, not even after a
-    crash. If the write or the rename fails, the ".tmp" file is removed, an
-    earlier `path` is left as it was, and the error raised."""
-    tmp = path + ".tmp"
-    fh = open(tmp, "w")
-    try:
-        with fh:
-            dump(fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
 def write_json(path: str, obj: dict) -> None:
-    """Write `obj` to `path` as indented, key-sorted JSON, whole (`write_whole`)."""
-    write_whole(path, lambda fh: json.dump(obj, fh, indent=1, sort_keys=True))
+    """Write `obj` to `path` as indented, key-sorted JSON, whole (`write_file`)."""
+    write_file(path, (json.dumps(obj, indent=1, sort_keys=True).encode("ascii"),))
 
 
 def _named_arrays(path: str) -> set:

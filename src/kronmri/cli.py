@@ -94,7 +94,7 @@ def _all_or_nothing():
     """Yield `write(writer, path, *args)`, which calls `writer(path, *args)`
     and remembers `path` once the call returns. If the block raises, every
     remembered file is removed, so a failed command leaves no file it wrote
-    (each writer removes a file it fails part-way through)."""
+    (a writer that fails leaves its target as it was)."""
     written = []
 
     def write(writer, path, *args, **kwargs):
@@ -132,6 +132,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_gen_mask(args) -> int:
+    if args.pgm and os.path.realpath(args.pgm) == os.path.realpath(args.out):
+        raise ConfigError(f"--pgm {args.pgm!r} is the --out file {args.out!r}")
     mask = gen_cartesian_mask(args.width, args.af,
                               center_fraction=args.center_fraction,
                               rng=Rng(args.seed))

@@ -11,7 +11,9 @@ KTEN layout, all integers little-endian:
 
 Round-trips are bit-exact; readers reject bad magic, unknown versions and
 a payload whose declared size differs from the bytes left in the file,
-before allocating it.
+before allocating it. Every file kronmri writes, KTEN, PGM, JSON or
+history, goes through `write_file`: a temporary name, `os.fsync`, then a
+rename over the target.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def write_kten(path, arr: np.ndarray) -> None:
     if arr.ndim > 255:
         raise ShapeError(f"KTEN rank limit exceeded: {arr.ndim}")
     head = _MAGIC + struct.pack(f"<BBB{arr.ndim}Q", _VERSION, code, arr.ndim, *arr.shape)
-    _write_file(path, (head, arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()))
+    write_file(path, (head, arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()))
 
 
 def read_kten(path) -> np.ndarray:
@@ -80,20 +82,31 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     else:
         data = np.clip(np.rint(image * maxval), 0, maxval).astype(np.uint8)
     h, w = image.shape
-    _write_file(path, (f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), data.tobytes()))
+    write_file(path, (f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), data.tobytes()))
 
 
-def _write_file(path, parts) -> None:
-    """Write the byte strings `parts` to `path` and flush them to disk
-    (`os.fsync`) before the close. If a write fails after the file was
-    opened, the part-written file is removed and the error raised."""
-    fh = open(path, "wb")
+def write_file(path, parts) -> None:
+    """Write the byte strings `parts` to `path` whole; the one function in
+    kronmri that opens a file for writing. `path` is resolved
+    (`os.path.realpath`), so a symlink's target is rewritten; an existing
+    target that is not a regular file is an OSError, raised before anything
+    is opened. The parts go to the target + ".tmp", which is flushed to
+    disk (`os.fsync`), closed and renamed over the target, so the target
+    never holds part of a file, not even after a crash. If a step fails,
+    the ".tmp" file is removed, an earlier target is left as it was, and
+    the error raised."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise OSError(f"{path}: not a regular file")
+    tmp = target + ".tmp"
+    fh = open(tmp, "wb")
     try:
         with fh:
             for part in parts:
                 fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
+        os.replace(tmp, target)
     except BaseException:
-        os.remove(path)
+        os.remove(tmp)
         raise

@@ -144,16 +144,13 @@ class _Join(Tensor):
     sources as its inputs, so a join is never built and records no node of
     its own; it requires a gradient when a source does. It has no `.data`:
     any other op given a join raises a ShapeError that names the join's op.
-    The sources are checked for NaN/Inf here, in place of the output they
-    make up, and the error names the op."""
+    The join does not scan its sources: a NaN or Inf that the conv reads
+    from one reaches the conv's output, whose check (`_apply`) raises."""
 
     __slots__ = ("parts", "sources", "_shape")
 
-    def __init__(self, name: str, sources: tuple, up: bool, shape: tuple):
+    def __init__(self, sources: tuple, up: bool, shape: tuple):
         self.parts = tuple((t.data, up) for t in sources)
-        for src, _ in self.parts:
-            if not _all_finite(src):
-                raise NumericError(f"non-finite values in output of op '{name}'")
         self.sources, self._shape = sources, shape
         self.requires_grad = any(t.requires_grad for t in sources)
         self.node = None
@@ -864,7 +861,7 @@ def concat(parts) -> Tensor:
     if any(t.shape[:-1] != parts[0].shape[:-1] for t in parts):
         raise ShapeError(f"concat: shapes {[t.shape for t in parts]} differ "
                          "off the last axis")
-    return _Join("concat", parts, False, (*parts[0].shape[:-1], sum(t.shape[-1] for t in parts)))
+    return _Join(parts, False, (*parts[0].shape[:-1], sum(t.shape[-1] for t in parts)))
 
 
 def upsample2x(x: Tensor) -> Tensor:
@@ -873,7 +870,7 @@ def upsample2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"upsample2x expects [B,H,W,C], got {x.shape}")
     bsz, h, w, c = x.shape
-    return _Join("upsample2x", (x,), True, (bsz, 2 * h, 2 * w, c))
+    return _Join((x,), True, (bsz, 2 * h, 2 * w, c))
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import UNet, UNetConfig, write_json, write_whole
+from .blocks import UNet, UNetConfig, write_json
 from .errors import ConfigError, NumericError
 from .kspace import (apply_mask, complex_magnitude, fft2c, gen_cartesian_mask,
                      gen_phantom, ifft2c)
+from .kten import write_file
 from .layers import Module
 from .losses import loss_total
 from .metrics import psnr, ssim
@@ -264,9 +265,9 @@ def train(model, spec: DatasetSpec, cfg: TrainConfig) -> list[dict]:
 
 
 def write_history(path: str, history: list[dict]) -> None:
-    """Write one key-sorted JSON line per record, whole (`write_whole`)."""
-    write_whole(path, lambda fh: fh.writelines(json.dumps(rec, sort_keys=True) + "\n"
-                                               for rec in history))
+    """Write one key-sorted JSON line per record, whole (`write_file`)."""
+    write_file(path, (json.dumps(rec, sort_keys=True).encode("ascii") + b"\n"
+                      for rec in history))
 
 
 _SCORES = ("psnr_mean", "psnr_std", "ssim_mean", "ssim_std")

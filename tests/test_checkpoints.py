@@ -356,9 +356,11 @@ class TestSaveOverExisting:
         st = os.stat(path)
         assert calls == [("fsync", st.st_ino, st.st_size), ("replace", st.st_ino, st.st_size)]
 
-    # the kron n=2 [1,2] U-Net has 45 array files
+    # the kron n=2 [1,2] U-Net has 45 array files, each renamed into place
+    # before the manifest: os.replace call 1 is the first array's, 46 the
+    # manifest's
     @pytest.mark.parametrize("stop", [("write_kten", 1), ("write_kten", 21),
-                                      ("write_kten", 45), ("replace", 1)],
+                                      ("write_kten", 45), ("replace", 1), ("replace", 46)],
                              ids=lambda stop: f"{stop[0]}-{stop[1]}")
     def test_a_save_that_stops_part_way_leaves_nothing_that_loads(
             self, tmp_path, monkeypatch, stop):

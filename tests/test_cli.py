@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 import warnings
 
@@ -305,6 +306,28 @@ class TestGenMask:
         assert data.startswith(b"P5")
         assert b"64 1" in data
         assert b"\n1\n" in data
+
+    @pytest.mark.parametrize("pgm", ["m.kten", "./m.kten", "link"])
+    def test_pgm_over_the_mask_is_config_error(self, capsys, tmp_path, monkeypatch, pgm):
+        """A --pgm that names the --out file, however spelled, would leave
+        the strip where the mask should be; nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        os.symlink("m.kten", "link")
+        code, stdout, err = run_cli(capsys, "gen-mask", "--out", "m.kten",
+                                    "--width", "16", "--pgm", pgm)
+        assert (code, stdout) == (2, "")
+        assert stderr_json(err)["error"] == "ConfigError"
+        assert os.listdir(tmp_path) == ["link"]
+
+    def test_a_fifo_out_is_refused_with_exit_4(self, capsys, tmp_path):
+        fifo = tmp_path / "m.kten"
+        os.mkfifo(fifo)
+        code, stdout, err = run_cli(capsys, "gen-mask", "--out", str(fifo), "--width", "16")
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err) == {"error": "OSError",
+                                    "message": f"{fifo}: not a regular file"}
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["m.kten"]
 
     def test_center_covering_every_column_is_config_error(self, capsys, tmp_path):
         p = tmp_path / "m.kten"

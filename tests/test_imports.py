@@ -8,6 +8,10 @@ reads it anywhere (attribute bases such as `np` in `np.sum` included).
 variable defined at module level (dunder names aside) counts as read when
 any module of the package loads it by name or as an attribute
 (`T._apply`).
+
+A third gate keeps one writer: every `open` whose mode writes is inside
+`kten.write_file`, the function that writes a temporary file, syncs it and
+renames it into place.
 """
 
 import ast
@@ -110,3 +114,64 @@ def test_every_private_helper_is_read():
 ])
 def test_the_gate_finds_unread_helpers(sources, dead):
     assert dead_helpers(sources) == dead
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """`call` is `open` or `fdopen`, by name or as an attribute, with a mode
+    that writes: one holding w, a, x or +, or one that is not a string
+    literal (an `os.open` flag set included). No mode reads."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name not in ("open", "fdopen"):
+        return False
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def write_openers(source: str) -> list[str]:
+    """The functions of `source` that open a file for writing, one entry
+    per such call: the dotted name of the innermost enclosing function or
+    class, or `<module>` at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_one_function_opens_files_for_writing():
+    """Every file kronmri writes goes through `kten.write_file`, which
+    writes a temporary file, syncs it and renames it into place."""
+    found = []
+    for path in MODULES:
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{fn}" for fn in write_openers(fh.read())]
+    assert found == ["kten.py:write_file"]
+
+
+@pytest.mark.parametrize("source,openers", [
+    ("def f(p):\n    return open(p, 'wb')\n", ["f"]),
+    ("def f(p):\n    with open(p) as fh, open(p, 'rb'), open(p, mode='r'):\n        pass\n", []),
+    ("open('x', mode='a')\n", ["<module>"]),
+    ("def f(p, m):\n    open(p, m)\n    open(p, 'r+')\n", ["f", "f"]),
+    ("import io, os\ndef f(p, fd):\n    io.open(p, 'x')\n    os.fdopen(fd, 'w')\n", ["f", "f"]),
+    ("import os\ndef f(p):\n    os.open(p, os.O_WRONLY)\n", ["f"]),
+    ("class A:\n    def save(self, p):\n        def g():\n            open(p, 'w')\n",
+     ["A.save.g"]),
+    ("def f(p):\n    return p.opener('w'), print(open)\n", []),
+])
+def test_the_gate_finds_writing_opens(source, openers):
+    assert write_openers(source) == openers

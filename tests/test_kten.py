@@ -1,7 +1,9 @@
-"""KTEN container: bit-exact round-trips, header validation, PGM export."""
+"""KTEN container: bit-exact round-trips, header validation, PGM export,
+and the one writer every file goes through."""
 
 import errno
 import os
+import stat
 import struct
 
 import numpy as np
@@ -10,9 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kronmri import kten
+from kronmri.blocks import write_json
 from kronmri.errors import ShapeError
 from kronmri.kten import read_kten, write_kten, write_pgm
 from kronmri.rng import Rng
+from kronmri.training import write_history
 
 
 class TestRoundTrip:
@@ -172,3 +176,78 @@ def test_a_written_file_is_synced_whole_before_the_close(tmp_path, monkeypatch, 
     write(path)
     st = os.stat(path)
     assert synced == [(st.st_ino, st.st_size)]
+
+
+# Every file kronmri writes goes through `kten.write_file`; these are its callers.
+WRITERS = {"kten": lambda p: write_kten(p, np.arange(3.0)),
+           "pgm": lambda p: write_pgm(p, np.eye(2)),
+           "json": lambda p: write_json(p, {"a": [1, 2]}),
+           "history": lambda p: write_history(p, [{"step": 1, "loss": 0.5}])}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+class TestWriteFile:
+    def test_a_failed_sync_leaves_the_old_file(self, tmp_path, monkeypatch, write):
+        """An fsync error while overwriting a file removes the temporary file
+        and leaves the old bytes."""
+        path = tmp_path / "x"
+        path.write_bytes(b"old bytes")
+
+        def fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        with pytest.raises(OSError, match="Input/output"):
+            write(str(path))
+        assert path.read_bytes() == b"old bytes"
+        assert os.listdir(tmp_path) == ["x"]
+
+    def test_the_temporary_file_is_synced_whole_then_renamed(self, tmp_path, monkeypatch,
+                                                             write):
+        """One os.fsync, on the temporary file's descriptor once every byte
+        is written; then os.replace moves that same file over the target."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            st = os.stat(src)
+            calls.append(("replace", src, dst, st.st_ino, st.st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "x"
+        path.write_bytes(b"old bytes")
+        write(str(path))
+        st, real = os.stat(path), os.path.realpath(path)
+        assert calls == [("fsync", st.st_ino, st.st_size),
+                         ("replace", real + ".tmp", real, st.st_ino, st.st_size)]
+
+    def test_a_symlink_keeps_its_link_and_its_target_is_rewritten(self, tmp_path, write):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old bytes")
+        link.symlink_to(target)
+        write(str(link))
+        fresh = tmp_path / "fresh"
+        write(str(fresh))
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "link", "target"]
+
+    @pytest.mark.parametrize("kind", ["fifo", "dir"])
+    def test_a_target_that_is_not_a_regular_file_is_refused(self, tmp_path, write, kind):
+        """A FIFO or directory at the target is an OSError naming the path,
+        raised before anything is opened; the target is left as it was."""
+        path = tmp_path / "x"
+        os.mkfifo(path) if kind == "fifo" else os.mkdir(path)
+        with pytest.raises(OSError, match="not a regular file") as err:
+            write(str(path))
+        assert str(path) in str(err.value)
+        mode = os.lstat(path).st_mode
+        assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
+        assert os.listdir(tmp_path) == ["x"]

@@ -1093,15 +1093,31 @@ class TestUntapedJoins:
             want = T.conv2d(Tensor(built), w_, b, stride=s, padding=padding).data
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kernel", ["random", "zero"])
     @pytest.mark.parametrize("taped", [False, True])
     @pytest.mark.parametrize("op", ["concat", "upsample2x"])
-    def test_non_finite_source_names_the_op(self, op, taped):
+    def test_non_finite_source_is_caught_by_the_reading_conv(self, op, taped, kernel):
+        """A join does not scan its sources; a NaN in one reaches the output
+        of the conv that reads the join, even through an all-zero kernel
+        (NaN * 0 is NaN), and that conv's check names it."""
         a = np.ones((1, 2, 2, 3))
         a[0, 1, 0, 2] = np.nan
-        parts = [Tensor(np.ones((1, 2, 2, 1))), Tensor(a)]
+        parts = [leaf(np.ones((1, 2, 2, 1))), leaf(a)]
+        shape = (2, 4 if op == "concat" else 3, 3, 3)
+        w = Rng(43).uniform(shape, -1, 1) if kernel == "random" else np.zeros(shape)
         with Tape() if taped else contextlib.nullcontext():
-            with pytest.raises(NumericError, match=f"op '{op}'"):
-                T.concat(parts) if op == "concat" else T.upsample2x(parts[1])
+            join = T.concat(parts) if op == "concat" else T.upsample2x(parts[1])
+            with pytest.raises(NumericError, match="op 'conv2d'"):
+                T.conv2d(join, leaf(w), leaf(np.zeros(2)), stride=1, padding=1)
+
+    def test_joins_do_not_scan_their_sources(self, monkeypatch):
+        calls = []
+        real = T._all_finite
+        monkeypatch.setattr(T, "_all_finite", lambda a: calls.append(a.shape) or real(a))
+        x = Tensor(np.ones((1, 2, 2, 3)))
+        T.concat([x, x])
+        T.upsample2x(x)
+        assert calls == []
 
     @pytest.mark.parametrize("taped", [False, True])
     def test_relu_leaves_its_input_unless_inplace(self, taped):
