@@ -12,8 +12,8 @@ KTEN layout, all integers little-endian:
 Round-trips are bit-exact; readers reject bad magic, unknown versions and
 a payload whose declared size differs from the bytes left in the file,
 before allocating it. Every file kronmri writes, KTEN, PGM, JSON or
-history, goes through `write_file`: a temporary name, `os.fsync`, then a
-rename over the target.
+history, goes through `write_file`: a temporary name of the call's own,
+`os.fsync`, then a rename over the target.
 """
 
 from __future__ import annotations
@@ -90,16 +90,18 @@ def write_file(path, parts) -> None:
     kronmri that opens a file for writing. `path` is resolved
     (`os.path.realpath`), so a symlink's target is rewritten; an existing
     target that is not a regular file is an OSError, raised before anything
-    is opened. The parts go to the target + ".tmp", which is flushed to
-    disk (`os.fsync`), closed and renamed over the target, so the target
-    never holds part of a file, not even after a crash. If a step fails,
-    the ".tmp" file is removed, an earlier target is left as it was, and
-    the error raised."""
+    is opened. The parts go to a temporary file beside the target, under a
+    name of this call's own that is created new (mode "x": it never opens,
+    truncates or renames a file that was there, and its permissions follow
+    the umask). It is flushed to disk (`os.fsync`), closed and renamed over
+    the target, so the target never holds part of a file, not even after a
+    crash. If a step fails, the temporary file is removed, an earlier
+    target is left as it was, and the error raised."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"{path}: not a regular file")
-    tmp = target + ".tmp"
-    fh = open(tmp, "wb")
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
     try:
         with fh:
             for part in parts:

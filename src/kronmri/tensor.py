@@ -498,8 +498,8 @@ _GEMM_BLOCK_ROWS = 1024
 # (`_phase_vjp`). On a 2-core Xeon, blocks of 0.5 to 8 MiB timed alike for
 # the desk U-Net's training step, and the block sits inside the VJP where a
 # taped step peaks: at 0.5 MiB the tracemalloc peak of a taped desk step
-# (forward and backward, relu masks as bits) read 30.5 MiB, against
-# 32.0 MiB at 2 MiB.
+# (forward and backward, relu masks as bits, output gradient laid a block
+# at a time) read 21.7 MiB, against 23.3 MiB at 2 MiB.
 _SHIFT_BLOCK_BYTES = 1 << 19
 
 
@@ -562,10 +562,10 @@ def _row_windows(parts: tuple, hw: tuple, padding: int, s: int, ho: int, r0: int
         r += n
 
 
-def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
+def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, start: tuple,
                parts: list, up: bool, need_w: bool) -> np.ndarray | None:
     """Both gradients of a stride-1 cross-correlation of one plane grid
-    [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient laid on the grid.
+    [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
 
     Only the grid's input pixels are visited. They are the channel join of
     `parts`, (xv, gxv) pairs in channel order: `xv` holds a part's pixels,
@@ -573,57 +573,74 @@ def _phase_vjp(gext: np.ndarray, w: np.ndarray, grid: tuple, start: tuple,
     upsampled; `gxv` (xv's shape) receives their input gradient unless it
     is None. `start` (u0, v0) is the grid pixel of input pixel (0, 0); the
     grid's padding pixels contribute to neither gradient. Returns the
-    kernel gradient if `need_w`. `gext` is the output
-    gradient [B,Ho,Wo,O] on the flattened grid, zero elsewhere, behind
-    (ka-1)*Wv + (kb-1) zero rows; tap (a, b) is then a shift by whole rows,
-    and S[m, a', b'] = gext[m + a'*Wv + b'] is the gradient of the output
-    pixel that reads grid row m through tap (ka-1-a', kb-1-b'), or zero: a
-    shift that wraps past a row or image edge lands on zero rows. One
-    read-only view gives S for whole input rows. It is copied a block of
-    rows of one image at a time (`_SHIFT_BLOCK_BYTES`, one reused buffer,
-    runs of kb*O contiguous values), and each block gives each part its
-    rows of the input gradient, `S @ wflip` over the part's columns of the
-    kernel flipped to [ka*kb*O, C], and the part's rows of the flipped
-    kernel gradient, `xrows.T @ S`, its pixels read from `xv`. Where `up`,
-    the block is summed 2x2 as it is copied, one row per source pixel:
-    that sum is the transpose of nearest upsampling, so the same two GEMMs
-    on it give the source's gradients, at a quarter of the MACs.
+    kernel gradient if `need_w`.
+
+    Laid on one image's flattened grid, output pixel (oy, ox) at grid
+    pixel (oy, ox) and zero wherever the grid has no output pixel, g makes
+    tap (a, b) a shift by whole rows: S[m, a', b'] =
+    grid[m + (a'-ka+1)*Wv + b'-kb+1] is the gradient of the output pixel
+    that reads grid pixel m through tap (ka-1-a', kb-1-b'), or zero, since
+    a shift that wraps past a row edge lands on columns from Wo, which
+    hold no output (Wv - Wo >= kb-1). The VJP runs over blocks of input
+    rows y0..y1 of one image b (`_SHIFT_BLOCK_BYTES`). Each block lays
+    only the grid rows its S reads, u0+y0-ka+1 .. u0+y1-1, into one
+    reused buffer behind kb-1 zeros, rows outside [0, Ho) and columns
+    from Wo zero; one read-only view of that buffer gives the block's S,
+    which is copied into a second reused buffer (runs of kb*O contiguous
+    values). Each block then gives each part its rows of the input
+    gradient, `S @ wflip` over the part's columns of the kernel flipped to
+    [ka*kb*O, C], and the part's rows of the flipped kernel gradient,
+    `xrows.T @ S`, its pixels read from `xv`. Where `up`, the block is
+    summed 2x2 as it is copied, one row per source pixel: that sum is the
+    transpose of nearest upsampling, so the same two GEMMs on it give the
+    source's gradients, at a quarter of the MACs. No array the size of g
+    is made.
     """
-    o = gext.shape[1]
+    bsz, ho, wo, o = g.shape
     ka, kb = w.shape[2:]
-    hu, wv = grid
     u0, v0 = start
-    bsz, hx, wx, _ = parts[0][0].shape
+    _, hx, wx, _ = parts[0][0].shape
     if up:
         hx, wx = 2 * hx, 2 * wx
-    lead = (ka - 1) * wv + (kb - 1)
-    # as_strided reads past the end silently: the last row S reads must be in gext.
-    last = ((bsz - 1) * hu + u0 + hx - 1) * wv + v0 + wx - 1 + lead
-    if last >= len(gext):
-        raise ShapeError(f"conv2d VJP: shifted rows end at {last}, past {len(gext)}")
-    e = gext.itemsize
-    shifted = np.lib.stride_tricks.as_strided(
-        gext[u0 * wv + v0:], (bsz, hx, wx, ka, kb, o),
-        (hu * wv * o * e, wv * o * e, o * e, wv * o * e, o * e, e), writeable=False)
+    e = g.itemsize
     kko = ka * kb * o
     rows = max(1, _SHIFT_BLOCK_BYTES // (max(wx, 1) * kko * e))
     if up:  # whole 2x2 blocks: rows and columns come in pairs
         rows = max(2, rows - rows % 2)
     f = 2 if up else 1
-    sbuf = np.empty((min(rows, hx) // f, wx // f, ka, kb, o), dtype=gext.dtype)
+    most = min(rows, hx)
+    # Grid rows of the largest block behind kb-1 zeros. Only columns < Wo
+    # are ever written, so the rest keep the zeros the buffer is made with.
+    gbuf = np.zeros((kb - 1 + (most + ka - 1) * wv, o), dtype=g.dtype)
+    grows = gbuf[kb - 1:].reshape(most + ka - 1, wv, o)[:, :wo]
+    # as_strided reads past the end silently: the last pixel S reads must be in gbuf.
+    last = v0 + (most + ka - 2) * wv + wx - 1 + kb - 1
+    if last >= len(gbuf):
+        raise ShapeError(f"conv2d VJP: shifted rows end at {last}, past {len(gbuf)}")
+    shifted = np.lib.stride_tricks.as_strided(
+        gbuf[v0:], (most, wx, ka, kb, o),
+        (wv * o * e, o * e, wv * o * e, o * e, e), writeable=False)
+    sbuf = np.empty((most // f, wx // f, ka, kb, o), dtype=g.dtype)
     wflip = None if all(gxv is None for _, gxv in parts) else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
-    acc = np.zeros((w.shape[1], kko), dtype=gext.dtype) if need_w else None
+    acc = np.zeros((w.shape[1], kko), dtype=g.dtype) if need_w else None
     for b in range(bsz):
         for y0 in range(0, hx, rows):
             y1 = min(hx, y0 + rows)
-            blk = sbuf[:(y1 - y0) // f]
+            n = y1 - y0
+            r0, r1 = u0 + y0 - (ka - 1), u0 + y1  # the grid rows S reads, from grows[0]
+            lo = max(r0, 0)
+            hi = max(lo, min(r1, ho))
+            grows[:lo - r0] = 0
+            grows[lo - r0:hi - r0] = g[b, lo:hi]
+            grows[hi - r0:r1 - r0] = 0
+            blk = sbuf[:n // f]
             if up:
-                np.add(shifted[b, y0:y1:2, 0::2], shifted[b, y0:y1:2, 1::2], out=blk)
-                blk += shifted[b, y0 + 1:y1:2, 0::2]
-                blk += shifted[b, y0 + 1:y1:2, 1::2]
+                np.add(shifted[0:n:2, 0::2], shifted[0:n:2, 1::2], out=blk)
+                blk += shifted[1:n:2, 0::2]
+                blk += shifted[1:n:2, 1::2]
             else:
-                np.copyto(blk, shifted[b, y0:y1])
+                np.copyto(blk, shifted[:n])
             blk = blk.reshape(-1, kko)
             c0 = 0
             for xv, gxv in parts:
@@ -684,11 +701,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
     (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
-    phase is a stride-1 correlation of its plane with that sub-kernel. The
-    output gradient is laid once on the planes' common [B,Hu,Wu] grid,
-    behind the zero rows the largest sub-kernel's shifts need, and each
-    phase reads it from its own offset. `_phase_vjp` gives both of a
-    phase's gradients from one gather of the shifted output gradient S,
+    phase is a stride-1 correlation of its plane with that sub-kernel. Its
+    output gradient lies on the planes' common [B,Hu,Wu] grid, pixel
+    (oy, ox) at grid pixel (oy, ox), and no such grid is built:
+    `_phase_vjp` takes g itself and lays, a block of input rows at a time,
+    only the grid rows that block's shifted output gradient S reads. It
+    gives both of a phase's gradients from S,
     indexed by the phase's input pixels x[:, y0::s, x0::s]: a padding pixel
     contributes to neither gradient. Stride 1 is one phase, the whole
     input, whose kernel-gradient rows are a reshape of `x` and whose
@@ -762,8 +780,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             dst += bias.data
     wd_arr = w.data
     phases = min(stride, k)
-    hu, wu = -(-hp // stride), -(-wp // stride)
-    lead = (-(-k // stride) - 1) * (wu + 1)  # phase (0, 0)'s, the largest sub-kernel's
+    wu = -(-wp // stride)
     nparts = len(parts)
     inputs = (*srcs, w) if bias is None else (*srcs, w, bias)
 
@@ -774,8 +791,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         need_w = needs[nparts]
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if need_w else None
         if need_w or any(needs[:nparts]):
-            gext = np.zeros((lead + bsz * hu * wu, o), dtype=g.dtype)
-            gext[lead:].reshape(bsz, hu, wu, o)[:, :ho, :wo] = g
             for py in range(phases):
                 y0 = (py - padding) % stride
                 for px in range(phases):
@@ -784,8 +799,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
                     views = [(a[:, y0::stride, x0::stride],
                               None if gx is None else gx[:, y0::stride, x0::stride])
                              for (a, _), gx in zip(parts, gxs)]
-                    gws = _phase_vjp(gext[lead - (ws.shape[2] - 1) * wu - (ws.shape[3] - 1):],
-                                     ws, (hu, wu),
+                    gws = _phase_vjp(g, ws, wu,
                                      ((y0 + padding) // stride, (x0 + padding) // stride),
                                      views, up, need_w)
                     if need_w:

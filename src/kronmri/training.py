@@ -39,8 +39,10 @@ class Adam:
     """Adam with bias correction over a named parameter list.
 
     Moments are kept per parameter in the parameter's dtype; `step`
-    consumes the gradient dict returned by `backward`. Parameters missing
-    from the dict are treated as zero-gradient.
+    consumes the gradient dict returned by `backward`. A parameter missing
+    from the dict is skipped: its moments are not decayed and its value is
+    not updated. The step count `t`, which the bias correction reads, is
+    shared and advances on every step.
     """
 
     def __init__(self, named_params, lr: float = 2e-5):

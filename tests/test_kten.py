@@ -3,6 +3,7 @@ and the one writer every file goes through."""
 
 import errno
 import os
+import signal
 import stat
 import struct
 
@@ -226,7 +227,65 @@ class TestWriteFile:
         write(str(path))
         st, real = os.stat(path), os.path.realpath(path)
         assert calls == [("fsync", st.st_ino, st.st_size),
-                         ("replace", real + ".tmp", real, st.st_ino, st.st_size)]
+                         ("replace", calls[1][1], real, st.st_ino, st.st_size)]
+        assert os.path.dirname(calls[1][1]) == str(tmp_path)
+
+    def test_a_fifo_at_the_old_temporary_name_is_left_alone(self, tmp_path, write):
+        """The temporary name is the call's own, created new: a FIFO at
+        target + ".tmp" is neither opened, which would block until a reader
+        came (an alarm ends the write if it blocks), nor replaced."""
+        path = tmp_path / "x"
+        os.mkfifo(tmp_path / "x.tmp")
+
+        def blocked(signum, frame):
+            raise TimeoutError("the write blocked")
+
+        old = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(10)
+        try:
+            write(str(path))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "x.tmp").st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["x", "x.tmp"]
+
+    def test_a_file_at_the_old_temporary_name_is_kept_byte_for_byte(self, tmp_path, write):
+        path = tmp_path / "x"
+        (tmp_path / "x.tmp").write_bytes(b"a user's file")
+        write(str(path))
+        assert (tmp_path / "x.tmp").read_bytes() == b"a user's file"
+        assert sorted(os.listdir(tmp_path)) == ["x", "x.tmp"]
+
+    def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch, write):
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="cross-device"):
+            write(str(tmp_path / "x"))
+        assert os.listdir(tmp_path) == []
+
+    def test_the_mode_follows_the_umask(self, tmp_path, write):
+        old = os.umask(0o027)
+        try:
+            write(str(tmp_path / "x"))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "x").st_mode) == 0o640
+
+    def test_two_writes_take_two_temporary_names(self, tmp_path, monkeypatch, write):
+        names = []
+        real = os.replace
+
+        def replace(src, dst):
+            names.append(src)
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        write(str(tmp_path / "x"))
+        write(str(tmp_path / "x"))
+        assert len(set(names)) == 2
 
     def test_a_symlink_keeps_its_link_and_its_target_is_rewritten(self, tmp_path, write):
         target, link = tmp_path / "target", tmp_path / "link"

@@ -851,6 +851,29 @@ class TestConv2d:
         assert forward_peak < im2col_bytes / 3
         assert step_peak < im2col_bytes
 
+    @pytest.mark.parametrize("xshape,o,stride,share", [
+        ((4, 64, 64, 64), 32, 1, 2),   # measured 0.78 MiB, g 2 MiB
+        ((1, 320, 320, 32), 64, 2, 4)])  # measured 1.22 MiB, g 6.25 MiB
+    def test_vjp_holds_no_gradient_sized_grid(self, xshape, o, stride, share):
+        """Beyond the two gradients it returns, the VJP holds only block-sized
+        buffers: it lays the output gradient on the phase grid a block of
+        rows at a time. A zero-padded grid of the whole batch's output
+        gradient held 2.85 and 7.12 MiB here."""
+        rng = Rng(27)
+        x = Tensor(rng.uniform(xshape, -1, 1).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.uniform((o, xshape[3], 3, 3), -1, 1).astype(np.float32),
+                   requires_grad=True)
+        with Tape():
+            out = T.conv2d(x, w, stride=stride, padding=1)
+        g = rng.uniform(out.shape, -1, 1).astype(np.float32)
+        tracemalloc.start()
+        try:
+            gx, gw = out.node.vjp(g, (True, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - gx.nbytes - gw.nbytes < g.nbytes / share
+
     def test_untaped_forward_keeps_no_copy_of_the_input(self):
         """Only the padded input rows one block reads are laid out: the
         peak holds the output and block-sized buffers, no input copy."""

@@ -57,10 +57,21 @@ class TestAdam:
         assert p.data.tobytes() == before.tobytes()
 
     def test_missing_gradient_keeps_parameters(self):
-        p = Tensor(Rng(1).uniform((4,), -1, 1), requires_grad=True)
-        before = p.data.copy()
-        Adam([("p", p)], lr=0.1).step({})
-        assert np.array_equal(p.data, before)
+        """A parameter without a gradient keeps its moments and value as they
+        were, where a zero gradient would decay the moments; the shared step
+        count still advances."""
+        rng = Rng(2)
+        p = Tensor(rng.uniform((4,), -1, 1), requires_grad=True)
+        q = Tensor(rng.uniform((4,), -1, 1), requires_grad=True)
+        opt = Adam([("p", p), ("q", q)], lr=0.1)
+        opt.step({p: Tensor(rng.uniform((4,), -1, 1)), q: Tensor(rng.uniform((4,), -1, 1))})
+        m, v, before = opt.m[1].copy(), opt.v[1].copy(), q.data.copy()
+        opt.step({p: Tensor(rng.uniform((4,), -1, 1))})
+        assert opt.t == 2
+        assert opt.m[1].tobytes() == m.tobytes() and opt.v[1].tobytes() == v.tobytes()
+        assert q.data.tobytes() == before.tobytes()
+        opt.step({q: Tensor(np.zeros(4))})
+        assert not np.array_equal(opt.m[1], m) and not np.array_equal(opt.v[1], v)
 
     def test_first_step_is_bias_corrected_sign_step(self):
         g = np.array([0.5, -2.0, 1e-3])
