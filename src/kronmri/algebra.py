@@ -17,6 +17,10 @@ from .errors import ConfigError, NumericError
 from .layers import KroneckerLinear
 from .rng import Rng
 
+# The most trials `verify_algebra` runs: about 2 minutes per preset on a
+# 2-core Xeon (one trial takes about 0.1 ms), so a typo cannot run for ever.
+MAX_TRIALS = 10**6
+
 _REAL = [np.array([[1.0]])]
 
 _COMPLEX = [
@@ -126,10 +130,11 @@ def verify_algebra(algebra: AlgebraPreset, trials: int, rng: Rng,
     For random coefficient vectors p, q the layer built from the preset with
     block weights q must map p to q * p. Raises NumericError if any trial
     deviates by more than `tol`; the report carries the worst deviation.
-    `tol` must be finite and >= 0 (ConfigError otherwise).
+    `trials` must be in [1, MAX_TRIALS] and `tol` finite and >= 0
+    (ConfigError otherwise).
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     from .tensor import Tensor

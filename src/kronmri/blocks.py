@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .kten import read_kten, write_file, write_kten
+from .kten import read_kten, write_file, write_kten, write_set
 from .layers import DENSE, KroneckerConv2d, KroneckerLinear, Module, check_sizes, nested
 from .rng import Rng
 from .tensor import Tensor
@@ -168,27 +168,28 @@ class UNet(Module):
         return nested(self._layers)
 
     def save(self, path: str) -> None:
-        """Write the checkpoint into `path`. Array files that a checkpoint
-        already there names, and this one does not, are deleted first, then
-        its manifest; each array and, last, the new manifest are written
-        whole (`kten.write_file`). A save that stops part-way thus leaves no
-        manifest, and nothing that loads. A name there that leaves `path`
-        is a ConfigError before any file is deleted or written."""
+        """Write the checkpoint into `path` as one `kten.write_set`: each
+        array, then the manifest. Array files that a checkpoint already
+        there names, and this one does not, are handed to the set for
+        removal; no other file is touched. A save that fails before the
+        renames leaves the old checkpoint byte for byte, and one that fails
+        during them leaves no manifest, so nothing that loads. A name there
+        that leaves `path` is a ConfigError before any file is written."""
         entries = [{"name": name, "manifest": layer.manifest(),
                     "arrays": {aname: f"{idx:03d}_{aname}.kten" for aname in layer.arrays()}}
                    for idx, (name, layer) in enumerate(self._layers)]
         os.makedirs(path, exist_ok=True)
         keep = {fname for entry in entries for fname in entry["arrays"].values()}
-        manifest_path = os.path.join(path, MANIFEST_NAME)
         stale = [_array_path(path, fname) for fname in _named_arrays(path) - keep]
-        for fpath in stale + [manifest_path]:
-            if os.path.isfile(fpath):
-                os.remove(fpath)
-        for entry, (_, layer) in zip(entries, self._layers):
-            for aname, arr in layer.arrays().items():
-                write_kten(os.path.join(path, entry["arrays"][aname]), arr)
-        write_json(manifest_path, {"format": CHECKPOINT_FORMAT, "model": "unet",
-                                   "config": self.cfg.to_dict(), "layers": entries})
+        with write_set() as ws:
+            for fpath in stale:
+                ws.remove(fpath)
+            for entry, (_, layer) in zip(entries, self._layers):
+                for aname, arr in layer.arrays().items():
+                    write_kten(os.path.join(path, entry["arrays"][aname]), arr)
+            write_json(os.path.join(path, MANIFEST_NAME),
+                       {"format": CHECKPOINT_FORMAT, "model": "unet",
+                        "config": self.cfg.to_dict(), "layers": entries})
 
     @classmethod
     def load(cls, path: str) -> "UNet":

@@ -6,13 +6,14 @@ checking; timing lives in perfbench. Results go to stdout as JSON, except
 the `count-params` table, which is text. Errors go to stderr as one JSON
 line with exit codes 2 (config), 3 (numeric), 4 (I/O or out of memory),
 and 1 for any other package error (such as a TapeError, which means
-kronmri misused its own autodiff tape).
+kronmri misused its own autodiff tape). A command writes its files as one
+`kten.write_set`, renamed into place once all are on disk: a command that
+fails before then leaves an earlier run's files as they were.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -20,12 +21,12 @@ import sys
 import numpy as np
 
 from . import tensor as T
-from .algebra import preset, verify_algebra
+from .algebra import MAX_TRIALS, preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig, WindowAttention,
                      build_unet, read_json_object, unet_convs, write_json)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
 from .kspace import apply_mask, complex_magnitude, gen_cartesian_mask, ifft2c
-from .kten import read_kten, write_kten, write_pgm
+from .kten import read_kten, write_kten, write_pgm, write_set
 from .layers import KroneckerConv2d, KroneckerLinear, check_sizes, count_params
 from .losses import loss_total
 from .metrics import psnr, ssim
@@ -89,26 +90,6 @@ def _magnitude_image(path: str) -> np.ndarray:
     raise ShapeError(f"{path}: expected a non-empty [2, H, W] or [H, W], got {arr.shape}")
 
 
-@contextlib.contextmanager
-def _all_or_nothing():
-    """Yield `write(writer, path, *args)`, which calls `writer(path, *args)`
-    and remembers `path` once the call returns. If the block raises, every
-    remembered file is removed, so a failed command leaves no file it wrote
-    (a writer that fails leaves its target as it was)."""
-    written = []
-
-    def write(writer, path, *args, **kwargs):
-        writer(path, *args, **kwargs)
-        written.append(path)
-
-    try:
-        yield write
-    except BaseException:
-        for path in written:
-            os.remove(path)
-        raise
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_gen_data(args) -> int:
@@ -120,13 +101,13 @@ def cmd_gen_data(args) -> int:
                 "height": args.height, "width": args.width,
                 "ellipses": args.ellipses}
     os.makedirs(args.out, exist_ok=True)
-    with _all_or_nothing() as write:
+    with write_set():
         for i in range(args.count):
             s = make_sample(spec, args.af, args.seed, i)
             for tag, arr in (("truth", s.truth), ("zf", s.zf),
                              ("mask", s.mask_columns)):
-                write(write_kten, os.path.join(args.out, f"sample{i:04d}.{tag}.kten"), arr)
-        write(write_json, os.path.join(args.out, "dataset.json"), manifest)
+                write_kten(os.path.join(args.out, f"sample{i:04d}.{tag}.kten"), arr)
+        write_json(os.path.join(args.out, "dataset.json"), manifest)
     _emit({"written": 3 * args.count + 1, "out": args.out, **manifest})
     return 0
 
@@ -137,10 +118,10 @@ def cmd_gen_mask(args) -> int:
     mask = gen_cartesian_mask(args.width, args.af,
                               center_fraction=args.center_fraction,
                               rng=Rng(args.seed))
-    with _all_or_nothing() as write:
-        write(write_kten, args.out, mask.sampled)
+    with write_set():
+        write_kten(args.out, mask.sampled)
         if args.pgm:
-            write(write_pgm, args.pgm, mask.sampled[None, :], maxval=1)
+            write_pgm(args.pgm, mask.sampled[None, :], maxval=1)
     _emit({"width": mask.width, "af": mask.af,
            "center_fraction": mask.center_fraction,
            "center_columns": mask.center_columns,
@@ -193,12 +174,15 @@ def cmd_reconstruct(args) -> int:
     # every input is checked before the first output is written
     os.makedirs(args.out, exist_ok=True)
     peak = float(mag.max())
-    with _all_or_nothing() as write:
-        write(write_kten, os.path.join(args.out, "recon.kten"), recon)
-        write(write_pgm, os.path.join(args.out, "recon.pgm"),
-              mag / peak if peak > 0 else mag, maxval=255)
-        if truth is not None:
-            write(write_json, os.path.join(args.out, "metrics.json"), result["metrics"])
+    metrics_path = os.path.join(args.out, "metrics.json")
+    with write_set() as ws:
+        write_kten(os.path.join(args.out, "recon.kten"), recon)
+        write_pgm(os.path.join(args.out, "recon.pgm"),
+                  mag / peak if peak > 0 else mag, maxval=255)
+        if truth is None:
+            ws.remove(metrics_path)  # an earlier run's scores are not this image's
+        else:
+            write_json(metrics_path, result["metrics"])
     _emit(result)
     return 0
 
@@ -462,7 +446,8 @@ def build_parser() -> _Parser:
     p.add_argument("--algebra", default="all",
                    choices=("complex", "quaternion", "all"),
                    help="preset to verify")
-    p.add_argument("--trials", type=int, default=1000, help="random trials")
+    p.add_argument("--trials", type=int, default=1000,
+                   help=f"random trials, at most {MAX_TRIALS}")
     p.add_argument("--seed", type=int, default=0, help="trial seed")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="max allowed deviation")

@@ -13,13 +13,18 @@ Round-trips are bit-exact; readers reject bad magic, unknown versions and
 a payload whose declared size differs from the bytes left in the file,
 before allocating it. Every file kronmri writes, KTEN, PGM, JSON or
 history, goes through `write_file`: a temporary name of the call's own,
-`os.fsync`, then a rename over the target.
+`os.fsync`, then a rename over the target. The writes of one command or
+save form one `write_set`, which renames nothing until all of them are on
+disk, so a command that fails before then leaves every earlier file as it
+was. This module is also the only one that removes files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -85,6 +90,71 @@ def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
     write_file(path, (f"P5\n{w} {h}\n{maxval}\n".encode("ascii"), data.tobytes()))
 
 
+class _WriteSet:
+    """The writes of an open `write_set`: each temporary file with its
+    target, in the order written; the last target of each block (its
+    commit file); and the files handed to `remove`."""
+
+    def __init__(self):
+        self.renames = []
+        self.commits = []
+        self.removals = []
+
+    def remove(self, path) -> None:
+        """Remove `path`, if it is a file, when the set commits."""
+        self.removals.append(path)
+
+
+class _Open(threading.local):
+    ws = None  # this thread's open write set: one thread's writes never join another's
+
+
+_open = _Open()
+
+
+@contextlib.contextmanager
+def write_set():
+    """Group writes: inside the block, each `write_file` writes and syncs
+    its temporary file but renames nothing; a `write_set` inside another
+    joins the outer one. Yields the set, whose `remove(path)` hands it a
+    file to remove.
+
+    When the outermost block ends normally the set commits: it removes
+    the files handed to `remove` and, if it holds more than one file, the
+    last file each block wrote (its commit file, such as a checkpoint's
+    manifest); then it renames every temporary file over its target in
+    the order written. So a block that raises leaves every earlier file
+    byte for byte, and a failure during the renames leaves no commit file
+    of a block whose files were not all renamed. Whatever fails, the
+    temporary files not yet renamed are removed and no set stays open.
+    Each thread has its own open set."""
+    ws = _open.ws
+    outer = ws is None
+    if outer:
+        ws = _open.ws = _WriteSet()
+    start = len(ws.renames)
+    try:
+        yield ws
+        if len(ws.renames) > start:
+            ws.commits.append(ws.renames[-1][1])
+        if outer:
+            gone = ws.removals + (ws.commits if len(ws.renames) > 1 else [])
+            for path in gone:
+                if os.path.isfile(path):
+                    os.remove(path)
+            while ws.renames:
+                os.replace(*ws.renames[0])
+                del ws.renames[0]
+    except BaseException:
+        for tmp, _ in ws.renames[start:]:
+            os.remove(tmp)
+        del ws.renames[start:]
+        raise
+    finally:
+        if outer:
+            _open.ws = None
+
+
 def write_file(path, parts) -> None:
     """Write the byte strings `parts` to `path` whole; the one function in
     kronmri that opens a file for writing. `path` is resolved
@@ -93,10 +163,16 @@ def write_file(path, parts) -> None:
     is opened. The parts go to a temporary file beside the target, under a
     name of this call's own that is created new (mode "x": it never opens,
     truncates or renames a file that was there, and its permissions follow
-    the umask). It is flushed to disk (`os.fsync`), closed and renamed over
-    the target, so the target never holds part of a file, not even after a
-    crash. If a step fails, the temporary file is removed, an earlier
-    target is left as it was, and the error raised."""
+    the umask), and are flushed to disk (`os.fsync`). The temporary file is
+    renamed over the target when the open `write_set` commits; outside one
+    the write is a set of its own, renamed at once. So the target never
+    holds part of a file, not even after a crash. If a step fails, the
+    temporary file is removed, an earlier target is left as it was, and
+    the error raised."""
+    if _open.ws is None:
+        with write_set():
+            write_file(path, parts)
+        return
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise OSError(f"{path}: not a regular file")
@@ -108,7 +184,7 @@ def write_file(path, parts) -> None:
                 fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise
+    _open.ws.renames.append((tmp, target))

@@ -21,7 +21,7 @@ from .blocks import UNet, UNetConfig, write_json
 from .errors import ConfigError, NumericError
 from .kspace import (apply_mask, complex_magnitude, fft2c, gen_cartesian_mask,
                      gen_phantom, ifft2c)
-from .kten import write_file
+from .kten import write_file, write_set
 from .layers import Module
 from .losses import loss_total
 from .metrics import psnr, ssim
@@ -281,10 +281,11 @@ def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None =
     Builds a U-Net of `ucfg` from `cfg.seed` behind data consistency,
     scores the zero-filled baseline on the held-out set, trains, and scores
     the model. With `out`, writes `checkpoint/`, `history.jsonl` and
-    `summary.json` there, and the returned summary also names `out`. An
-    old summary is deleted first and the new one is written last, so a
-    directory with a summary holds a complete run. An empty `out` is a
-    ConfigError, raised before anything is built.
+    `summary.json` there as one `kten.write_set`, the summary last, and the
+    returned summary also names `out`. A run that fails writing leaves an
+    earlier run there byte for byte, or, if it fails while renaming, no
+    summary; so a directory with a summary holds a complete run. An empty
+    `out` is a ConfigError, raised before anything is built.
     """
     if out == "":
         raise ConfigError("out must name a directory, got an empty path")
@@ -302,12 +303,10 @@ def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None =
                "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
                "final_loss": history[-1]["loss"]}
     if out is not None:
-        summary_path = os.path.join(out, "summary.json")
         os.makedirs(out, exist_ok=True)
-        if os.path.isfile(summary_path):
-            os.remove(summary_path)
-        model.save(os.path.join(out, "checkpoint"))
-        write_history(os.path.join(out, "history.jsonl"), history)
-        write_json(summary_path, summary)
+        with write_set():
+            model.save(os.path.join(out, "checkpoint"))
+            write_history(os.path.join(out, "history.jsonl"), history)
+            write_json(os.path.join(out, "summary.json"), summary)
         summary["out"] = out
     return summary

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kronmri.algebra import AlgebraPreset, preset, verify_algebra
+from kronmri.algebra import MAX_TRIALS, AlgebraPreset, preset, verify_algebra
 from kronmri.errors import ConfigError, NumericError
 from kronmri.rng import Rng
 from kronmri.tensor import Tensor
@@ -123,6 +123,10 @@ class TestVerify:
     def test_trials_validated(self):
         with pytest.raises(ConfigError):
             verify_algebra(preset("real"), 0, Rng(0))
+
+    def test_trials_over_the_cap_are_refused(self):
+        with pytest.raises(ConfigError, match=str(MAX_TRIALS)):
+            verify_algebra(preset("real"), MAX_TRIALS + 1, Rng(0))
 
     def test_report_dict_shape(self):
         report = verify_algebra(preset("complex"), 5, Rng(302))

@@ -299,6 +299,17 @@ class TestSaveOverExisting:
         small_unet("dense", 1).save(fresh)
         assert files(path) == files(fresh)
 
+    def test_a_failed_save_keeps_the_arrays_it_would_delete(self, tmp_path, monkeypatch):
+        """Stale arrays go only when the save commits: one that fails on its
+        manifest leaves the old checkpoint byte for byte."""
+        path = str(tmp_path / "ckpt")
+        small_unet("kronecker", 2).save(path)
+        before = files(path)
+        failing_after(monkeypatch, blocks, "write_json", 1)
+        with pytest.raises(OSError):
+            small_unet("dense", 1).save(path)
+        assert files(path) == before
+
     @pytest.mark.parametrize("raw", [b'{"layers": "\xff"}', b"[" * 200_000],
                              ids=["invalid-utf8", "too-deep"])
     def test_unreadable_old_manifest_names_no_files(self, tmp_path, raw):
@@ -356,33 +367,43 @@ class TestSaveOverExisting:
         st = os.stat(path)
         assert calls == [("fsync", st.st_ino, st.st_size), ("replace", st.st_ino, st.st_size)]
 
-    # the kron n=2 [1,2] U-Net has 45 array files, each renamed into place
-    # before the manifest: os.replace call 1 is the first array's, 46 the
-    # manifest's
+    # the kron n=2 [1,2] U-Net has 45 array files; the save writes them and
+    # the manifest before it renames any: os.replace call 1 is the first
+    # array's, 46 the manifest's
     @pytest.mark.parametrize("stop", [("write_kten", 1), ("write_kten", 21),
                                       ("write_kten", 45), ("replace", 1), ("replace", 46)],
                              ids=lambda stop: f"{stop[0]}-{stop[1]}")
     def test_a_save_that_stops_part_way_leaves_nothing_that_loads(
             self, tmp_path, monkeypatch, stop):
         """Saving over a checkpoint of the same config and failing on one
-        array file, or on the manifest, must not leave the old manifest to
+        array file leaves the old checkpoint byte for byte, loading the old
+        parameters. Failing on a rename must not leave the old manifest to
         load a mix of old and new arrays."""
         path = str(tmp_path / "ckpt")
-        small_unet("kronecker", 2, seed=0).save(path)
+        old = small_unet("kronecker", 2, seed=0)
+        old.save(path)
+        before = files(path)
         new = small_unet("kronecker", 2, seed=1)
         failing_after(monkeypatch, blocks if stop[0] == "write_kten" else os, *stop)
         with pytest.raises(OSError):
             new.save(path)
         monkeypatch.undo()
         left = os.listdir(path)
-        assert "manifest.json" not in left and not [f for f in left if f.endswith(".tmp")]
-        with pytest.raises(OSError):
-            UNet.load(path)
-        code, stdout, err = reconstruct_from(tmp_path, path)
-        assert (code, stdout) == (4, "")
-        lines = err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "OSError"
-        assert not (tmp_path / "rec").exists()
+        assert not [f for f in left if f.endswith(".tmp")]
+        if stop[0] == "write_kten":
+            assert files(path) == before
+            loaded = UNet.load(path)
+            for (_, pa), (_, pb) in zip(old.named_parameters(), loaded.named_parameters()):
+                assert pa.data.tobytes() == pb.data.tobytes()
+        else:
+            assert "manifest.json" not in left
+            with pytest.raises(OSError):
+                UNet.load(path)
+            code, stdout, err = reconstruct_from(tmp_path, path)
+            assert (code, stdout) == (4, "")
+            lines = err.splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["error"] == "OSError"
+            assert not (tmp_path / "rec").exists()
         new.save(path)  # a save that completes leaves no temporary file
         assert set(os.listdir(path)) == manifest_files(path) | {"manifest.json"}
         loaded = UNet.load(path)

@@ -8,6 +8,7 @@ import math
 import os
 import stat
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kronmri import blocks, cli, training
+from kronmri.algebra import MAX_TRIALS
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri.cli import build_parser, main
 from kronmri.errors import TapeError
@@ -56,6 +58,17 @@ def run_cli_shown(*args):
     shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
                     for w in caught)
     return code, out.getvalue(), err.getvalue() + shown
+
+
+def tree_bytes(root) -> dict:
+    """{path relative to `root`: bytes} for every file under `root`."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
 
 
 def stderr_json(err: str) -> dict:
@@ -178,6 +191,15 @@ class TestExitCodes:
         assert out == ""
         assert stderr_json(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("trials", [str(MAX_TRIALS + 1), str(10**30)])
+    def test_verify_algebra_trials_over_the_cap_is_config_error(self, capsys, trials):
+        """Refused before the first trial, not run for hours."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify-algebra", "--trials", trials)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert str(MAX_TRIALS) in stderr_json(err)["message"]
+
     def test_io_error_is_four(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metrics",
                                "--recon", str(tmp_path / "missing.kten"),
@@ -265,7 +287,7 @@ class TestGenData:
 
     def test_failed_manifest_write_leaves_no_sample_file(self, capsys, tmp_path):
         """With dataset.json a directory the last write fails: gen-data
-        exits 4 and removes the sample files it had already written."""
+        exits 4 and leaves none of the sample files it had written."""
         out = tmp_path / "d"
         (out / "dataset.json").mkdir(parents=True)
         code, stdout, err = run_cli(capsys, "gen-data", "--out", str(out), "--count", "2",
@@ -348,6 +370,88 @@ class TestGenMask:
         assert (code, stdout) == (4, "")
         assert stderr_json(err)["error"] == "OSError"
         assert os.listdir(tmp_path) == []
+
+
+def rerun_argv(tmp_path, command: str, seed: int) -> tuple[list, str]:
+    """(argv, last target) of one run of `command` whose outputs go under
+    tmp_path/out; `seed` picks what it writes."""
+    out = tmp_path / "out"
+    if command == "gen-data":
+        return (["gen-data", "--out", str(out), "--count", "2", "--height", "16",
+                 "--width", "16", "--seed", str(seed)], str(out / "dataset.json"))
+    if command == "gen-mask":
+        out.mkdir(exist_ok=True)
+        return (["gen-mask", "--out", str(out / "m.kten"), "--width", "64",
+                 "--seed", str(seed), "--pgm", str(out / "m.pgm")], str(out / "m.pgm"))
+    truth = gen_phantom(16, 16, 3, Rng(seed), dtype=np.float32)
+    kpath, tpath = str(tmp_path / f"k{seed}.kten"), str(tmp_path / f"t{seed}.kten")
+    write_kten(kpath, fft2c(truth).data)
+    write_kten(tpath, truth.data)
+    return (["reconstruct", "--input", kpath, "--truth", tpath, "--out", str(out)],
+            str(out / "metrics.json"))
+
+
+class TestFailedRerun:
+    """A command rerun over an earlier run's outputs that fails leaves
+    those outputs as they were."""
+
+    @pytest.mark.parametrize("command", ["reconstruct", "gen-data", "gen-mask"])
+    def test_a_rerun_whose_last_target_is_a_directory_keeps_every_file(
+            self, capsys, tmp_path, command):
+        """Exit 4 with one JSON line, every earlier file byte for byte and
+        no temporary file; the same rerun, once it can write, changes them."""
+        argv, last = rerun_argv(tmp_path, command, 1)
+        assert run_cli(capsys, *argv)[0] == 0
+        out = tmp_path / "out"
+        os.remove(last)
+        os.mkdir(last)
+        before = tree_bytes(out)
+        argv, _ = rerun_argv(tmp_path, command, 2)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert tree_bytes(out) == before
+        assert os.path.isdir(last)
+        os.rmdir(last)
+        assert run_cli(capsys, *argv)[0] == 0
+        after = tree_bytes(out)
+        assert set(after) == set(before) | {os.path.relpath(last, out)}
+        assert all(after[name] != data for name, data in before.items())
+        assert not [name for name in after if name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("fail_at", [1, 7], ids=["first", "last"])
+    def test_a_gen_data_rename_that_fails_leaves_no_manifest(
+            self, capsys, tmp_path, monkeypatch, fail_at):
+        """gen-data over an earlier dataset: an os.replace that fails at its
+        first rename, or its last (dataset.json's), leaves no dataset.json
+        and no temporary file."""
+        assert run_cli(capsys, *rerun_argv(tmp_path, "gen-data", 1)[0])[0] == 0
+        real, count = os.replace, [0]
+
+        def replace(src, dst):
+            count[0] += 1
+            if count[0] == fail_at:
+                raise OSError(errno.EIO, "Input/output error")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        code, stdout, err = run_cli(capsys, *rerun_argv(tmp_path, "gen-data", 2)[0])
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        left = os.listdir(tmp_path / "out")
+        assert "dataset.json" not in left
+        assert not [name for name in left if name.endswith(".tmp")]
+        assert count[0] == fail_at
+
+    def test_reconstruct_without_truth_removes_an_earlier_metrics_file(
+            self, capsys, tmp_path):
+        """Scores of an earlier image must not sit beside a new one."""
+        assert run_cli(capsys, *rerun_argv(tmp_path, "reconstruct", 1)[0])[0] == 0
+        argv, _ = rerun_argv(tmp_path, "reconstruct", 2)
+        at = argv.index("--truth")
+        del argv[at:at + 2]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sorted(os.listdir(tmp_path / "out")) == ["recon.kten", "recon.pgm"]
 
 
 def parse_table(text: str):
@@ -645,7 +749,7 @@ class TestReconstruct:
 
     def test_failed_metrics_write_leaves_no_image_file(self, capsys, tmp_path):
         """With metrics.json a directory the last write fails: reconstruct
-        exits 4 and removes recon.kten and recon.pgm."""
+        exits 4 and leaves neither recon.kten nor recon.pgm."""
         kpath, tpath, mpath, _, _ = self.make_kspace(tmp_path)
         out = tmp_path / "rec"
         (out / "metrics.json").mkdir(parents=True)
@@ -853,12 +957,14 @@ class TestTrainCmd:
         cfg = json.loads(stdout)["config"]
         assert cfg["layer_kind"] == kind and cfg["n"] == n
 
-    def test_a_run_that_fails_saving_leaves_no_summary_and_no_checkpoint(
+    def test_a_run_that_fails_saving_leaves_the_earlier_run(
             self, capsys, tmp_path, monkeypatch):
         """`train --out` over an earlier run that stops on an array file:
-        the old summary is gone and the checkpoint does not load."""
+        the earlier run is intact, the same files and bytes, and its
+        checkpoint reconstructs."""
         out = str(tmp_path / "run")
         assert run_cli(capsys, "train", *self.TINY, "--seed", "1", "--out", out)[0] == 0
+        before = tree_bytes(out)
         real, count = blocks.write_kten, [0]
 
         def flaky(*args):
@@ -870,17 +976,16 @@ class TestTrainCmd:
         code, stdout, err = run_cli(capsys, "train", *self.TINY, "--seed", "2", "--out", out)
         assert (code, stdout) == (4, "")
         assert stderr_json(err)["error"] == "OSError"
-        assert "summary.json" not in os.listdir(out)
         monkeypatch.undo()
+        assert tree_bytes(out) == before
         kpath = str(tmp_path / "k.kten")
         write_kten(kpath, np.zeros((2, 16, 16), dtype=np.float32))
-        code, stdout, err = run_cli(capsys, "reconstruct", "--input", kpath, "--checkpoint",
-                                    os.path.join(out, "checkpoint"), "--out",
-                                    str(tmp_path / "rec"))
-        assert (code, stdout) == (4, "")
-        assert stderr_json(err)["error"] == "OSError"
+        code, _, err = run_cli(capsys, "reconstruct", "--input", kpath, "--checkpoint",
+                               os.path.join(out, "checkpoint"), "--out", str(tmp_path / "rec"))
+        assert (code, err) == (0, "")
         assert run_cli(capsys, "train", *self.TINY, "--seed", "2", "--out", out)[0] == 0
         assert sorted(os.listdir(out)) == ["checkpoint", "history.jsonl", "summary.json"]
+        assert tree_bytes(out) != before
 
     def test_empty_out_is_config_error_before_training(self, capsys, monkeypatch):
         """`--out ''` names no directory: refused with one JSON line before a

@@ -11,7 +11,9 @@ any module of the package loads it by name or as an attribute
 
 A third gate keeps one writer: every `open` whose mode writes is inside
 `kten.write_file`, the function that writes a temporary file, syncs it and
-renames it into place.
+renames it into place. A fourth keeps what a failed command leaves in one
+module: every call that removes a file or directory is in `kten`, whose
+`write_set` decides it.
 """
 
 import ast
@@ -133,10 +135,10 @@ def _opens_for_writing(call: ast.Call) -> bool:
     return bool(set(mode.value) & set("wax+"))
 
 
-def write_openers(source: str) -> list[str]:
-    """The functions of `source` that open a file for writing, one entry
-    per such call: the dotted name of the innermost enclosing function or
-    class, or `<module>` at module level."""
+def calling_scopes(source: str, accept) -> list[str]:
+    """One entry per call in `source` that `accept` takes: the dotted name
+    of the innermost enclosing function or class, or `<module>` at module
+    level."""
     found = []
 
     def visit(node, scope):
@@ -144,12 +146,17 @@ def write_openers(source: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
-            elif isinstance(child, ast.Call) and _opens_for_writing(child):
+            elif isinstance(child, ast.Call) and accept(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), [])
     return found
+
+
+def write_openers(source: str) -> list[str]:
+    """The functions of `source` that open a file for writing."""
+    return calling_scopes(source, _opens_for_writing)
 
 
 def test_one_function_opens_files_for_writing():
@@ -175,3 +182,54 @@ def test_one_function_opens_files_for_writing():
 ])
 def test_the_gate_finds_writing_opens(source, openers):
     assert write_openers(source) == openers
+
+
+_REMOVERS = {"unlink", "rmdir", "removedirs", "rmtree"}
+
+
+def _removes_files(call: ast.Call) -> bool:
+    """`call` removes a file or directory: `os.remove`, a bare `remove`
+    (imported from os), or `unlink`, `rmdir`, `removedirs` or `rmtree` by
+    name or as an attribute (`shutil.rmtree`, `Path.unlink`). Lists, sets
+    and write sets have a `remove` method too; those do not count."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id in _REMOVERS | {"remove"}
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr == "remove":
+        return isinstance(func.value, ast.Name) and func.value.id == "os"
+    return func.attr in _REMOVERS
+
+
+def file_removers(source: str) -> list[str]:
+    """The functions of `source` that remove a file or directory."""
+    return calling_scopes(source, _removes_files)
+
+
+def test_only_kten_removes_files():
+    """What a failed command leaves is decided in one place, `kten`'s
+    write set: no other module removes a file."""
+    found = []
+    for path in MODULES:
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{fn}" for fn in file_removers(fh.read())]
+    assert found and [f for f in found if not f.startswith("kten.py:")] == []
+
+
+@pytest.mark.parametrize("source,removers", [
+    ("import os\ndef f(p):\n    os.remove(p)\n", ["f"]),
+    ("import os, shutil\ndef f(p):\n    os.unlink(p)\n    os.rmdir(p)\n"
+     "    os.removedirs(p)\n    shutil.rmtree(p)\n", ["f", "f", "f", "f"]),
+    ("from os import remove\nfrom shutil import rmtree\nremove('x')\nrmtree('y')\n",
+     ["<module>", "<module>"]),
+    ("import pathlib\nclass A:\n    def g(self, p):\n        pathlib.Path(p).unlink()\n",
+     ["A.g"]),
+    ("import os\ndef f(items, ws, p):\n    items.remove(p)\n    ws.remove(p)\n"
+     "    os.path.exists(p)\n    os.replace(p, p)\n", []),
+    ("import contextlib, os\n@contextlib.contextmanager\ndef f(paths):\n    try:\n"
+     "        yield\n    except BaseException:\n        for p in paths:\n"
+     "            os.remove(p)\n        raise\n", ["f"]),
+])
+def test_the_gate_finds_file_removals(source, removers):
+    assert file_removers(source) == removers

@@ -1,11 +1,13 @@
 """KTEN container: bit-exact round-trips, header validation, PGM export,
-and the one writer every file goes through."""
+the one writer every file goes through, and the write set that groups a
+command's writes."""
 
 import errno
 import os
 import signal
 import stat
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from kronmri import kten
 from kronmri.blocks import write_json
 from kronmri.errors import ShapeError
-from kronmri.kten import read_kten, write_kten, write_pgm
+from kronmri.kten import read_kten, write_kten, write_pgm, write_set
 from kronmri.rng import Rng
 from kronmri.training import write_history
 
@@ -310,3 +312,144 @@ class TestWriteFile:
         mode = os.lstat(path).st_mode
         assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISDIR(mode)
         assert os.listdir(tmp_path) == ["x"]
+
+
+def record_calls(monkeypatch, calls):
+    """Record each os.remove and os.replace as (name, path), the
+    replace's path being its target, and make the call."""
+    for name in ("remove", "replace"):
+        real = getattr(os, name)
+
+        def spy(*args, name=name, real=real):
+            calls.append((name, os.path.basename(args[-1])))
+            real(*args)
+        monkeypatch.setattr(os, name, spy)
+
+
+def put(path, data: bytes) -> None:
+    kten.write_file(str(path), (data,))
+
+
+class TestWriteSet:
+    def test_nothing_is_renamed_until_the_outermost_block_ends(self, tmp_path):
+        """A set inside another joins it: both blocks' files appear when
+        the outer one ends, and only then."""
+        (tmp_path / "a").write_bytes(b"old a")
+        with write_set():
+            put(tmp_path / "a", b"new a")
+            with write_set():
+                put(tmp_path / "b", b"new b")
+            assert (tmp_path / "a").read_bytes() == b"old a"
+            assert sorted(f for f in os.listdir(tmp_path) if not f.endswith(".tmp")) == ["a"]
+        assert (tmp_path / "a").read_bytes() == b"new a"
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+
+    def test_commit_files_and_removals_go_before_the_renames_in_write_order(
+            self, tmp_path, monkeypatch):
+        """The last file of each block is its commit file; with the files
+        handed to `remove` it is removed first, then every temporary file
+        is renamed in the order written. A file to remove that is missing
+        or not a regular file is left alone."""
+        for name in ("inner.json", "outer.json", "stale", "arr2"):
+            (tmp_path / name).write_bytes(b"old")
+        (tmp_path / "adir").mkdir()
+        calls = []
+        record_calls(monkeypatch, calls)
+        with write_set() as ws:
+            with write_set() as inner:
+                inner.remove(str(tmp_path / "stale"))
+                put(tmp_path / "arr1", b"1")
+                put(tmp_path / "arr2", b"2")
+                put(tmp_path / "inner.json", b"i")
+            ws.remove(str(tmp_path / "missing"))
+            ws.remove(str(tmp_path / "adir"))
+            put(tmp_path / "history", b"h")
+            put(tmp_path / "outer.json", b"o")
+        assert calls == [("remove", "stale"), ("remove", "inner.json"),
+                         ("remove", "outer.json"), ("replace", "arr1"),
+                         ("replace", "arr2"), ("replace", "inner.json"),
+                         ("replace", "history"), ("replace", "outer.json")]
+        assert sorted(os.listdir(tmp_path)) == ["adir", "arr1", "arr2", "history",
+                                                "inner.json", "outer.json"]
+
+    def test_a_set_of_one_file_removes_nothing(self, tmp_path, monkeypatch):
+        (tmp_path / "x").write_bytes(b"old")
+        calls = []
+        record_calls(monkeypatch, calls)
+        with write_set():
+            put(tmp_path / "x", b"new")
+        put(tmp_path / "x", b"newer")
+        assert calls == [("replace", "x"), ("replace", "x")]
+        assert (tmp_path / "x").read_bytes() == b"newer"
+
+    def test_a_block_that_raises_leaves_every_file_and_no_set_open(self, tmp_path):
+        """Nothing is removed or renamed, the temporary files go, and the
+        next plain write renames at once."""
+        (tmp_path / "a").write_bytes(b"old a")
+        (tmp_path / "stale").write_bytes(b"old stale")
+        with pytest.raises(RuntimeError, match="stop"):
+            with write_set() as ws:
+                ws.remove(str(tmp_path / "stale"))
+                put(tmp_path / "a", b"new a")
+                put(tmp_path / "b", b"new b")
+                raise RuntimeError("stop")
+        assert sorted(os.listdir(tmp_path)) == ["a", "stale"]
+        assert (tmp_path / "a").read_bytes() == b"old a"
+        assert kten._open.ws is None
+        put(tmp_path / "c", b"c")
+        assert (tmp_path / "c").read_bytes() == b"c"
+
+    def test_an_inner_block_that_raises_drops_only_its_own_files(self, tmp_path):
+        with write_set():
+            put(tmp_path / "a", b"a")
+            with pytest.raises(RuntimeError):
+                with write_set():
+                    put(tmp_path / "b", b"b")
+                    raise RuntimeError("stop")
+            assert len(os.listdir(tmp_path)) == 1
+        assert os.listdir(tmp_path) == ["a"]
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_a_failed_rename_leaves_no_commit_file_and_no_temporary_file(
+            self, tmp_path, monkeypatch, fail_at):
+        """Files renamed before the failure stay; the commit file was
+        removed before the first rename and never comes back."""
+        for name in ("a", "b", "last"):
+            (tmp_path / name).write_bytes(b"old")
+        real, count = os.replace, [0]
+
+        def replace(src, dst):
+            count[0] += 1
+            if count[0] == fail_at:
+                raise OSError(errno.EIO, "Input/output error")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="Input/output"):
+            with write_set():
+                put(tmp_path / "a", b"new")
+                put(tmp_path / "b", b"new")
+                put(tmp_path / "last", b"new")
+        assert sorted(os.listdir(tmp_path)) == ["a", "b"]
+        assert kten._open.ws is None
+        for i, name in enumerate(("a", "b")):
+            assert (tmp_path / name).read_bytes() == (b"new" if i + 1 < fail_at else b"old")
+
+    def test_a_set_is_the_thread_s_own(self, tmp_path):
+        """A plain write from another thread, while this one holds a set
+        open, renames at once and joins nothing."""
+        done = []
+
+        def other():
+            put(tmp_path / "theirs", b"t")
+            done.append(os.path.exists(tmp_path / "theirs"))
+
+        with write_set():
+            put(tmp_path / "mine", b"m")
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert done == [True]
+            assert not (tmp_path / "mine").exists()
+        assert sorted(os.listdir(tmp_path)) == ["mine", "theirs"]
