@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -92,6 +93,29 @@ def _magnitude_image(path: str) -> np.ndarray:
 
 # ---------------------------------------------------------------- commands
 
+# A sample file as gen-data names it, index i as f"{i:04d}".
+_SAMPLE_FILE = re.compile(r"sample(\d{4}|[1-9]\d{4,})\.(?:truth|zf|mask)\.kten")
+
+
+def _dataset_count(path: str) -> int:
+    """The sample count an earlier `dataset.json` at `path` names; 0 if
+    there is none, or it is unreadable or malformed."""
+    try:
+        count = read_json_object(path).get("count")
+    except (OSError, ConfigError):
+        return 0
+    return count if type(count) is int else 0
+
+
+def _stale_samples(out: str, earlier: int, count: int) -> list[str]:
+    """Names of the sample files in `out` whose index an earlier dataset
+    of `earlier` samples holds and one of `count` does not. The directory
+    is listed, not the index range, so the work is bounded by what is
+    there, whatever count the earlier manifest claims."""
+    return [name for name in os.listdir(out)
+            if (m := _SAMPLE_FILE.fullmatch(name)) and count <= int(m[1]) < earlier]
+
+
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise ConfigError(f"count must be >= 1, got {args.count}")
@@ -101,13 +125,16 @@ def cmd_gen_data(args) -> int:
                 "height": args.height, "width": args.width,
                 "ellipses": args.ellipses}
     os.makedirs(args.out, exist_ok=True)
-    with write_set():
+    dataset = os.path.join(args.out, "dataset.json")
+    with write_set() as ws:
         for i in range(args.count):
             s = make_sample(spec, args.af, args.seed, i)
             for tag, arr in (("truth", s.truth), ("zf", s.zf),
                              ("mask", s.mask_columns)):
                 write_kten(os.path.join(args.out, f"sample{i:04d}.{tag}.kten"), arr)
-        write_json(os.path.join(args.out, "dataset.json"), manifest)
+        for name in _stale_samples(args.out, _dataset_count(dataset), args.count):
+            ws.remove(os.path.join(args.out, name))  # an earlier, larger dataset's
+        write_json(dataset, manifest)
     _emit({"written": 3 * args.count + 1, "out": args.out, **manifest})
     return 0
 

@@ -4,10 +4,14 @@ A layer of hypercomplex dimension n holds one mixing tensor A [n, n, n] and
 one block tensor S [n, out/n, in/n, *kernel], kernel () for linear and (k, k)
 for conv. Its weight sum_i kron(A[i], S[i]) is assembled by one `T.kron_sum`
 per forward pass, so a linear forward is two tape ops, `kron_sum` and
-`linear`, and a conv forward `kron_sum` and `conv2d`. A layer drawn from an
-rng trains its mixing; a layer given its mixing keeps it frozen. A dense
-layer is n=1 given the mixing [[1]] (`**DENSE`): its weight is the block
-itself, reshaped, with no assembly MACs.
+`linear`, and a conv forward `kron_sum` and `conv2d`. The assembled weight
+lives through the forward only: a taped `linear` or `conv2d` keeps its
+`rebuild`, not the weight, and assembles it again from the factors when
+its VJP runs, so a taped step holds no materialized weight between its
+forward and its backward. A layer drawn from an rng trains its mixing; a
+layer given its mixing keeps it frozen. A dense layer is n=1 given the
+mixing [[1]] (`**DENSE`): its weight is the block itself, reshaped, with
+no assembly MACs, and a VJP keeps that view of the block.
 
 Parameter counts (`count_params`, which a layer's `param_count()` equals;
 mixing counts only when trainable):

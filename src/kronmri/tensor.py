@@ -9,10 +9,14 @@ The tape records ops, not tensors. A node holds its op's VJP closure, with
 only the arrays that VJP reads, and for each input the input's node or,
 for a leaf, the leaf tensor; no node or tape holds an op's output. An op
 output thus lives only while the program or a VJP holds it, as without a
-tape. `backward` sums gradients by node and frees each node's VJP and
-inputs as it passes them. A taped result belongs to its tape alone: an op
-recorded on one tape that reads a result of another, consumed or not, is
-a TapeError.
+tape. The one exception is a weight assembled by `kron_sum`: the `conv2d`
+or `linear` VJP that reads it keeps, in place of the array, the result's
+`rebuild`, which computes it again from the Kronecker factors, so a
+materialized weight lives only through the forward and that VJP.
+`backward` sums gradients by node and frees each node's VJP and inputs as
+it passes them. A taped result belongs to its tape alone: an op recorded
+on one tape that reads a result of another, consumed or not, is a
+TapeError.
 
 Ops are functions; a Tensor has no operator methods and holds float32 or
 float64 data only. Broadcasting is deliberately narrow: binary elementwise
@@ -97,9 +101,11 @@ class Tensor:
     `data` is the raw numpy buffer (row-major, float32 or float64).
     `requires_grad` marks leaves whose gradient `backward` should report;
     on op outputs it just means "participates in the recorded graph".
+    `rebuild` is None, or for a `kron_sum` result a function that returns
+    `data` again, bitwise, from the op's inputs.
     """
 
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("data", "requires_grad", "node", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -108,7 +114,7 @@ class Tensor:
         # ascontiguousarray promotes 0-d to 1-d; keep scalars 0-d.
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.requires_grad = bool(requires_grad)
-        self.node = None
+        self.node = self.rebuild = None
 
     @property
     def shape(self) -> tuple:
@@ -153,7 +159,7 @@ class _Join(Tensor):
         self.parts = tuple((t.data, up) for t in sources)
         self.sources, self._shape = sources, shape
         self.requires_grad = any(t.requires_grad for t in sources)
-        self.node = None
+        self.node = self.rebuild = None
 
     @property
     def data(self) -> np.ndarray:
@@ -422,6 +428,14 @@ def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
     Trailing kernel axes of the blocks ride along, so one op assembles a
     linear weight ([r,s] blocks) or a conv kernel ([r,s,k,k] blocks). The
     m terms are contracted in one matmul rather than summed one by one.
+
+    The VJP keeps views of the two factors, no copy. The result's
+    `rebuild` computes it again from the same views by the same product
+    and transposing copy, so the rebuilt array is bitwise this one; a
+    taped `conv2d` or `linear` keeps that function instead of the weight
+    (Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016).
+    Like this op's VJP, a rebuild reads the factors when it runs: they
+    must not change between the forward and the backward that reads them.
     """
     if mixing.data.ndim != 3 or blocks.data.ndim < 3 or mixing.shape[0] != blocks.shape[0]:
         raise ShapeError(f"kron_sum expects [m,p,q] and [m,r,s,...] operands, "
@@ -436,9 +450,11 @@ def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
     _count_macs(p * q * blocks.size)
     ad = mixing.data.reshape(m, p * q)
     bd = blocks.data.reshape(m, -1)
-    # [p*q, r*s*K] -> [p, r, q, s, K]: row block u, column block v.
-    out = (ad.T @ bd).reshape(p, q, r, s, -1).transpose(0, 2, 1, 3, 4)
-    out = out.reshape((p * r, q * s, *kernel))
+
+    def rebuild():
+        # [p*q, r*s*K] -> [p, r, q, s, K]: row block u, column block v.
+        out = (ad.T @ bd).reshape(p, q, r, s, -1).transpose(0, 2, 1, 3, 4)
+        return out.reshape((p * r, q * s, *kernel))
 
     def vjp(g, needs):
         gt = g.reshape(p, r, q, s, -1).transpose(0, 2, 1, 3, 4).reshape(p * q, -1)
@@ -446,7 +462,9 @@ def kron_sum(mixing: Tensor, blocks: Tensor) -> Tensor:
         gb = (ad @ gt).reshape(m, r, s, *kernel) if needs[1] else None
         return (ga, gb)
 
-    return _apply("kron_sum", (mixing, blocks), out, vjp)
+    out = _apply("kron_sum", (mixing, blocks), rebuild(), vjp)
+    out.rebuild = rebuild
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -455,7 +473,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     `np.matmul(x, w.T)` hands the weight to BLAS with its transpose flag, so
     no transposed copy is made, and the bias is added in place. The VJP
-    gives `g @ w`, `g.T @ x` and the column sums of `g`."""
+    gives `g @ w`, `g.T @ x` and the column sums of `g`. It keeps `x.data`
+    and `w.data`, except that a `kron_sum` weight is not kept but rebuilt
+    (`w.rebuild`) when `g @ w` is needed."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(f"linear expects [B,F], [O,F] and [O] operands, "
                          f"got {x.shape}, {w.shape} and {b.shape}")
@@ -466,12 +486,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear dtype mismatch {x.data.dtype}, {w.data.dtype} "
                          f"and {b.data.dtype}")
     _count_macs(x.size * w.shape[0])  # B * F * O
-    xd, wd = x.data, w.data
-    out = np.matmul(xd, wd.T)
+    xd, rebuild = x.data, w.rebuild
+    wd = w.data if rebuild is None else None
+    out = np.matmul(xd, w.data.T)
     out += b.data
 
     def vjp(g, needs):
-        gx = g @ wd if needs[0] else None
+        gx = g @ (wd if rebuild is None else rebuild()) if needs[0] else None
         gw = g.T @ xd if needs[1] else None
         gb = g.sum(axis=0) if needs[2] else None
         return (gx, gw, gb)
@@ -695,10 +716,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     last bits, and saved fixtures pin them.
 
     The VJP keeps only the input's arrays and `w.data`, the arrays it
-    reads, and the tape keeps them only until `backward` has run the VJP. A
-    join's arrays are its sources': the node records the sources in x's
-    place and gives each its own gradient. With stride
-    s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
+    reads, and the tape keeps them only until `backward` has run the VJP;
+    a `kron_sum` kernel is the exception, kept as its `rebuild` and built
+    again when the VJP starts. A join's arrays are its sources': the node
+    records the sources in x's place and gives each its own gradient. With
+    stride s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
     (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
     phase is a stride-1 correlation of its plane with that sub-kernel. Its
@@ -778,7 +800,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         np.matmul(cols, wr.T, out=dst)
         if bias is not None:
             dst += bias.data
-    wd_arr = w.data
+    rebuild = w.rebuild
+    wd_arr = w.data if rebuild is None else None
     phases = min(stride, k)
     wu = -(-wp // stride)
     nparts = len(parts)
@@ -791,11 +814,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         need_w = needs[nparts]
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if need_w else None
         if need_w or any(needs[:nparts]):
+            wt = wd_arr if rebuild is None else rebuild()
             for py in range(phases):
                 y0 = (py - padding) % stride
                 for px in range(phases):
                     x0 = (px - padding) % stride
-                    ws = wd_arr[:, :, py::stride, px::stride]
+                    ws = wt[:, :, py::stride, px::stride]
                     views = [(a[:, y0::stride, x0::stride],
                               None if gx is None else gx[:, y0::stride, x0::stride])
                              for (a, _), gx in zip(parts, gxs)]
@@ -891,7 +915,13 @@ def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     if x.data.ndim == 0 or x.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    xd = x.data
+    # The row max over the transposed rows' first axis: numpy reduces a short
+    # last axis slowly (268 of 385 us per call at the phm-blocks scores'
+    # [128,16,16], numpy 2.4.6 on a 2-core Xeon, against 33 us this way), and
+    # a max is exact, so the value is bitwise `xd.max(axis=-1, keepdims=True)`.
+    top = np.ascontiguousarray(xd.reshape(-1, xd.shape[-1]).T).max(axis=0)
+    shifted = xd - top.reshape(*xd.shape[:-1], 1)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 

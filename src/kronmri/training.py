@@ -2,7 +2,7 @@
 
 Datasets are synthetic phantoms generated on the fly from (seed, index),
 so a (config, seed) pair fixes the whole run: masks, batches, parameter
-trajectory, history. No files are read. `step` is one optimizer step on a
+trajectory, history. No data files are read. `step` is one optimizer step on a
 batch, `train` loops it over the dataset and returns the history, and
 `run` is a whole run: baseline and final scores around `train`, and, given
 an output directory, the checkpoint, the history and the summary.
@@ -10,6 +10,7 @@ an output directory, the checkpoint, the history and the summary.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from dataclasses import dataclass
@@ -274,13 +275,57 @@ def write_history(path: str, history: list[dict]) -> None:
 
 _SCORES = ("psnr_mean", "psnr_std", "ssim_mean", "ssim_std")
 
+# Where the CPU model is read (Linux); elsewhere it is recorded as None.
+_CPUINFO = "/proc/cpuinfo"
+
+
+def _blas_call(name: str, restype):
+    """The result of the argument-free BLAS function `name`, looked up in
+    the BLAS that numpy's core extension loaded; None if it has no such
+    symbol or the extension cannot be opened."""
+    try:
+        fn = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), name)
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = (), restype
+    return fn()
+
+
+def numeric_environment() -> dict:
+    """What a run's float bits depend on: the numpy version, the BLAS
+    numpy was built against (name and version), the kernel set and thread
+    count that BLAS uses at run time, and the CPU model. The kernel, which
+    changes trained bytes, is read from scipy-openblas's
+    `scipy_openblas_get_corename64_` and the threads from
+    `scipy_openblas_get_num_threads64_`; the build record of
+    `np.show_config` names only the build target. Whatever cannot be read
+    is None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    kernel = _blas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    cpu = None
+    try:
+        with open(_CPUINFO) as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "blas_kernel": None if kernel is None else kernel.decode("ascii", "replace"),
+            "blas_threads": _blas_call("scipy_openblas_get_num_threads64_", ctypes.c_int),
+            "cpu": cpu}
+
 
 def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None = None) -> dict:
     """A whole training run; returns its summary.
 
     Builds a U-Net of `ucfg` from `cfg.seed` behind data consistency,
     scores the zero-filled baseline on the held-out set, trains, and scores
-    the model. With `out`, writes `checkpoint/`, `history.jsonl` and
+    the model. The summary records the run's `numeric_environment()`; the
+    checkpoint does not, so its bytes do not depend on the host. With `out`, writes `checkpoint/`, `history.jsonl` and
     `summary.json` there as one `kten.write_set`, the summary last, and the
     returned summary also names `out`. A run that fails writing leaves an
     earlier run there byte for byte, or, if it fails while renaming, no
@@ -301,7 +346,8 @@ def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None =
                "zero_filled": {k: baseline[k] for k in _SCORES},
                "final": {k: final[k] for k in _SCORES},
                "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
-               "final_loss": history[-1]["loss"]}
+               "final_loss": history[-1]["loss"],
+               "environment": numeric_environment()}
     if out is not None:
         os.makedirs(out, exist_ok=True)
         with write_set():

@@ -296,6 +296,48 @@ class TestGenData:
         assert stderr_json(err)["error"] == "OSError"
         assert os.listdir(out) == ["dataset.json"]
 
+    ARGV = ("--height", "16", "--width", "16", "--count")
+
+    def test_a_smaller_rerun_removes_the_earlier_samples_beyond_its_count(
+            self, capsys, tmp_path):
+        out = str(tmp_path / "d")
+        assert run_cli(capsys, "gen-data", "--out", out, *self.ARGV, "3")[0] == 0
+        assert run_cli(capsys, "gen-data", "--out", out, *self.ARGV, "1")[0] == 0
+        assert sorted(os.listdir(out)) == ["dataset.json", "sample0000.mask.kten",
+                                           "sample0000.truth.kten", "sample0000.zf.kten"]
+
+    @pytest.mark.parametrize("manifest", [None, b"{", b"[3]", b'{"count": "3"}',
+                                          b'{"count": true}', b'{"seed": 1}'])
+    def test_an_absent_or_malformed_earlier_manifest_removes_nothing(
+            self, capsys, tmp_path, manifest):
+        out = tmp_path / "d"
+        assert run_cli(capsys, "gen-data", "--out", str(out), *self.ARGV, "3")[0] == 0
+        if manifest is None:
+            os.remove(out / "dataset.json")
+        else:
+            (out / "dataset.json").write_bytes(manifest)
+        assert run_cli(capsys, "gen-data", "--out", str(out), *self.ARGV, "1")[0] == 0
+        assert len(os.listdir(out)) == 3 * 3 + 1
+
+    def test_a_failed_smaller_rerun_keeps_every_earlier_sample(
+            self, capsys, tmp_path, monkeypatch):
+        """The samples beyond the new count are removed only when the set
+        commits: a rerun that fails writing its manifest leaves the earlier
+        dataset byte for byte."""
+        out = tmp_path / "d"
+        assert run_cli(capsys, "gen-data", "--out", str(out), *self.ARGV, "3")[0] == 0
+        before = tree_bytes(out)
+
+        def fail(path, obj):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(cli, "write_json", fail)
+        code, stdout, err = run_cli(capsys, "gen-data", "--out", str(out), *self.ARGV, "1",
+                                    "--seed", "5")
+        assert (code, stdout) == (4, "")
+        assert stderr_json(err)["error"] == "OSError"
+        assert tree_bytes(out) == before
+
 
 class TestGenMask:
     def test_deterministic_and_binary(self, capsys, tmp_path):

@@ -1045,6 +1045,23 @@ class TestReductionsAndShapes:
         num = fd_grad(scalar, [x.data])
         assert np.allclose(g, num[0], atol=1e-6)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(x=st.sampled_from([np.float32, np.float64]).flatmap(lambda dtype: hnp.arrays(
+        dtype, st.tuples(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+                         st.integers(1, 17)).map(lambda s: (*s[0], s[1])),
+        elements=st.floats(-200, 200, width=32))))
+    @example(x=np.zeros((0, 3, 5), dtype=np.float32))
+    @example(x=Rng(30).uniform((128, 16, 16), -8, 8, dtype=np.float32))
+    def test_softmax_is_bitwise_the_reference_formula(self, x):
+        """The row max softmax takes from the transposed rows is exact, so
+        the output is bitwise that of the plain formula, 1-D and with an
+        empty leading axis included."""
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        got = T.softmax(Tensor(x)).data
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 @st.composite
 def joined_convs(draw):
@@ -1283,6 +1300,72 @@ class TestTapedJoins:
 
         report = grad_check(f, [x, skip, w1, b1, w2])
         assert report.passed, repr(report)
+
+
+def kron_weight_graph(case, dtype, keep_weight=False):
+    """A taped graph whose weight `w = kron_sum(mixing, blocks)` is read by
+    one op: `conv2d` at stride 1 or 2, `conv2d` of a concat or of an
+    upsample join, or `linear`. With `keep_weight`, `w.rebuild` is cleared
+    first, so the op's VJP keeps `w.data`. Returns the leaves, the loss and
+    a weak reference to `w.data`, taken once the program has dropped `w`
+    and while the tape lives."""
+    rng = Rng(61)
+
+    def new_leaf(*shape):
+        return Tensor(rng.uniform(shape, -1, 1, dtype=dtype), requires_grad=True)
+
+    mixing, bias = new_leaf(2, 2, 2), new_leaf(6)
+    blocks = new_leaf(2, 3, 2) if case == "linear" else new_leaf(2, 3, 2, 3, 3)
+    xs = {"linear": [new_leaf(5, 4)], "concat": [new_leaf(2, 6, 5, 1), new_leaf(2, 6, 5, 3)],
+          "upsample2x": [new_leaf(2, 3, 4, 4)]}.get(case, [new_leaf(2, 7, 6, 4)])
+    with Tape():
+        w = T.kron_sum(mixing, blocks)
+        if keep_weight:
+            w.rebuild = None
+        if case == "linear":
+            out = T.linear(xs[0], w, bias)
+        else:
+            x = join_of(case, xs) if case in ("concat", "upsample2x") else xs[0]
+            out = T.conv2d(x, w, bias, stride=2 if case == "conv2d-s2" else 1, padding=1)
+        kept = weakref.ref(w.data)
+        del w
+        loss = T.sum_(T.mul(out, Tensor(Rng(62).uniform(out.shape, -1, 1, dtype=dtype))))
+    return [mixing, blocks, bias, *xs], loss, kept
+
+
+REBUILD_CASES = ["conv2d-s1", "conv2d-s2", "concat", "upsample2x", "linear"]
+
+
+class TestRebuiltWeights:
+    """A taped `conv2d` or `linear` keeps a `kron_sum` weight's rebuild,
+    not the weight, and rebuilds it bitwise when its VJP runs."""
+
+    def test_rebuild_is_bitwise_the_forward(self):
+        rng = Rng(60)
+        for blocks in ((2, 3, 5), (2, 3, 5, 3, 3)):
+            w = T.kron_sum(Tensor(rng.uniform((2, 2, 2), -1, 1, dtype=np.float32)),
+                           Tensor(rng.uniform(blocks, -1, 1, dtype=np.float32)))
+            again = w.rebuild()
+            assert again is not w.data and again.flags.c_contiguous
+            assert again.tobytes() == w.data.tobytes()
+
+    @pytest.mark.parametrize("case", REBUILD_CASES)
+    def test_a_dropped_weight_is_freed_while_the_tape_lives(self, case):
+        leaves, loss, kept = kron_weight_graph(case, np.float32)
+        assert kept() is None
+        assert set(backward(loss)) == set(leaves)
+        # the VJP of a weight with no rebuild keeps it, as a dense weight's does
+        assert kron_weight_graph(case, np.float32, keep_weight=True)[2]() is not None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", REBUILD_CASES)
+    def test_leaf_gradients_are_bitwise_those_of_the_kept_weight(self, case, dtype):
+        leaves, loss, _ = kron_weight_graph(case, dtype)
+        got = backward(loss)
+        ref_leaves, ref_loss, _ = kron_weight_graph(case, dtype, keep_weight=True)
+        want = backward(ref_loss)
+        for p, q in zip(leaves, ref_leaves):
+            assert got[p].data.tobytes() == want[q].data.tobytes()
 
 
 class TestTapeSemantics:

@@ -1,5 +1,6 @@
 """Adam oracle, dataset determinism, evaluation, and the train loop."""
 
+import ctypes
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kronmri import training
 from kronmri.blocks import UNetConfig, build_unet
 from kronmri.errors import ConfigError, NumericError
 from kronmri import tensor as T
@@ -17,8 +19,8 @@ from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
 from kronmri.training import (Adam, ConsistentModel, DatasetSpec, Sample,
                               TrainConfig, evaluate, held_out_seed,
-                              make_dataset, make_sample, run, step, train,
-                              write_history)
+                              make_dataset, make_sample, numeric_environment, run,
+                              step, train, write_history)
 
 
 def tiny_model(seed=0, dtype=np.float32):
@@ -346,6 +348,48 @@ class TestRun:
         assert [rec["step"] for rec in history] == [1, 2]
         assert summary["final_loss"] == history[-1]["loss"]
         assert summary["config"]["size"] == 16 and summary["config"]["seed"] == 3
+
+    def test_summary_records_the_numeric_environment_and_the_checkpoint_does_not(
+            self, tmp_path):
+        out = tmp_path / "run"
+        env = run(self.UNET, tiny_spec(), self.CFG, out=str(out))["environment"]
+        assert env == numeric_environment()
+        assert set(env) == {"numpy", "blas", "blas_version", "blas_kernel", "blas_threads",
+                            "cpu"}
+        assert env["numpy"] == np.__version__
+        for key in ("blas", "blas_version", "blas_kernel", "cpu"):
+            assert env[key] is None or isinstance(env[key], str)
+        if env["blas"] == "scipy-openblas":  # numpy's wheels: the symbols exist
+            assert env["blas_kernel"] and env["blas_threads"] >= 1
+        with open(out / "checkpoint" / "manifest.json") as fh:
+            manifest = fh.read()
+        assert "environment" not in json.loads(manifest)
+        assert not env["blas_kernel"] or env["blas_kernel"] not in manifest
+
+
+class TestNumericEnvironment:
+    def test_what_cannot_be_read_is_null(self, monkeypatch, tmp_path):
+        def no_library(*args, **kwargs):
+            raise OSError("cannot open shared object file")
+
+        monkeypatch.setattr(training, "_CPUINFO", str(tmp_path / "absent"))
+        monkeypatch.setattr(np, "show_config", lambda mode: {})
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert numeric_environment() == {"numpy": np.__version__, "blas": None,
+                                         "blas_version": None, "blas_kernel": None,
+                                         "blas_threads": None, "cpu": None}
+
+    def test_an_absent_blas_symbol_is_null(self):
+        assert training._blas_call("no_such_blas_function64_", ctypes.c_int) is None
+
+    def test_the_cpu_model_is_the_first_model_name(self, monkeypatch, tmp_path):
+        cpuinfo = tmp_path / "cpuinfo"
+        cpuinfo.write_text("processor\t: 0\nmodel name\t: Some CPU @ 2.0GHz\n"
+                           "processor\t: 1\nmodel name\t: Other\n")
+        monkeypatch.setattr(training, "_CPUINFO", str(cpuinfo))
+        assert numeric_environment()["cpu"] == "Some CPU @ 2.0GHz"
+        cpuinfo.write_text("processor\t: 0\n")
+        assert numeric_environment()["cpu"] is None
 
 
 class TestConsistentModel:
