@@ -19,7 +19,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .kten import read_kten, write_file, write_kten, write_set
-from .layers import DENSE, KroneckerConv2d, KroneckerLinear, Module, check_sizes, nested
+from .layers import (DENSE, KroneckerConv2d, KroneckerLinear, Module, check_sizes,
+                     count_params, nested)
 from .rng import Rng
 from .tensor import Tensor
 
@@ -97,6 +98,14 @@ def unet_convs(cfg: UNetConfig):
         yield f"up{i}.conv1", 2 * chans[i - 1], chans[i - 1], 1
         yield f"up{i}.conv2", chans[i - 1], chans[i - 1], 1
     yield "head", chans[0], cfg.out_channels, 1
+
+
+def unet_param_counts(cfg: UNetConfig) -> list[tuple[str, int]]:
+    """(name, parameters) of every U-Net conv, in call order: `count_params`
+    in Python ints, so a config of any size is counted without building it."""
+    train_mixing = cfg.layer_kind != "dense"
+    return [(name, count_params(cfg.n, cin, cout, 9, train_mixing=train_mixing))
+            for name, cin, cout, _ in unet_convs(cfg)]
 
 
 class UNet(Module):
@@ -193,14 +202,17 @@ class UNet(Module):
 
     @classmethod
     def load(cls, path: str) -> "UNet":
-        """Read a checkpoint written by `save`. The model is built from the
-        stored config by the constructor, in the first layer's dtype
-        (float32 or float64), and the stored layers must be the built ones:
-        the same names in order, each with the built layer's `manifest()`
-        (types included, so true is not 1) and the names of its `arrays()`.
-        Each array file is then read into its view; a shape or dtype other
-        than the view's is a ShapeError. Array files must be plain names
-        inside `path`."""
+        """Read a checkpoint written by `save`. Before anything is built, the
+        stored layers must be the config's: the same names in order, each
+        manifest declaring the parameters `unet_param_counts` gives its
+        layer, and each layer's array files (`_read_arrays`) holding that
+        many elements. So a config with a size the stored arrays do not
+        hold (10**30 channels, say) is a ConfigError or a ShapeError, not
+        an allocation. The model is then built from the stored config by
+        the constructor, in the first layer's dtype (float32 or float64),
+        and each stored layer must be the built one: its `manifest()`
+        (types included, so true is not 1). Each array is then copied into
+        its view; a shape or dtype other than the view's is a ShapeError."""
         manifest = read_json_object(os.path.join(path, MANIFEST_NAME))
         fmt = manifest.get("format")  # an int: true and 1.0 equal 1 but are not format 1
         if type(fmt) is not int or fmt != CHECKPOINT_FORMAT or manifest.get("model") != "unet":
@@ -211,17 +223,18 @@ class UNet(Module):
             dtype = entries[0]["manifest"]["dtype"]
             if dtype not in ("float32", "float64"):
                 raise ConfigError(f"{path}: layer dtype {dtype!r} is not float32 or float64")
-            model = cls(cfg, Rng(0), dtype)
-            if [entry["name"] for entry in entries] != [name for name, _ in model._layers]:
+            declared = [(entry["name"], _declared_params(entry["manifest"])) for entry in entries]
+            if declared != unet_param_counts(cfg):
                 raise ConfigError(f"{path}: the stored layers are not those of the config")
-            for entry, (name, layer) in zip(entries, model._layers):
-                views = layer.arrays()
-                stored = json.dumps(entry["manifest"], sort_keys=True)
-                if (stored != json.dumps(layer.manifest(), sort_keys=True)
-                        or set(entry["arrays"]) != set(views)):
+            stored = [_read_arrays(path, entry, count)
+                      for entry, (_, count) in zip(entries, declared)]
+            model = cls(cfg, Rng(0), dtype)
+            for entry, arrays, (name, layer) in zip(entries, stored, model._layers):
+                if (json.dumps(entry["manifest"], sort_keys=True)
+                        != json.dumps(layer.manifest(), sort_keys=True)):
                     raise ConfigError(f"{path}: layer {name!r} does not fit the config")
-                for aname, dst in views.items():
-                    src = read_kten(_array_path(path, entry["arrays"][aname]))
+                for aname, dst in layer.arrays().items():
+                    src = arrays[aname]
                     if src.shape != dst.shape or src.dtype != dst.dtype:
                         raise ShapeError(f"{path}: layer {name!r} array {aname!r} is "
                                          f"{src.dtype.name}{list(src.shape)}, the config "
@@ -230,6 +243,32 @@ class UNet(Module):
         except (KeyError, IndexError, TypeError, AttributeError) as err:
             raise ConfigError(f"{path}: malformed checkpoint manifest ({err!r})") from None
         return model
+
+
+def _declared_params(m: dict) -> int:
+    """The parameters a stored conv layer manifest declares (`count_params`);
+    a dense layer's manifest has neither n nor train_mixing."""
+    return count_params(m.get("n", 1), m["in_channels"], m["out_channels"],
+                        m["kernel_size"] ** 2, train_mixing=m.get("train_mixing") is True)
+
+
+def _read_arrays(path: str, entry: dict, count: int) -> dict[str, np.ndarray]:
+    """The arrays a stored layer names, by name, read from their files in
+    `path` (plain names inside it). The names must be those its manifest's
+    layer has (`array_names`), else a ConfigError, and the arrays must
+    hold `count` elements in all, else a ShapeError."""
+    m, files = entry["manifest"], entry["arrays"]
+    dense = m["kind"] == "dense_conv"
+    n = 1 if dense else m["n"]
+    # n > len(files) leaves too few names, and keeps a huge n from being listed
+    if n > len(files) or set(files) != set(KroneckerConv2d.array_names(n, dense)):
+        raise ConfigError(f"{path}: layer {entry['name']!r} does not fit the config")
+    arrays = {aname: read_kten(_array_path(path, fname)) for aname, fname in files.items()}
+    held = sum(a.size for a in arrays.values())
+    if held != count:
+        raise ShapeError(f"{path}: layer {entry['name']!r} arrays hold {held} elements, "
+                         f"the config needs {count}")
+    return arrays
 
 
 def read_json_object(path: str) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .algebra import MAX_TRIALS, preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig, WindowAttention,
-                     build_unet, read_json_object, unet_convs, write_json)
+                     build_unet, read_json_object, unet_param_counts, write_json)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
 from .kspace import apply_mask, complex_magnitude, gen_cartesian_mask, ifft2c
 from .kten import read_kten, write_kten, write_pgm, write_set
@@ -233,10 +233,9 @@ def _count_unet(config: dict):
           if k not in ("model", "layer_kind", "n")}
     kind = _normalize_kind(config.get("layer_kind", "kronecker"))
     n = config.get("n", _default_n(kind))
-    cfg = UNetConfig(**kw, layer_kind=kind, n=n)
-    rows = [(name, count_params(1, cin, cout, 9, train_mixing=False),
-             count_params(n, cin, cout, 9, train_mixing=kind != "dense"))
-            for name, cin, cout, _ in unet_convs(cfg)]
+    dense = unet_param_counts(UNetConfig(**kw, layer_kind="dense", n=1))
+    rows = [(name, d, k) for (name, d), (_, k)
+            in zip(dense, unet_param_counts(UNetConfig(**kw, layer_kind=kind, n=n)))]
     return rows, sum(r[1] for r in rows), sum(r[2] for r in rows)
 
 

@@ -96,8 +96,11 @@ def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None
                        *, rng: Rng) -> CartesianMask:
     """Random Cartesian column mask at acceleration factor `af`.
 
-    The central ceil(center_fraction*width) columns are always sampled;
-    each remaining column is kept with probability
+    A band of ceil(center_fraction*width) central columns is always
+    sampled, and it holds column width//2, where `fft2c` puts DC: it
+    starts at (width - center)//2, or further right where that band would
+    end before width//2 (one column at an even width). Each remaining
+    column is kept with probability
     p = (width/af - center) / (width - center), which makes the expected
     sampled fraction exactly 1/af.
     """
@@ -124,7 +127,7 @@ def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None
             f"outside-probability {p:.4f} not in [0, 1]")
 
     sampled = np.zeros(width, dtype=np.float64)
-    start = (width - center) // 2
+    start = max((width - center) // 2, width // 2 - center + 1)
     sampled[start:start + center] = 1.0
     draws = rng.uniform((rest,))
     outside = np.flatnonzero(sampled == 0.0)

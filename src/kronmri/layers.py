@@ -135,15 +135,18 @@ class _Factorized(Module):
             out.update(n=self.n, train_mixing=self.train_mixing)
         return out
 
+    @classmethod
+    def array_names(cls, n: int, dense: bool) -> list[str]:
+        """The names of `arrays()` in order: weight and bias if `dense`,
+        else A_i, then the blocks (S_i or F_i), then bias, i < n."""
+        if dense:
+            return ["weight", "bias"]
+        return [*(f"A_{i}" for i in range(n)), *(f"{cls._BLOCK}_{i}" for i in range(n)), "bias"]
+
     def arrays(self) -> dict[str, np.ndarray]:
         """Checkpoint arrays by name, as views of the layer's storage."""
-        if self.dense:
-            out = {"weight": self.blocks.data[0]}
-        else:
-            out = {f"A_{i}": a for i, a in enumerate(self.mixing.data)}
-            out.update({f"{self._BLOCK}_{i}": s for i, s in enumerate(self.blocks.data)})
-        out["bias"] = self.bias.data
-        return out
+        views = [self.blocks.data[0]] if self.dense else [*self.mixing.data, *self.blocks.data]
+        return dict(zip(self.array_names(self.n, self.dense), [*views, self.bias.data]))
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v}" for k, v in self.manifest().items() if k != "kind")

@@ -142,28 +142,30 @@ class _Join(Tensor):
     """A `concat` or `upsample2x` result: the input of a `conv2d`, and
     nothing else.
 
-    `parts` are (array, up) pairs joined in order on the last (channel)
-    axis, each source taken as is or, where `up`, a [B,h,w,C] array
-    nearest-2x upsampled, and `sources` are the tensors they come from, one
-    per part. The sources must not change while the join lives. `conv2d`
-    lays its input rows straight from the parts and, taped, records the
-    sources as its inputs, so a join is never built and records no node of
-    its own; it requires a gradient when a source does. It has no `.data`:
-    any other op given a join raises a ShapeError that names the join's op.
-    The join does not scan its sources: a NaN or Inf that the conv reads
-    from one reaches the conv's output, whose check (`_apply`) raises."""
+    A join is either a concat of plain parts or one upsampled source, so
+    one flag, `up`, says which. `parts` are the source arrays joined in
+    order on the last (channel) axis, each taken as is or, where `up`, a
+    [B,h,w,C] array nearest-2x upsampled, and `sources` are the tensors they
+    come from, one per part. The sources must not change while the join
+    lives. `conv2d` lays its input rows straight from the parts and, taped,
+    records the sources as its inputs, so a join is never built and records
+    no node of its own; it requires a gradient when a source does. It has
+    no `.data`: any other op given a join raises a ShapeError that names
+    the join's op. The join does not scan its sources: a NaN or Inf that
+    the conv reads from one reaches the conv's output, whose check
+    (`_apply`) raises."""
 
-    __slots__ = ("parts", "sources", "_shape")
+    __slots__ = ("parts", "up", "sources", "_shape")
 
     def __init__(self, sources: tuple, up: bool, shape: tuple):
-        self.parts = tuple((t.data, up) for t in sources)
-        self.sources, self._shape = sources, shape
+        self.parts = tuple(t.data for t in sources)
+        self.up, self.sources, self._shape = up, sources, shape
         self.requires_grad = any(t.requires_grad for t in sources)
         self.node = self.rebuild = None
 
     @property
     def data(self) -> np.ndarray:
-        name = "upsample2x" if self.parts[0][1] else "concat"
+        name = "upsample2x" if self.up else "concat"
         raise ShapeError(f"the result of '{name}' is read only by conv2d; it has no data")
 
     @property
@@ -172,7 +174,7 @@ class _Join(Tensor):
 
     @property
     def dtype(self):
-        return self.parts[0][0].dtype
+        return self.parts[0].dtype
 
 
 class _Node:
@@ -524,16 +526,17 @@ _GEMM_BLOCK_ROWS = 1024
 _SHIFT_BLOCK_BYTES = 1 << 19
 
 
-def _lay_rows(parts: tuple, b: int, a: int, dst: np.ndarray) -> None:
+def _lay_rows(parts: tuple, up: bool, b: int, a: int, dst: np.ndarray) -> None:
     """Lay input rows a .. a+T-1 of image b channel-major into `dst`
-    [C, T, W], the input being the channel join of `parts` (see `_Join`).
+    [C, T, W], the input being the channel join of `parts`, upsampled
+    where `up` (see `_Join`).
 
     A plain part is one transposing copy. An upsampled part is four, one
     per output phase (dy, dx): the rows t of `dst` with a+t = dy mod 2 and
     every other column from dx take consecutive source rows from (a+t)//2.
     """
     c0 = 0
-    for src, up in parts:
+    for src in parts:
         c1 = c0 + src.shape[3]
         if not up:
             dst[c0:c1] = src[b, a:a + dst.shape[1]].transpose(2, 0, 1)
@@ -546,15 +549,16 @@ def _lay_rows(parts: tuple, b: int, a: int, dst: np.ndarray) -> None:
         c0 = c1
 
 
-def _row_windows(parts: tuple, hw: tuple, padding: int, s: int, ho: int, r0: int, r1: int,
-                 rows: np.ndarray, out: np.ndarray) -> None:
+def _row_windows(parts: tuple, up: bool, hw: tuple, padding: int, s: int, ho: int,
+                 r0: int, r1: int, rows: np.ndarray, out: np.ndarray) -> None:
     """Gather the im2col operand of output image rows r0..r1 into `out`.
 
     The input, [B,H,W,C] with (H, W) = `hw`, is the channel join of
-    `parts`, read where it lies: a skip concat or a 2x upsample is never
-    built for the conv. Output image row r is row r % Ho of image r // Ho,
-    so a range may cross images. An image's share of n rows from row y
-    reads the zero-padded input rows s*y .. s*(y+n-1)+k-1, which
+    `parts`, upsampled where `up`, read where it lies: a skip concat or a
+    2x upsample is never built for the conv. Output image row r is row
+    r % Ho of image r // Ho, so a range may cross images. An image's share
+    of n rows from row y reads the zero-padded input rows
+    s*y .. s*(y+n-1)+k-1, which
     `_lay_rows` lays channel-major into `rows` ([C, s*(n-1)+k, Wp],
     reused); rows in the padding are zeroed, and the padding columns are
     never written, so they keep the zeros the buffer was made with. `out`
@@ -575,7 +579,7 @@ def _row_windows(parts: tuple, hw: tuple, padding: int, s: int, ho: int, r0: int
         p[:, :t0] = 0
         p[:, max(t0, t1):] = 0
         if t1 > t0:
-            _lay_rows(parts, b, a + t0, p[:, t0:t1, padding:padding + wd])
+            _lay_rows(parts, up, b, a + t0, p[:, t0:t1, padding:padding + wd])
         dst = out[:, :, :, r - r0:r - r0 + n]
         for i in range(k):
             for j in range(k):
@@ -583,10 +587,10 @@ def _row_windows(parts: tuple, hw: tuple, padding: int, s: int, ho: int, r0: int
         r += n
 
 
-def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, start: tuple,
+def _phase_vjp(g: np.ndarray, w: np.ndarray, start: tuple,
                parts: list, up: bool, need_w: bool) -> np.ndarray | None:
     """Both gradients of a stride-1 cross-correlation of one plane grid
-    [B,Hu,Wv,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
+    [B,Hu,Wu,C] with w [O,C,ka,kb], from its output gradient g [B,Ho,Wo,O].
 
     Only the grid's input pixels are visited. They are the channel join of
     `parts`, (xv, gxv) pairs in channel order: `xv` holds a part's pixels,
@@ -596,20 +600,21 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, start: tuple,
     grid's padding pixels contribute to neither gradient. Returns the
     kernel gradient if `need_w`.
 
-    Laid on one image's flattened grid, output pixel (oy, ox) at grid
-    pixel (oy, ox) and zero wherever the grid has no output pixel, g makes
-    tap (a, b) a shift by whole rows: S[m, a', b'] =
-    grid[m + (a'-ka+1)*Wv + b'-kb+1] is the gradient of the output pixel
-    that reads grid pixel m through tap (ka-1-a', kb-1-b'), or zero, since
-    a shift that wraps past a row edge lands on columns from Wo, which
-    hold no output (Wv - Wo >= kb-1). The VJP runs over blocks of input
-    rows y0..y1 of one image b (`_SHIFT_BLOCK_BYTES`). Each block lays
-    only the grid rows its S reads, u0+y0-ka+1 .. u0+y1-1, into one
-    reused buffer behind kb-1 zeros, rows outside [0, Ho) and columns
-    from Wo zero; one read-only view of that buffer gives the block's S,
-    which is copied into a second reused buffer (runs of kb*O contiguous
-    values). Each block then gives each part its rows of the input
-    gradient, `S @ wflip` over the part's columns of the kernel flipped to
+    Laid on one image's grid, output pixel (oy, ox) at grid pixel
+    (oy, ox) and zero wherever the grid has no output pixel, g makes tap
+    (a, b) a 2-D shift: S[u, v, a', b'] = grid[u + a'-ka+1, v + b'-kb+1]
+    is the gradient of the output pixel that reads grid pixel (u, v)
+    through tap (ka-1-a', kb-1-b'), or zero where no output pixel lies.
+    The VJP runs over blocks of input rows y0..y1 of one image b
+    (`_SHIFT_BLOCK_BYTES`). Each block lays only the grid rows its S
+    reads, u0+y0-ka+1 .. u0+y1-1, into one reused 2-D buffer
+    [rows+ka-1, kb-1+max(Wo, v0+wx), O], grid column v at buffer column
+    kb-1+v; rows outside [0, Ho), the kb-1 columns before the grid and the
+    columns from Wo are zero. The block's S is a read-only window view of
+    that buffer (`sliding_window_view`, (ka, kb) windows, from column v0),
+    copied into a second reused buffer (runs of kb*O contiguous values).
+    Each block then gives each part its rows of the input gradient,
+    `S @ wflip` over the part's columns of the kernel flipped to
     [ka*kb*O, C], and the part's rows of the flipped kernel gradient,
     `xrows.T @ S`, its pixels read from `xv`. Where `up`, the block is
     summed 2x2 as it is copied, one row per source pixel: that sum is the
@@ -623,24 +628,19 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, wv: int, start: tuple,
     _, hx, wx, _ = parts[0][0].shape
     if up:
         hx, wx = 2 * hx, 2 * wx
-    e = g.itemsize
     kko = ka * kb * o
-    rows = max(1, _SHIFT_BLOCK_BYTES // (max(wx, 1) * kko * e))
+    rows = max(1, _SHIFT_BLOCK_BYTES // (max(wx, 1) * kko * g.itemsize))
     if up:  # whole 2x2 blocks: rows and columns come in pairs
         rows = max(2, rows - rows % 2)
     f = 2 if up else 1
-    most = min(rows, hx)
-    # Grid rows of the largest block behind kb-1 zeros. Only columns < Wo
-    # are ever written, so the rest keep the zeros the buffer is made with.
-    gbuf = np.zeros((kb - 1 + (most + ka - 1) * wv, o), dtype=g.dtype)
-    grows = gbuf[kb - 1:].reshape(most + ka - 1, wv, o)[:, :wo]
-    # as_strided reads past the end silently: the last pixel S reads must be in gbuf.
-    last = v0 + (most + ka - 2) * wv + wx - 1 + kb - 1
-    if last >= len(gbuf):
-        raise ShapeError(f"conv2d VJP: shifted rows end at {last}, past {len(gbuf)}")
-    shifted = np.lib.stride_tricks.as_strided(
-        gbuf[v0:], (most, wx, ka, kb, o),
-        (wv * o * e, o * e, wv * o * e, o * e, e), writeable=False)
+    most = max(1, min(rows, hx))  # a phase may hold no input row (h=1, stride 2)
+    # Grid rows of the largest block, behind kb-1 zero columns. Only grid
+    # columns < Wo are ever written, so the rest keep the zeros the buffer
+    # is made with.
+    gbuf = np.zeros((most + ka - 1, kb - 1 + max(wo, v0 + wx), o), dtype=g.dtype)
+    grows = gbuf[:, kb - 1:kb - 1 + wo]
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        gbuf, (ka, kb), axis=(0, 1))[:, v0:v0 + wx].transpose(0, 1, 3, 4, 2)
     sbuf = np.empty((most // f, wx // f, ka, kb, o), dtype=g.dtype)
     wflip = None if all(gxv is None for _, gxv in parts) else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
@@ -724,12 +724,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     (py, px), and output pixel (oy, ox) reads that plane only through the
     taps (py + s*a, px + s*b), at plane pixel (oy + a, ox + b), so each
     phase is a stride-1 correlation of its plane with that sub-kernel. Its
-    output gradient lies on the planes' common [B,Hu,Wu] grid, pixel
-    (oy, ox) at grid pixel (oy, ox), and no such grid is built:
-    `_phase_vjp` takes g itself and lays, a block of input rows at a time,
-    only the grid rows that block's shifted output gradient S reads. It
-    gives both of a phase's gradients from S,
-    indexed by the phase's input pixels x[:, y0::s, x0::s]: a padding pixel
+    output gradient lies on the plane's 2-D grid, pixel (oy, ox) at grid
+    pixel (oy, ox), and no whole grid is built: `_phase_vjp` takes g itself
+    and lays, a block of input rows at a time, only the grid rows that
+    block's shifted output gradient S reads, into a 2-D buffer with zero
+    borders whose (k, k) window view is S. It gives both of a phase's
+    gradients from S, indexed by the phase's input pixels
+    x[:, y0::s, x0::s]: a padding pixel
     contributes to neither gradient. Stride 1 is one phase, the whole
     input, whose kernel-gradient rows are a reshape of `x` and whose
     input-gradient rows are written straight into the gradient; a phase no
@@ -758,8 +759,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d kernels must be square, got {kh}x{kw}")
     if stride < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/padding ({stride}, {padding})")
-    parts, srcs = (x.parts, x.sources) if isinstance(x, _Join) else (((x.data, False),), (x,))
-    up = parts[0][1]  # a join is a concat of plain parts or one upsampled source
+    parts, up, srcs = ((x.parts, x.up, x.sources) if isinstance(x, _Join)
+                       else ((x.data,), False, (x,)))
     if up and stride > 1:
         raise ShapeError(f"conv2d of an upsample2x result takes stride 1, got {stride}")
     k = kh
@@ -792,7 +793,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     out = np.empty((nrows * wo, o), dtype=dtype)
     for r0, r1 in zip(bounds, bounds[1:]):
         blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
-        _row_windows(parts, (h, wd), padding, stride, ho, r0, r1, rows, blk)
+        _row_windows(parts, up, (h, wd), padding, stride, ho, r0, r1, rows, blk)
         cols = blk.reshape(ckk, -1).T
         if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
             cols = np.ascontiguousarray(cols)
@@ -803,14 +804,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     rebuild = w.rebuild
     wd_arr = w.data if rebuild is None else None
     phases = min(stride, k)
-    wu = -(-wp // stride)
     nparts = len(parts)
     inputs = (*srcs, w) if bias is None else (*srcs, w, bias)
 
     def vjp(g, needs):
         # Every input pixel is in a phase a tap reads unless s > k.
         gxs = [(np.empty if stride <= k else np.zeros)(a.shape, dtype=g.dtype) if need else None
-               for (a, _), need in zip(parts, needs)]
+               for a, need in zip(parts, needs)]
         need_w = needs[nparts]
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if need_w else None
         if need_w or any(needs[:nparts]):
@@ -822,9 +822,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
                     ws = wt[:, :, py::stride, px::stride]
                     views = [(a[:, y0::stride, x0::stride],
                               None if gx is None else gx[:, y0::stride, x0::stride])
-                             for (a, _), gx in zip(parts, gxs)]
-                    gws = _phase_vjp(g, ws, wu,
-                                     ((y0 + padding) // stride, (x0 + padding) // stride),
+                             for a, gx in zip(parts, gxs)]
+                    gws = _phase_vjp(g, ws, ((y0 + padding) // stride, (x0 + padding) // stride),
                                      views, up, need_w)
                     if need_w:
                         gw[:, :, py::stride, px::stride] = gws

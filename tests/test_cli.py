@@ -871,6 +871,36 @@ class TestReconstruct:
         assert stderr_json(err)["error"] == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("base_channels", 10**30), ("in_channels", 10**30), ("out_channels", 10**30),
+        ("channel_multiples", [1, 10**30])],
+        ids=["base_channels", "in_channels", "out_channels", "channel_multiples"])
+    @pytest.mark.parametrize("layers_too", [False, True], ids=["config", "layers-too"])
+    def test_huge_manifest_config_is_refused_before_any_build(self, tmp_path, field, value,
+                                                              layers_too):
+        """A config size the stored layers do not have is refused, in Python
+        ints, before the model is built: one JSON line and exit 2, not an
+        OverflowError. Layer manifests edited to match the config are a
+        ConfigError no longer, but their arrays hold far fewer elements
+        than the config's count: a ShapeError."""
+        kpath, _, _, _, _ = self.make_kspace(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=4,
+                              layer_kind="kronecker", n=2), Rng(0)).save(str(ckpt))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"][field] = value
+        if layers_too:
+            convs = blocks.unet_convs(UNetConfig(**manifest["config"]))
+            for entry, (_, cin, cout, _) in zip(manifest["layers"], convs):
+                entry["manifest"].update(in_channels=cin, out_channels=cout)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "rec"
+        code, stdout, err = run_cli_shown("reconstruct", "--input", kpath,
+                                          "--checkpoint", str(ckpt), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr_json(err)["error"] == ("ShapeError" if layers_too else "ConfigError")
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", sorted(BAD_JSON))
     def test_manifest_that_is_not_json_is_config_error(self, tmp_path, case):
         kpath, _, _, _, _ = self.make_kspace(tmp_path)

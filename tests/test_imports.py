@@ -13,7 +13,9 @@ A third gate keeps one writer: every `open` whose mode writes is inside
 `kten.write_file`, the function that writes a temporary file, syncs it and
 renames it into place. A fourth keeps what a failed command leaves in one
 module: every call that removes a file or directory is in `kten`, whose
-`write_set` decides it.
+`write_set` decides it. A fifth keeps strides numpy's: no module calls
+`as_strided`, whose hand-set strides read past an array's end without a
+word; a window view (`sliding_window_view`) is checked against its array.
 """
 
 import ast
@@ -233,3 +235,35 @@ def test_only_kten_removes_files():
 ])
 def test_the_gate_finds_file_removals(source, removers):
     assert file_removers(source) == removers
+
+
+def _calls_as_strided(call: ast.Call) -> bool:
+    """`call` is `as_strided`, by name or as an attribute."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "as_strided"
+
+
+def strided_views(source: str) -> list[str]:
+    """The functions of `source` that call `as_strided`."""
+    return calling_scopes(source, _calls_as_strided)
+
+
+def test_no_module_calls_as_strided():
+    found = []
+    for path in MODULES:
+        with open(path) as fh:
+            found += [f"{os.path.basename(path)}:{fn}" for fn in strided_views(fh.read())]
+    assert found == []
+
+
+@pytest.mark.parametrize("source,callers", [
+    ("import numpy as np\ndef f(a):\n    return np.lib.stride_tricks.as_strided(a, (1,), (8,))\n",
+     ["f"]),
+    ("from numpy.lib.stride_tricks import as_strided\nas_strided(a, (1,), (8,))\n",
+     ["<module>"]),
+    ("import numpy as np\ndef f(a):\n    return np.lib.stride_tricks.sliding_window_view(a, 2)\n",
+     []),
+])
+def test_the_gate_finds_as_strided_calls(source, callers):
+    assert strided_views(source) == callers

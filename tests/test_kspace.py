@@ -1,5 +1,7 @@
 """Centered FFT, Cartesian masks, phantoms: oracles and statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,35 @@ class TestCartesianMask:
             center = m.center_columns
             start = (64 - center) // 2
             assert np.all(m.sampled[start:start + center] == 1.0)
+
+    @pytest.mark.parametrize("af", [8, 16])
+    def test_center_band_holds_the_dc_column(self, af):
+        """fft2c puts DC at column width//2. With draws that keep no other
+        column, the mask is the band alone: contiguous, of the documented
+        size, and holding width//2 at every width."""
+        class NoDraws:
+            def uniform(self, shape):
+                return np.ones(shape)
+
+        for width in range(16, 401):
+            dc = np.abs(fft2c(Tensor(np.ones((2, 2, width)))).data).sum(axis=(0, 1))
+            assert np.argmax(dc) == width // 2
+            m = gen_cartesian_mask(width, af, rng=NoDraws())
+            band = np.flatnonzero(m.sampled)
+            assert len(band) == m.center_columns
+            assert band[-1] - band[0] == len(band) - 1
+            assert band[0] <= width // 2 <= band[-1], (width, band)
+
+    @pytest.mark.parametrize("width,af,digest", [
+        (64, 8, "aaf088e8e7a3565c"), (64, 16, "809380ac14dc8ab2"),
+        (320, 8, "8d2625fae0676308"), (320, 16, "0703dca432657ff2")])
+    def test_default_width_masks_are_pinned(self, width, af, digest):
+        """The masks of the default sizes (64 and 320) are those drawn
+        before the band was moved onto DC, seeds 0-2."""
+        h = hashlib.sha256()
+        for seed in range(3):
+            h.update(gen_cartesian_mask(width, af, rng=Rng(seed)).sampled.tobytes())
+        assert h.hexdigest()[:16] == digest
 
     def test_expected_fraction_over_thousand_draws(self):
         fractions = [gen_cartesian_mask(320, 8, rng=Rng(10_000 + s)).sampled_fraction

@@ -408,11 +408,12 @@ class TestConsistentModel:
 
     def test_measured_columns_survive_the_model(self):
         # whatever the inner model writes there, sampled k-space columns of
-        # the output equal the input's within transform roundoff
+        # the output equal the input's within transform roundoff. Every
+        # parameter is drawn, so the model writes far from its input: the
+        # head's bias alone only moves the DC column, which is measured.
         model = ConsistentModel(tiny_model(seed=3))
-        for name, p in model.named_parameters():
-            if name.startswith("head."):
-                p.data[...] = Rng(9).uniform(p.shape, -0.5, 0.5)
+        for i, p in enumerate(model.parameters()):
+            p.data[...] = Rng(9).fork(i).uniform(p.shape, -0.5, 0.5)
         _, zf, masks = self.batch()
         out = model(Tensor(zf)).data
         k_in = fft2c(Tensor(zf)).data
@@ -459,6 +460,26 @@ class TestConsistentModel:
         assert np.array_equal(out, ref)
         for g, r in zip(grads, ref_grads):
             assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("size", [16, 64])
+    def test_head_bias_gradient_is_rounding_under_dc(self, size):
+        """DC puts back the measured columns, and every mask samples the DC
+        column (width//2), so a constant image, which is what the head's
+        bias adds, never reaches the loss: in float64 its gradient is
+        rounding, at most 1e-12 of the largest gradient."""
+        spec = DatasetSpec(height=size, width=size, n_ellipses=3)
+        samples = [make_sample(spec, 8, 0, i, dtype=np.float64) for i in range(2)]
+        model = ConsistentModel(tiny_model(seed=1, dtype=np.float64))
+        named = dict(model.named_parameters())
+        head = named["head.blocks"]
+        head.data[...] = Rng(2).uniform(head.shape, -0.5, 0.5, dtype=np.float64)
+        with Tape():
+            loss = loss_total(model(Tensor(np.stack([s.zf for s in samples]))),
+                              Tensor(np.stack([s.truth for s in samples])))
+        grads = backward(loss)
+        largest = max(float(np.abs(grads[p].data).max()) for p in model.parameters())
+        assert largest > 0
+        assert np.abs(grads[named["head.bias"]].data).max() <= 1e-12 * largest
 
     def test_identity_at_init_up_to_roundoff(self):
         model = ConsistentModel(tiny_model(seed=4))
