@@ -119,12 +119,13 @@ class UNet(Module):
     The model takes and returns [B,C,H,W]. Inside, activations are
     channels-last [B,H,W,C], the layout of `T.conv2d`: the input is
     transposed once on the way in and the head's output once on the way out.
+    Without an rng every parameter starts at zero, for `load` to fill.
     """
 
-    def __init__(self, cfg: UNetConfig, rng: Rng, dtype=np.float32):
+    def __init__(self, cfg: UNetConfig, rng: Rng | None, dtype=np.float32):
         self.cfg = cfg
         self._layers = [(name, KroneckerConv2d(cin, cout, 3, cfg.n, stride=stride, padding=1,
-                                               rng=rng.fork(fork), dtype=dtype,
+                                               rng=rng and rng.fork(fork), dtype=dtype,
                                                **(DENSE if cfg.layer_kind == "dense" else {})))
                         for fork, (name, cin, cout, stride) in enumerate(unet_convs(cfg))]
         layers = iter(layer for _, layer in self._layers)
@@ -209,7 +210,8 @@ class UNet(Module):
         many elements. So a config with a size the stored arrays do not
         hold (10**30 channels, say) is a ConfigError or a ShapeError, not
         an allocation. The model is then built from the stored config by
-        the constructor, in the first layer's dtype (float32 or float64),
+        the constructor, without an rng (zero factors, nothing drawn), in
+        the first layer's dtype (float32 or float64),
         and each stored layer must be the built one: its `manifest()`
         (types included, so true is not 1). Each array is then copied into
         its view; a shape or dtype other than the view's is a ShapeError."""
@@ -228,7 +230,7 @@ class UNet(Module):
                 raise ConfigError(f"{path}: the stored layers are not those of the config")
             stored = [_read_arrays(path, entry, count)
                       for entry, (_, count) in zip(entries, declared)]
-            model = cls(cfg, Rng(0), dtype)
+            model = cls(cfg, None, dtype)
             for entry, arrays, (name, layer) in zip(entries, stored, model._layers):
                 if (json.dumps(entry["manifest"], sort_keys=True)
                         != json.dumps(layer.manifest(), sort_keys=True)):

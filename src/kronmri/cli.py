@@ -26,7 +26,8 @@ from .algebra import MAX_TRIALS, preset, verify_algebra
 from .blocks import (AttentionConfig, PhmMlp, UNet, UNetConfig, WindowAttention,
                      build_unet, read_json_object, unet_param_counts, write_json)
 from .errors import ConfigError, KronMriError, NumericError, ShapeError
-from .kspace import apply_mask, complex_magnitude, gen_cartesian_mask, ifft2c
+from .kspace import (CENTER_FRACTION_DEFAULTS, apply_mask, complex_magnitude,
+                     gen_cartesian_mask, ifft2c)
 from .kten import read_kten, write_kten, write_pgm, write_set
 from .layers import KroneckerConv2d, KroneckerLinear, check_sizes, count_params
 from .losses import loss_total
@@ -117,8 +118,7 @@ def _stale_samples(out: str, earlier: int, count: int) -> list[str]:
 
 
 def cmd_gen_data(args) -> int:
-    if args.count < 1:
-        raise ConfigError(f"count must be >= 1, got {args.count}")
+    check_sizes(count=args.count)
     spec = DatasetSpec(height=args.height, width=args.width,
                        n_ellipses=args.ellipses)
     manifest = {"count": args.count, "seed": args.seed, "af": args.af,
@@ -393,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--count", type=int, default=8, help="number of samples")
     p.add_argument("--seed", type=int, default=0, help="dataset seed")
-    p.add_argument("--af", type=int, default=8, choices=(8, 16),
+    p.add_argument("--af", type=int, default=8, choices=CENTER_FRACTION_DEFAULTS,
                    help="acceleration factor")
     p.add_argument("--height", type=int, default=64, help="phantom height")
     p.add_argument("--width", type=int, default=64, help="phantom width")
@@ -405,7 +405,7 @@ def build_parser() -> _Parser:
                        help="generate a Cartesian column mask")
     p.add_argument("--out", required=True, help="output KTEN path")
     p.add_argument("--width", type=int, default=320, help="mask width")
-    p.add_argument("--af", type=int, default=8, choices=(8, 16),
+    p.add_argument("--af", type=int, default=8, choices=CENTER_FRACTION_DEFAULTS,
                    help="acceleration factor")
     p.add_argument("--center-fraction", type=float, default=None,
                    help="fully sampled center fraction (default per AF)")
@@ -420,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--steps", type=int, default=200, help="gradient steps")
     p.add_argument("--batch", type=int, default=4, help="batch size")
-    p.add_argument("--af", type=int, default=8, choices=(8, 16),
+    p.add_argument("--af", type=int, default=8, choices=CENTER_FRACTION_DEFAULTS,
                    help="acceleration factor")
     p.add_argument("--lr", type=float, default=2e-5, help="learning rate")
     p.add_argument("--layer-kind", default="kron",

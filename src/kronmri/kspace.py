@@ -18,10 +18,14 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
+from .layers import check_sizes
 from .rng import Rng
 from .tensor import Tensor
 
 CENTER_FRACTION_DEFAULTS = {8: 0.04, 16: 0.02}
+
+# The smallest image side (phantom height and width, mask width) kronmri takes.
+MIN_SIDE = 16
 
 
 def _require_complex_pair(t: Tensor, op: str) -> None:
@@ -107,8 +111,7 @@ def gen_cartesian_mask(width: int, af: int, center_fraction: float | None = None
     if af not in CENTER_FRACTION_DEFAULTS:
         raise ConfigError(f"acceleration factor must be one of "
                           f"{sorted(CENTER_FRACTION_DEFAULTS)}, got {af}")
-    if width < 16:
-        raise ConfigError(f"mask width must be >= 16, got {width}")
+    check_sizes(minimum=MIN_SIDE, width=width)
     if center_fraction is None:
         center_fraction = CENTER_FRACTION_DEFAULTS[af]
     if not 0.0 < center_fraction < 1.0:
@@ -167,10 +170,8 @@ def gen_phantom(height: int, width: int, n_ellipses: int, rng: Rng,
     quadratic polynomial over the grid rescaled into [-pi/4, pi/4]. Returns
     a [2, H, W] tensor (real, imag).
     """
-    if height < 16 or width < 16:
-        raise ConfigError(f"phantom size must be >= 16, got {height}x{width}")
-    if n_ellipses < 0:
-        raise ConfigError(f"n_ellipses must be >= 0, got {n_ellipses}")
+    check_sizes(minimum=MIN_SIDE, height=height, width=width)
+    check_sizes(minimum=0, n_ellipses=n_ellipses)
 
     v, u = np.meshgrid(np.linspace(-1.0, 1.0, height),
                        np.linspace(-1.0, 1.0, width), indexing="ij")

@@ -22,7 +22,8 @@ mixing counts only when trainable):
 
 Init: mixing, unless given, uniform on +/- 1/sqrt(n), drawn first; blocks
 uniform on +/- sqrt(1/fan_in) with fan_in = in*k^2 (k=1 for linear); bias
-zero.
+zero. Without an rng the mixing and blocks start at zero, for a caller that
+fills them (`UNet.load`).
 A layer's checkpoint entry is its `manifest()` plus its `arrays()`: kind
 dense_* stores weight and bias, kind kron_* A_i, then S_i for linear or F_i
 for conv, and bias. `UNet.load` builds the model from its config and copies
@@ -41,12 +42,30 @@ from .tensor import Tensor
 DENSE = {"mixing": [[[1.0]]]}
 
 
-def check_sizes(**sizes) -> None:
-    """ConfigError unless every size is a plain int >= 1: a bool, a float or
-    an infinity is not a size."""
+# The largest size kronmri takes: a channel count, an image side, a sample,
+# step or ellipse count. It is above every size kronmri is run or tested at;
+# `check_sizes` says why it is fixed.
+MAX_SIZE = 2 ** 20
+
+
+def check_sizes(*, minimum: int = 1, **sizes) -> None:
+    """ConfigError unless every size is a plain int in [minimum, MAX_SIZE]:
+    a bool, a float or an infinity is not a size. `minimum` is 1 unless
+    zero means none (0) or the size is an image side (`kspace.MIN_SIDE`).
+
+    The cap is fixed rather than taken from the host's free memory, so a
+    command exits the same way on every machine, and a size numpy cannot
+    hold (10**30 channels, say) is a ConfigError before anything is
+    allocated, not an OverflowError or a ValueError from numpy. It bounds
+    each size alone, not their products: in-cap sizes that together need
+    more memory than the host has, such as `train --base 4096`, or a
+    `--batch` or `--dataset-size` near the cap, are not refused; they may
+    end in a MemoryError (exit 4) or be killed by the host, which is
+    untested."""
     for name, value in sizes.items():
-        if type(value) is not int or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(value) is not int or not minimum <= value <= MAX_SIZE:
+            raise ConfigError(f"{name} must be an integer in [{minimum}, {MAX_SIZE}], "
+                              f"got {value!r}")
 
 
 def count_params(n: int, in_features: int, out_features: int, taps: int = 1,
@@ -95,23 +114,22 @@ class _Factorized(Module):
         self.n = n
         self.train_mixing = mixing is None
         self.dtype = np.dtype(dtype)
-        if mixing is None:
+
+        def draw(shape, bound):
             if rng is None:
-                raise ConfigError(f"{type(self).__name__} needs an rng or explicit mixing")
-            mixing = rng.uniform((n, n, n), -1.0 / np.sqrt(n), 1.0 / np.sqrt(n), dtype=dtype)
-        mixing = np.array(mixing, dtype=dtype)
+                return np.zeros(shape, dtype=dtype)
+            return rng.uniform(shape, -bound, bound, dtype=dtype)
+
+        mixing = np.array(draw((n, n, n), 1.0 / np.sqrt(n)) if mixing is None else mixing,
+                          dtype=dtype)
         if mixing.shape != (n, n, n):
             raise ShapeError(f"mixing must be {n} matrices of {n}x{n}, got {mixing.shape}")
         self.mixing = Tensor(mixing, requires_grad=self.train_mixing)
         self.dense = n == 1 and not self.train_mixing and mixing[0, 0, 0] == 1.0
 
         shape = (n, out_features // n, in_features // n, *kernel)
-        if rng is not None:
-            bound = np.sqrt(1.0 / (in_features * taps))
-            blocks = rng.uniform(shape, -bound, bound, dtype=dtype)
-        else:
-            blocks = np.zeros(shape, dtype=dtype)
-        self.blocks = Tensor(blocks, requires_grad=True)
+        self.blocks = Tensor(draw(shape, np.sqrt(1.0 / (in_features * taps))),
+                             requires_grad=True)
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     @property
@@ -181,10 +199,8 @@ class KroneckerConv2d(_Factorized):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int, n: int, *,
                  stride: int = 1, padding: int = 0, rng: Rng | None = None,
                  dtype=np.float32, mixing=None):
-        if kernel_size < 1:
-            raise ConfigError(f"kernel_size must be >= 1, got {kernel_size}")
-        if stride < 1 or padding < 0:
-            raise ConfigError(f"bad stride/padding ({stride}, {padding})")
+        check_sizes(kernel_size=kernel_size, stride=stride)
+        check_sizes(minimum=0, padding=padding)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size

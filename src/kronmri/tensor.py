@@ -769,8 +769,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
         raise ShapeError(f"conv2d kernel {k} exceeds padded input {hp}x{wp}")
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError("conv2d output size would be empty")
     if bias is not None:
         if bias.data.ndim != 1 or bias.shape[0] != o:
             raise ShapeError(f"conv2d bias must be [O]={o}, got {bias.shape}")

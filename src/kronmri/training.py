@@ -20,10 +20,10 @@ import numpy as np
 from . import tensor as T
 from .blocks import UNet, UNetConfig, write_json
 from .errors import ConfigError, NumericError
-from .kspace import (apply_mask, complex_magnitude, fft2c, gen_cartesian_mask,
-                     gen_phantom, ifft2c)
+from .kspace import (CENTER_FRACTION_DEFAULTS, MIN_SIDE, apply_mask, complex_magnitude,
+                     fft2c, gen_cartesian_mask, gen_phantom, ifft2c)
 from .kten import write_file, write_set
-from .layers import Module
+from .layers import Module, check_sizes
 from .losses import loss_total
 from .metrics import psnr, ssim
 from .rng import Rng
@@ -102,11 +102,8 @@ class DatasetSpec:
     n_ellipses: int = 6
 
     def __post_init__(self):
-        if self.height < 16 or self.width < 16:
-            raise ConfigError(f"phantom size must be >= 16, got "
-                              f"{self.height}x{self.width}")
-        if self.n_ellipses < 1:
-            raise ConfigError(f"n_ellipses must be >= 1, got {self.n_ellipses}")
+        check_sizes(minimum=MIN_SIDE, height=self.height, width=self.width)
+        check_sizes(n_ellipses=self.n_ellipses)
 
 
 @dataclass
@@ -121,12 +118,12 @@ class TrainConfig:
     lr: float = 2e-5
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch < 1 or self.dataset_size < 1:
-            raise ConfigError("steps, batch, dataset_size must be >= 1")
-        if self.af not in (8, 16):
-            raise ConfigError(f"af must be 8 or 16, got {self.af}")
-        if self.eval_every < 0 or self.eval_size < 1:
-            raise ConfigError("bad eval settings")
+        check_sizes(steps=self.steps, batch=self.batch, dataset_size=self.dataset_size,
+                    eval_size=self.eval_size)
+        check_sizes(minimum=0, eval_every=self.eval_every)
+        if self.af not in CENTER_FRACTION_DEFAULTS:
+            raise ConfigError(f"af must be one of {sorted(CENTER_FRACTION_DEFAULTS)}, "
+                              f"got {self.af}")
 
 
 @dataclass
@@ -203,8 +200,7 @@ def evaluate(model, spec: DatasetSpec, af: int, seed: int, count: int) -> dict:
     `model` maps [B,2,H,W] to [B,2,H,W]; None evaluates the zero-filled
     baseline itself. data_range is each sample's own magnitude peak.
     """
-    if count < 1:
-        raise ConfigError(f"evaluation needs >= 1 sample, got {count}")
+    check_sizes(count=count)
     records = []
     for i in range(count):
         s = make_sample(spec, af, seed, i)

@@ -254,6 +254,20 @@ class TestRoundTrip:
         x = Tensor(Rng(2).uniform((1, 2, 8, 8), -1, 1, dtype=dtype))
         assert np.array_equal(model(x).data, loaded(x).data)
 
+    @pytest.mark.parametrize("kind,n", [("dense", 1), ("kronecker", 2)])
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch, kind, n):
+        """The stored arrays replace every parameter, so `load` builds the
+        model without an rng and draws nothing."""
+        model = small_unet(kind, n, seed=5)
+        model.save(str(tmp_path))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("UNet.load drew from an rng")
+        monkeypatch.setattr(Rng, "uniform", no_draw)
+        loaded = UNet.load(str(tmp_path))
+        assert [(name, p.data.tobytes()) for name, p in loaded.named_parameters()] \
+            == [(name, p.data.tobytes()) for name, p in model.named_parameters()]
+
 
 def manifest_files(path: str) -> set[str]:
     return {f for entry in read_manifest(path)["layers"] for f in entry["arrays"].values()}

@@ -23,6 +23,7 @@ from kronmri.cli import build_parser, main
 from kronmri.errors import TapeError
 from kronmri.kspace import apply_mask, fft2c, gen_cartesian_mask, gen_phantom, ifft2c
 from kronmri.kten import read_kten, write_kten
+from kronmri.layers import MAX_SIZE
 from kronmri.rng import Rng
 from kronmri.tensor import Tensor
 
@@ -199,6 +200,33 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert str(MAX_TRIALS) in stderr_json(err)["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--base", str(10**30)],
+        ["train", "--multiples", f"1,{10**30}"],
+        ["train", "--ellipses", str(10**30)],
+        ["train", "--size", str(10**30)],
+        ["gen-data", "--ellipses", str(10**30)],
+        ["gen-data", "--height", str(10**30)],
+        ["gen-mask", "--width", str(10**30)]],
+        ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_size_over_the_cap_is_config_error_and_writes_nothing(self, tmp_path, argv):
+        """A size numpy cannot hold is refused by `check_sizes` before
+        anything is built: one JSON line and exit 2, not an OverflowError or
+        a ValueError traceback. The other sizes are small, so a command
+        that gets past its checks fails fast."""
+        out = str(tmp_path / ("out.kten" if argv[0] == "gen-mask" else "out"))
+        small = {"train": ["--steps", "1", "--batch", "1", "--dataset-size", "1",
+                           "--eval-size", "1", "--size", "16", "--base", "2",
+                           "--multiples", "1,2", "--ellipses", "1"],
+                 "gen-data": ["--count", "1", "--height", "16", "--width", "16"],
+                 "gen-mask": []}[argv[0]]
+        code, stdout, err = run_cli_shown(argv[0], "--out", out, *small, *argv[1:])
+        assert (code, stdout) == (2, "")
+        error = stderr_json(err)
+        assert error["error"] == "ConfigError"
+        assert str(MAX_SIZE) in error["message"]
+        assert os.listdir(tmp_path) == []
 
     def test_io_error_is_four(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "metrics",
@@ -871,18 +899,20 @@ class TestReconstruct:
         assert stderr_json(err)["error"] == "ConfigError"
         assert not out.exists()
 
-    @pytest.mark.parametrize("field,value", [
-        ("base_channels", 10**30), ("in_channels", 10**30), ("out_channels", 10**30),
-        ("channel_multiples", [1, 10**30])],
-        ids=["base_channels", "in_channels", "out_channels", "channel_multiples"])
+    @pytest.mark.parametrize("field", ["base_channels", "in_channels", "out_channels",
+                                       "channel_multiples"])
     @pytest.mark.parametrize("layers_too", [False, True], ids=["config", "layers-too"])
-    def test_huge_manifest_config_is_refused_before_any_build(self, tmp_path, field, value,
+    def test_huge_manifest_config_is_refused_before_any_build(self, tmp_path, field,
                                                               layers_too):
-        """A config size the stored layers do not have is refused, in Python
-        ints, before the model is built: one JSON line and exit 2, not an
-        OverflowError. Layer manifests edited to match the config are a
-        ConfigError no longer, but their arrays hold far fewer elements
-        than the config's count: a ShapeError."""
+        """A config size over `MAX_SIZE` (10**30) is refused before the model
+        is built: one JSON line and exit 2, not an OverflowError. A size in
+        the cap (2**16) with layer manifests edited to match passes the
+        config checks, in Python ints, but the stored arrays hold far fewer
+        elements than the config's count: a ShapeError, still before any
+        build (at base_channels 2**16 the model would hold 3.1e11
+        parameters)."""
+        size = 2**16 if layers_too else 10**30
+        value = [1, size] if field == "channel_multiples" else size
         kpath, _, _, _, _ = self.make_kspace(tmp_path)
         ckpt = tmp_path / "ckpt"
         build_unet(UNetConfig(channel_multiples=[1, 2], base_channels=4,
@@ -1179,17 +1209,19 @@ class TestKtenBoundaryGate:
                 check_scores(result)
 
 
-# Drawn argv values for the fuzzed-argv gate. Sizes, counts and steps stay
-# small (no draw allocates more than a few MB or trains more than two
-# steps); seeds and floats range freely; NOT_NUMBERS are texts argparse
-# must refuse or read as the small numbers they spell.
+# Drawn argv values for the fuzzed-argv gate. Sizes, counts and steps are
+# drawn small (no draw allocates more than a few MB or trains more than two
+# steps) or above `MAX_SIZE` (OVER_CAP, refused before anything is built),
+# never in between; seeds and floats range freely; NOT_NUMBERS are texts
+# argparse must refuse or read as the small numbers they spell.
 NOT_NUMBERS = ["", "x", "1.5", "nan", "inf", "0x10", "1e3", "+2", " 3", "1_0", "٣", "-0"]
+OVER_CAP = [str(MAX_SIZE + 1), str(10**30), str(2**63)]
 FLOATS = (st.sampled_from(["nan", "inf", "-inf", "0", "-0", "1e-300", "1e300", "1", "x", ""])
           | st.floats().map(repr))
 SEEDS = st.integers(-2 ** 70, 2 ** 70).map(str) | st.sampled_from(NOT_NUMBERS)
 
 
-def mostly(valid, invalid=("-1", "0")):
+def mostly(valid, invalid=("-1", "0", *OVER_CAP)):
     """One of `valid` three draws in four, else one of `invalid` or of
     NOT_NUMBERS, so that most drawn commands get past their checks."""
     return st.integers(0, 3).flatmap(lambda i: st.sampled_from(
@@ -1230,8 +1262,9 @@ def fuzzed_argv(draw, inputs, out):
         "gen-data": {"--out": st.just(out)},
         "gen-mask": {"--out": st.just(out + ".kten")},
         "train": {"--steps": sizes(1, 2), "--batch": sizes(1, 3), "--base": mostly(["2", "4"]),
-                  "--multiples": mostly(["1,2", "2", "1,2,2"], ["", "0", "-1,2", "1,,2", "a"]),
-                  "--size": mostly(["16", "24"], ["-1", "0", "17"]),
+                  "--multiples": mostly(["1,2", "2", "1,2,2"], ["", "0", "-1,2", "1,,2", "a",
+                                                              *(f"1,{v}" for v in OVER_CAP)]),
+                  "--size": mostly(["16", "24"], ["-1", "0", "17", *OVER_CAP]),
                   "--dataset-size": sizes(1, 4), "--eval-size": sizes(1, 2)},
         "reconstruct": {"--input": st.just(inputs["input"]), "--out": st.just(out)},
         "metrics": {"--recon": st.just(inputs["truth"]), "--truth": st.just(inputs["truth"])},

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from kronmri import tensor as T
 from kronmri.errors import ConfigError, ShapeError
-from kronmri.kspace import (CENTER_FRACTION_DEFAULTS, apply_mask,
+from kronmri.kspace import (CENTER_FRACTION_DEFAULTS, MIN_SIDE, apply_mask,
                             complex_magnitude, fft2c, gen_cartesian_mask,
                             gen_phantom, ifft2c)
+from kronmri.layers import MAX_SIZE
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
 
@@ -223,6 +224,12 @@ class TestCartesianMask:
         with pytest.raises(ConfigError):
             gen_cartesian_mask(64, 8, center_fraction=0.5, rng=Rng(0))  # p < 0
 
+    @pytest.mark.parametrize("width", [True, 16.0, MIN_SIDE - 1, MAX_SIZE + 1, 10**30])
+    def test_width_that_is_not_an_integer_in_the_cap_is_config_error(self, width):
+        """Refused before anything is drawn or allocated."""
+        with pytest.raises(ConfigError, match="width must be"):
+            gen_cartesian_mask(width, 8, rng=Rng(0))
+
     def test_defaults_table(self):
         assert CENTER_FRACTION_DEFAULTS == {8: 0.04, 16: 0.02}
 
@@ -372,6 +379,15 @@ class TestPhantom:
     def test_size_validation(self):
         with pytest.raises(ConfigError):
             gen_phantom(8, 32, 2, Rng(0))
+
+    @pytest.mark.parametrize("field", ["height", "width", "n_ellipses"])
+    @pytest.mark.parametrize("value", [True, 16.0, MAX_SIZE + 1, 10**30])
+    def test_size_that_is_not_an_integer_in_the_cap_is_config_error(self, field, value):
+        """Each size is a plain int up to `MAX_SIZE`, checked before anything
+        is allocated; zero ellipses is allowed (an all-zero image)."""
+        sizes = {"height": 16, "width": 16, "n_ellipses": 2, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            gen_phantom(**sizes, rng=Rng(0))
 
     def test_magnitude_helper_matches_hypot(self):
         img = gen_phantom(16, 16, 3, Rng(703))

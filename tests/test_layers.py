@@ -5,7 +5,7 @@ import pytest
 
 from kronmri import tensor as T
 from kronmri.errors import ConfigError, ShapeError
-from kronmri.layers import DENSE, KroneckerConv2d, KroneckerLinear, count_params
+from kronmri.layers import DENSE, MAX_SIZE, KroneckerConv2d, KroneckerLinear, count_params
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward, grad_check
 
@@ -363,7 +363,18 @@ class TestDenseCase:
         assert layer.param_count() == sum(p.size for p in layer.parameters())
 
     @pytest.mark.parametrize("args", [(True, 8, 16), (2, 8.0, 16), (2, 8, float("inf")),
-                                      (2, 8, 16, 9.0), (0, 8, 16)])
+                                      (2, 8, 16, 9.0), (0, 8, 16), (2, 8, 2 * MAX_SIZE),
+                                      (1, 8, 16, MAX_SIZE + 1)])
     def test_count_params_takes_plain_integer_sizes(self, args):
         with pytest.raises(ConfigError):
             count_params(*args)
+
+    @pytest.mark.parametrize("field,value", [
+        ("kernel_size", 0), ("kernel_size", True), ("kernel_size", MAX_SIZE + 1),
+        ("stride", 0), ("stride", 1.0), ("padding", -1), ("padding", 1.0),
+        ("padding", MAX_SIZE + 1)])
+    def test_conv_geometry_that_is_not_an_integer_in_range_is_config_error(self, field,
+                                                                          value):
+        sizes = {"kernel_size": 3, "stride": 1, "padding": 0, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            KroneckerConv2d(4, 4, n=2, rng=Rng(0), **sizes)

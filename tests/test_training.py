@@ -14,6 +14,7 @@ from kronmri.blocks import UNetConfig, build_unet
 from kronmri.errors import ConfigError, NumericError
 from kronmri import tensor as T
 from kronmri.kspace import fft2c, ifft2c
+from kronmri.layers import MAX_SIZE
 from kronmri.losses import loss_total
 from kronmri.rng import Rng
 from kronmri.tensor import Tape, Tensor, backward
@@ -141,13 +142,18 @@ class TestConfigs:
 
     @pytest.mark.parametrize("bad", [
         dict(steps=0), dict(batch=0), dict(dataset_size=0),
-        dict(af=7), dict(eval_every=-1), dict(eval_size=0)])
+        dict(af=7), dict(eval_every=-1), dict(eval_size=0),
+        *({field: value} for field in ("steps", "batch", "dataset_size", "eval_every",
+                                       "eval_size")
+          for value in (True, 16.0, MAX_SIZE + 1))])
     def test_train_config_rejects(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
 
     @pytest.mark.parametrize("bad", [
-        dict(height=8), dict(width=8), dict(n_ellipses=0)])
+        dict(height=8), dict(width=8), dict(n_ellipses=0),
+        *({field: value} for field in ("height", "width", "n_ellipses")
+          for value in (True, 16.0, MAX_SIZE + 1))])
     def test_dataset_spec_rejects(self, bad):
         with pytest.raises(ConfigError):
             DatasetSpec(**bad)
