@@ -9,10 +9,22 @@ The tape records ops, not tensors. A node holds its op's VJP closure, with
 only the arrays that VJP reads, and for each input the input's node or,
 for a leaf, the leaf tensor; no node or tape holds an op's output. An op
 output thus lives only while the program or a VJP holds it, as without a
-tape. The one exception is a weight assembled by `kron_sum`: the `conv2d`
-or `linear` VJP that reads it keeps, in place of the array, the result's
-`rebuild`, which computes it again from the Kronecker factors, so a
-materialized weight lives only through the forward and that VJP.
+tape. A VJP that reads an input with a `rebuild` keeps the rebuild in
+place of the array and calls it when it runs, and two kinds of result
+have one. A weight assembled by `kron_sum` is computed again from its
+Kronecker factors by the `conv2d` or `linear` VJP that reads it, so it
+lives only through the forward and that VJP. A cheap activation, the
+output of a taped `conv2d` whose im2col row is shorter than its output
+row (C*k*k < O: the U-Net's first conv), is computed again by the conv's
+own forward, and `relu` composes `gain*max(., 0)` onto an input's rebuild,
+so the `conv2d` VJP that reads it keeps nothing the size of the activation
+(the cheapest activation to recompute per byte kept first: Jain et al.,
+"Checkmate", MLSys 2020). A rebuild repeats the forward's operations on
+the arrays the forward read, so it is bitwise the result, and so is every
+gradient. It reads those arrays when it runs: a result with a rebuild,
+and the arrays its rebuild reads, must not be written between the forward
+and the backward. The one exception is `relu(x, inplace=True)`, whose
+output's rebuild composes x's.
 `backward` sums gradients by node and frees each node's VJP and inputs as
 it passes them. A taped result belongs to its tape alone: an op recorded
 on one tape that reads a result of another, consumed or not, is a
@@ -31,7 +43,7 @@ the op that created it.
 Multiply-accumulate counts for the contraction ops (matmul, linear,
 kron_sum, conv2d) accumulate into a module-level running total,
 `mac_count()`; the MACs of some work are the difference of two reads
-around it.
+around it. A rebuild's MACs, which repeat a forward's, are not counted.
 
 Allocation: every op output and VJP temporary is a fresh numpy array, so a
 training step frees and re-allocates the same sizes step after step.
@@ -64,6 +76,7 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError, TapeError
 
@@ -101,8 +114,10 @@ class Tensor:
     `data` is the raw numpy buffer (row-major, float32 or float64).
     `requires_grad` marks leaves whose gradient `backward` should report;
     on op outputs it just means "participates in the recorded graph".
-    `rebuild` is None, or for a `kron_sum` result a function that returns
-    `data` again, bitwise, from the op's inputs.
+    `rebuild` is None, or a function that returns `data` again, bitwise,
+    from the arrays the op's VJP keeps: set on a `kron_sum` result, on a
+    taped cheap `conv2d` result and on a taped `relu` of one (module
+    docstring).
     """
 
     __slots__ = ("data", "requires_grad", "node", "rebuild")
@@ -367,6 +382,12 @@ def relu(x: Tensor, gain: float = 1.0, inplace: bool = False) -> Tensor:
     for it, with or without a tape: the U-Net's conv outputs, say, which no
     VJP keeps (the conv VJP keeps its input).
 
+    Where `x` has a `rebuild` and the output a tape node, the output's
+    rebuild is x's followed by the same `gain * max(., 0)`, so bitwise the
+    output; in place, `x.rebuild` is cleared, since `x.data` now holds the
+    output. A conv VJP that reads the output keeps that rebuild, not the
+    array.
+
     While a tape records, the VJP keeps the mask `x > 0` packed to one bit
     per element (`np.packbits`, ceil(x.size / 8) bytes), not `x`, so a taped
     `x` lives only as long as the program holds it. The output cannot stand
@@ -382,7 +403,19 @@ def relu(x: Tensor, gain: float = 1.0, inplace: bool = False) -> Tensor:
         gx *= np.unpackbits(bits, count=g.size).view(bool).reshape(shape)
         return (gx,)
 
-    return _apply("relu", (x,), out, vjp)
+    res = _apply("relu", (x,), out, vjp)
+    inner = x.rebuild
+    if inner is not None and res.node is not None:
+        def rebuild():
+            a = inner()
+            np.maximum(a, 0, out=a)
+            a *= s
+            return a
+
+        res.rebuild = rebuild
+        if inplace:  # x.data is now the output, which x's own rebuild does not give
+            x.rebuild = None
+    return res
 
 
 def sqrt_(x: Tensor) -> Tensor:
@@ -615,12 +648,15 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, start: tuple,
     copied into a second reused buffer (runs of kb*O contiguous values).
     Each block then gives each part its rows of the input gradient,
     `S @ wflip` over the part's columns of the kernel flipped to
-    [ka*kb*O, C], and the part's rows of the flipped kernel gradient,
-    `xrows.T @ S`, its pixels read from `xv`. Where `up`, the block is
-    summed 2x2 as it is copied, one row per source pixel: that sum is the
-    transpose of nearest upsampling, so the same two GEMMs on it give the
-    source's gradients, at a quarter of the MACs. No array the size of g
-    is made.
+    [ka*kb*O, C], and adds `S.T @ xrows`, its pixels read from `xv`, to the
+    part's columns of the flipped kernel gradient, [ka*kb*O, C] (on
+    OpenBLAS's SkylakeX kernels bitwise the transpose of `xrows.T @ S`, and
+    faster). Where `up`, S is summed 2x2, one row per source pixel: that sum
+    is the transpose of nearest upsampling, so the same two GEMMs on it give
+    the source's gradients, at a quarter of the MACs. The buffer's rows are
+    summed 2x2 once into a third reused buffer, in the order
+    ((g[r,q] + g[r,q+1]) + g[r+1,q]) + g[r+1,q+1], and the summed S is a
+    stride-2 window view of that, copied. No array the size of g is made.
     """
     bsz, ho, wo, o = g.shape
     ka, kb = w.shape[2:]
@@ -639,12 +675,16 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, start: tuple,
     # is made with.
     gbuf = np.zeros((most + ka - 1, kb - 1 + max(wo, v0 + wx), o), dtype=g.dtype)
     grows = gbuf[:, kb - 1:kb - 1 + wo]
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        gbuf, (ka, kb), axis=(0, 1))[:, v0:v0 + wx].transpose(0, 1, 3, 4, 2)
+    if up:  # box[r, q]: the 2x2 sum of gbuf from (r, v0 + q)
+        box = np.empty((most + ka - 2, wx + kb - 2, o), dtype=g.dtype)
+        shifted = sliding_window_view(box, (ka, kb), axis=(0, 1))[::2, ::2]
+    else:
+        shifted = sliding_window_view(gbuf, (ka, kb), axis=(0, 1))[:, v0:v0 + wx]
+    shifted = shifted.transpose(0, 1, 3, 4, 2)
     sbuf = np.empty((most // f, wx // f, ka, kb, o), dtype=g.dtype)
     wflip = None if all(gxv is None for _, gxv in parts) else np.ascontiguousarray(
         w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)).reshape(kko, -1)
-    acc = np.zeros((w.shape[1], kko), dtype=g.dtype) if need_w else None
+    acc = np.zeros((kko, w.shape[1]), dtype=g.dtype) if need_w else None
     for b in range(bsz):
         for y0 in range(0, hx, rows):
             y1 = min(hx, y0 + rows)
@@ -655,13 +695,13 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, start: tuple,
             grows[:lo - r0] = 0
             grows[lo - r0:hi - r0] = g[b, lo:hi]
             grows[hi - r0:r1 - r0] = 0
-            blk = sbuf[:n // f]
             if up:
-                np.add(shifted[0:n:2, 0::2], shifted[0:n:2, 1::2], out=blk)
-                blk += shifted[1:n:2, 0::2]
-                blk += shifted[1:n:2, 1::2]
-            else:
-                np.copyto(blk, shifted[:n])
+                m, q1 = n + ka - 2, v0 + wx + kb - 2
+                np.add(gbuf[:m, v0:q1], gbuf[:m, v0 + 1:q1 + 1], out=box[:m])
+                box[:m] += gbuf[1:m + 1, v0:q1]
+                box[:m] += gbuf[1:m + 1, v0 + 1:q1 + 1]
+            blk = sbuf[:n // f]
+            np.copyto(blk, shifted[:n // f])
             blk = blk.reshape(-1, kko)
             c0 = 0
             for xv, gxv in parts:
@@ -673,11 +713,11 @@ def _phase_vjp(g: np.ndarray, w: np.ndarray, start: tuple,
                     else:
                         dst[...] = (blk @ wflip[:, c0:c1]).reshape(dst.shape)
                 if acc is not None:
-                    acc[c0:c1] += xv[b, y0 // f:y1 // f].reshape(-1, c1 - c0).T @ blk
+                    acc[:, c0:c1] += blk.T @ xv[b, y0 // f:y1 // f].reshape(-1, c1 - c0)
                 c0 = c1
     if acc is None:
         return None
-    return acc.reshape(-1, ka, kb, o)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    return acc.reshape(ka, kb, o, -1)[::-1, ::-1].transpose(2, 3, 0, 1)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
@@ -717,8 +757,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
 
     The VJP keeps only the input's arrays and `w.data`, the arrays it
     reads, and the tape keeps them only until `backward` has run the VJP;
-    a `kron_sum` kernel is the exception, kept as its `rebuild` and built
-    again when the VJP starts. A join's arrays are its sources': the node
+    where the kernel or a plain (not join) input has a `rebuild` (a
+    `kron_sum` kernel, a cheap conv's relu output), the VJP keeps that
+    instead and calls it when it starts. Taped, a conv whose im2col row is
+    shorter than its output row (C*k*k < O) gives its result a rebuild: the
+    same local forward run again on what the VJP keeps, so bitwise the
+    output, at C*k*k MACs per value where the activation keeps O values per
+    pixel. A join's arrays are its sources': the node
     records the sources in x's place and gives each its own gradient. With
     stride s, padded pixel (s*u + py, s*v + px) is pixel (u, v) of phase plane
     (py, px), and output pixel (oy, ox) reads that plane only through the
@@ -785,34 +830,44 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
     bounds = [nrows * i // nblk for i in range(nblk + 1)]
     most = -(-nrows // nblk)  # rows of the largest block
     ckk = c * k * k
-    buf = np.empty(ckk * most * wo, dtype=dtype)
-    rows = np.zeros((c, stride * (min(most, ho) - 1) + k, wp), dtype=dtype)
-    wr = w.data.reshape(o, ckk)
-    out = np.empty((nrows * wo, o), dtype=dtype)
-    for r0, r1 in zip(bounds, bounds[1:]):
-        blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
-        _row_windows(parts, up, (h, wd), padding, stride, ho, r0, r1, rows, blk)
-        cols = blk.reshape(ckk, -1).T
-        if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
-            cols = np.ascontiguousarray(cols)
-        dst = out[r0 * wo:r1 * wo]
-        np.matmul(cols, wr.T, out=dst)
-        if bias is not None:
-            dst += bias.data
-    rebuild = w.rebuild
-    wd_arr = w.data if rebuild is None else None
+    bd = None if bias is None else bias.data
+
+    def forward(parts, wt):
+        buf = np.empty(ckk * most * wo, dtype=dtype)
+        rows = np.zeros((c, stride * (min(most, ho) - 1) + k, wp), dtype=dtype)
+        wr = wt.reshape(o, ckk)
+        out = np.empty((nrows * wo, o), dtype=dtype)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            blk = buf[:ckk * (r1 - r0) * wo].reshape(c, k, k, r1 - r0, wo)
+            _row_windows(parts, up, (h, wd), padding, stride, ho, r0, r1, rows, blk)
+            cols = blk.reshape(ckk, -1).T
+            if cols.shape[0] < _GEMM_BLOCK_ROWS:  # small: a transposed operand rounds otherwise
+                cols = np.ascontiguousarray(cols)
+            dst = out[r0 * wo:r1 * wo]
+            np.matmul(cols, wr.T, out=dst)
+            if bd is not None:
+                dst += bd
+        return out.reshape(bsz, ho, wo, o)
+
+    # What the VJP keeps: each array, or in its place a rebuild.
+    x_again = None if isinstance(x, _Join) else x.rebuild
+    w_again = w.rebuild
+    kept_parts = parts if x_again is None else None
+    kept_w = w.data if w_again is None else None
+    shapes = [a.shape for a in parts]
     phases = min(stride, k)
     nparts = len(parts)
     inputs = (*srcs, w) if bias is None else (*srcs, w, bias)
 
     def vjp(g, needs):
         # Every input pixel is in a phase a tap reads unless s > k.
-        gxs = [(np.empty if stride <= k else np.zeros)(a.shape, dtype=g.dtype) if need else None
-               for a, need in zip(parts, needs)]
+        gxs = [(np.empty if stride <= k else np.zeros)(shape, dtype=g.dtype) if need else None
+               for shape, need in zip(shapes, needs)]
         need_w = needs[nparts]
         gw = np.zeros((o, c, k, k), dtype=g.dtype) if need_w else None
         if need_w or any(needs[:nparts]):
-            wt = wd_arr if rebuild is None else rebuild()
+            xs = kept_parts if x_again is None else (x_again(),)
+            wt = kept_w if w_again is None else w_again()
             for py in range(phases):
                 y0 = (py - padding) % stride
                 for px in range(phases):
@@ -820,7 +875,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
                     ws = wt[:, :, py::stride, px::stride]
                     views = [(a[:, y0::stride, x0::stride],
                               None if gx is None else gx[:, y0::stride, x0::stride])
-                             for a, gx in zip(parts, gxs)]
+                             for a, gx in zip(xs, gxs)]
                     gws = _phase_vjp(g, ws, ((y0 + padding) // stride, (x0 + padding) // stride),
                                      views, up, need_w)
                     if need_w:
@@ -829,7 +884,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None,
             return (*gxs, gw)
         return (*gxs, gw, g.reshape(-1, o).sum(axis=0) if needs[-1] else None)
 
-    return _apply("conv2d", inputs, out.reshape(bsz, ho, wo, o), vjp)
+    out = _apply("conv2d", inputs, forward(parts, w.data), vjp)
+    if out.node is not None and ckk < o:
+        def rebuild():  # from what the VJP keeps
+            return forward(kept_parts if x_again is None else (x_again(),),
+                           kept_w if w_again is None else w_again())
+
+        out.rebuild = rebuild
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1370,6 +1370,92 @@ class TestRebuiltWeights:
             assert got[p].data.tobytes() == want[q].data.tobytes()
 
 
+def cheap_activation_graph(stride, dtype, kernel="plain", keep=False):
+    """A taped graph shaped like the U-Net stem: a cheap conv (C*k*k = 18 <
+    O = 24), its in-place relu, and a conv that reads the relu's output.
+    The first kernel is a leaf or, for "kron_sum", a `kron_sum` of two.
+    With `keep`, the cheap conv's `rebuild` is cleared before the relu, so
+    no activation has one and the second conv's VJP keeps the activation.
+    Returns the leaves, the loss and a weak reference to the activation,
+    taken once the program has dropped it and while the tape lives."""
+    rng = Rng(63)
+
+    def new_leaf(*shape):
+        return Tensor(rng.uniform(shape, -1, 1, dtype=dtype), requires_grad=True)
+
+    x, b1, w2, b2 = new_leaf(2, 11, 9, 2), new_leaf(24), new_leaf(4, 24, 3, 3), new_leaf(4)
+    factors = ([new_leaf(2, 2, 2), new_leaf(2, 12, 1, 3, 3)] if kernel == "kron_sum"
+               else [new_leaf(24, 2, 3, 3)])
+    with Tape():
+        w1 = T.kron_sum(*factors) if kernel == "kron_sum" else factors[0]
+        h = T.conv2d(x, w1, b1, stride=stride, padding=1)
+        if keep:
+            h.rebuild = None
+        h = T.relu(h, 1.4, inplace=True)
+        kept = weakref.ref(h.data)
+        out = T.conv2d(h, w2, b2, padding=1)
+        del h, w1
+        loss = T.sum_(T.mul(out, Tensor(rng.uniform(out.shape, -1, 1, dtype=dtype))))
+    return [x, *factors, b1, w2, b2], loss, kept
+
+
+class TestRebuiltActivations:
+    """A taped conv whose im2col row is shorter than its output row
+    (C*k*k < O) gives its result a rebuild, relu composes onto it, and a
+    conv VJP keeps a plain input's rebuild instead of its array."""
+
+    @pytest.mark.parametrize("kernel", ["plain", "kron_sum"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_rebuild_is_bitwise_the_forward(self, stride, dtype, kernel):
+        rng = Rng(64)
+        x = Tensor(rng.uniform((2, 40, 33, 2), -1, 1, dtype=dtype), requires_grad=True)
+        b = Tensor(rng.uniform((24,), -1, 1, dtype=dtype), requires_grad=True)
+        with Tape():  # 2 * 40 * 33 output pixels at stride 1: two GEMM blocks
+            w = (T.kron_sum(Tensor(rng.uniform((2, 2, 2), -1, 1, dtype=dtype), requires_grad=True),
+                            Tensor(rng.uniform((2, 12, 1, 3, 3), -1, 1, dtype=dtype)))
+                 if kernel == "kron_sum" else Tensor(rng.uniform((24, 2, 3, 3), -1, 1, dtype=dtype)))
+            h = T.conv2d(x, w, b, stride=stride, padding=1)
+            again = h.rebuild()
+            assert again is not h.data and again.tobytes() == h.data.tobytes()
+            r = T.relu(h, 1.4, inplace=True)
+        assert r.data is h.data and h.rebuild is None  # the rebuild moved to the output
+        again = r.rebuild()
+        assert again is not r.data and again.tobytes() == r.data.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["plain", "kron_sum"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_leaf_gradients_are_bitwise_those_of_the_kept_activation(self, stride, dtype, kernel):
+        leaves, loss, _ = cheap_activation_graph(stride, dtype, kernel)
+        got = backward(loss)
+        ref_leaves, ref_loss, _ = cheap_activation_graph(stride, dtype, kernel, keep=True)
+        want = backward(ref_loss)
+        assert set(got) == set(leaves)
+        for p, q in zip(leaves, ref_leaves):
+            assert got[p].data.tobytes() == want[q].data.tobytes()
+
+    def test_a_dropped_activation_is_freed_while_the_tape_lives(self):
+        leaves, loss, kept = cheap_activation_graph(1, np.float32)
+        assert kept() is None
+        assert set(backward(loss)) == set(leaves)
+        # without a rebuild the reading conv's VJP keeps the activation
+        assert cheap_activation_graph(1, np.float32, keep=True)[2]() is not None
+
+    def test_only_a_taped_cheap_conv_and_its_relu_carry_a_rebuild(self):
+        rng = Rng(65)
+        x = Tensor(rng.uniform((1, 6, 6, 2), -1, 1), requires_grad=True)
+        cheap, even = (Tensor(rng.uniform((o, 2, 3, 3), -1, 1)) for o in (19, 18))
+        untaped = T.conv2d(x, cheap, padding=1)
+        assert untaped.rebuild is None and T.relu(untaped).rebuild is None
+        with Tape():
+            assert T.conv2d(x, even, padding=1).rebuild is None  # C*k*k = O
+            assert T.relu(x).rebuild is None
+            h = T.conv2d(x, cheap, padding=1)
+            assert h.rebuild is not None
+            assert T.concat([h]).rebuild is None and T.upsample2x(h).rebuild is None
+
+
 class TestTapeSemantics:
     def test_backward_of_sum_is_ones(self):
         x = leaf(np.arange(5.0))
