@@ -6,7 +6,9 @@ left-multiplication matrix of the element q in that algebra, with basis
 order (1, i) for complex and (1, i, j, k) for quaternions, Hamilton
 convention. A Kronecker layer carrying a preset as its frozen mixing set
 therefore realizes the algebra product exactly, which `verify_algebra`
-checks against a direct multiplication-table oracle.
+checks against a direct multiplication-table oracle; it returns the
+record `kronmri verify-algebra` prints per preset (`preset`, `trials`,
+`max_abs_deviation`, `tolerance`, `passed`).
 """
 
 from __future__ import annotations
@@ -104,34 +106,17 @@ def preset(name: str) -> AlgebraPreset:
     return AlgebraPreset(name)
 
 
-class AlgebraReport:
-    def __init__(self, name: str, trials: int, max_abs_deviation: float, tol: float):
-        self.name = name
-        self.trials = trials
-        self.max_abs_deviation = max_abs_deviation
-        self.tol = tol
-        self.passed = max_abs_deviation <= tol
-
-    def as_dict(self) -> dict:
-        return {"preset": self.name, "trials": self.trials,
-                "max_abs_deviation": self.max_abs_deviation,
-                "tolerance": self.tol, "passed": self.passed}
-
-    def __repr__(self):
-        status = "passed" if self.passed else "FAILED"
-        return (f"AlgebraReport({self.name}, {status}, trials={self.trials}, "
-                f"max_abs_deviation={self.max_abs_deviation:.3e})")
-
-
 def verify_algebra(algebra: AlgebraPreset, trials: int, rng: Rng,
-                   tol: float = 1e-10) -> AlgebraReport:
+                   tol: float = 1e-10) -> dict:
     """Check the layer realization against the multiplication-table oracle.
 
     For random coefficient vectors p, q the layer built from the preset with
-    block weights q must map p to q * p. Raises NumericError if any trial
-    deviates by more than `tol`; the report carries the worst deviation.
-    `trials` must be in [1, MAX_TRIALS] and `tol` finite and >= 0
-    (ConfigError otherwise).
+    block weights q must map p to q * p. Returns the record `kronmri
+    verify-algebra` prints for the preset: `preset` (its name), `trials`,
+    `max_abs_deviation` (the worst over every trial), `tolerance` (`tol`)
+    and `passed`. Raises NumericError, its message holding that record, if
+    any trial deviates by more than `tol`. `trials` must be in
+    [1, MAX_TRIALS] and `tol` finite and >= 0 (ConfigError otherwise).
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
@@ -147,7 +132,8 @@ def verify_algebra(algebra: AlgebraPreset, trials: int, rng: Rng,
         got = layer(Tensor(p[None, :])).data[0]
         want = algebra.product(q, p)
         worst = max(worst, float(np.max(np.abs(got - want))))
-    report = AlgebraReport(algebra.name, trials, worst, tol)
-    if not report.passed:
-        raise NumericError(f"algebra verification failed: {report!r}")
-    return report
+    record = {"preset": algebra.name, "trials": trials, "max_abs_deviation": worst,
+              "tolerance": tol, "passed": worst <= tol}
+    if not record["passed"]:
+        raise NumericError(f"algebra verification failed: {record}")
+    return record

@@ -331,14 +331,11 @@ class WindowAttention(Module):
                             rng=rng.fork(tag), dtype=dtype)
             for tag in range(4))
 
-    def _split_heads(self, t: Tensor, groups: int) -> Tensor:
-        # [G*w2, E] -> [G*heads, w2, dh]
+    def _split_heads(self, t: Tensor, groups: int, axes: tuple) -> Tensor:
+        # [G*w2, E] -> [G, w2, heads, dh], transposed by `axes`
         cfg = self.cfg
-        w2 = cfg.window * cfg.window
-        dh = cfg.embed_dim // cfg.heads
-        t = T.reshape(t, (groups, w2, cfg.heads, dh))
-        t = T.transpose(t, (0, 2, 1, 3))
-        return T.reshape(t, (groups * cfg.heads, w2, dh))
+        t = T.reshape(t, (groups, cfg.window * cfg.window, cfg.heads, cfg.embed_dim // cfg.heads))
+        return T.transpose(t, axes)
 
     def __call__(self, x: Tensor) -> Tensor:
         cfg = self.cfg
@@ -352,15 +349,12 @@ class WindowAttention(Module):
         dh = embed // cfg.heads
 
         flat = T.reshape(x, (batch * tokens, embed))
-        q = self._split_heads(self.wq(flat), groups)
-        k = self._split_heads(self.wk(flat), groups)
-        v = self._split_heads(self.wv(flat), groups)
+        q = self._split_heads(self.wq(flat), groups, (0, 2, 1, 3))  # [G, heads, w2, dh]
+        kt = self._split_heads(self.wk(flat), groups, (0, 2, 3, 1))  # [G, heads, dh, w2]
+        v = self._split_heads(self.wv(flat), groups, (0, 2, 1, 3))
 
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-        ctx = T.matmul(T.softmax(scores), v)
-
-        ctx = T.reshape(ctx, (groups, cfg.heads, w2, dh))
-        ctx = T.transpose(ctx, (0, 2, 1, 3))
+        scores = T.mul(T.matmul(q, kt), 1.0 / np.sqrt(dh))
+        ctx = T.transpose(T.matmul(T.softmax(scores), v), (0, 2, 1, 3))  # [G, w2, heads, dh]
         out = self.wo(T.reshape(ctx, (batch * tokens, embed)))
         return T.reshape(out, (batch, tokens, embed))
 

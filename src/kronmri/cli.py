@@ -293,11 +293,8 @@ def cmd_count_params(args) -> int:
 
 def cmd_verify_algebra(args) -> int:
     names = ["complex", "quaternion"] if args.algebra == "all" else [args.algebra]
-    reports = []
-    for name in names:
-        report = verify_algebra(preset(name), trials=args.trials,
-                                rng=Rng(args.seed), tol=args.tol)
-        reports.append(report.as_dict())
+    reports = [verify_algebra(preset(name), trials=args.trials, rng=Rng(args.seed),
+                              tol=args.tol) for name in names]
     _emit({"reports": reports, "passed": all(r["passed"] for r in reports)})
     return 0
 
@@ -368,10 +365,7 @@ def cmd_grad_check(args) -> int:
     results = []
     for name in names:
         f, params, tol = targets[name]()
-        report = grad_check(f, params, h=args.h, tol=tol)
-        results.append({"target": name, "max_rel_err": report.max_rel_err,
-                        "tol": report.tol, "coords": report.coords,
-                        "passed": report.passed})
+        results.append({"target": name, **grad_check(f, params, h=args.h, tol=tol)})
     _emit({"reports": results, "passed": all(r["passed"] for r in results)})
     if not all(r["passed"] for r in results):
         raise NumericError("gradient check failed: " + ", ".join(
@@ -395,9 +389,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="dataset seed")
     p.add_argument("--af", type=int, default=8, choices=CENTER_FRACTION_DEFAULTS,
                    help="acceleration factor")
-    p.add_argument("--height", type=int, default=64, help="phantom height")
-    p.add_argument("--width", type=int, default=64, help="phantom width")
-    p.add_argument("--ellipses", type=int, default=6,
+    p.add_argument("--height", type=int, default=DatasetSpec.height, help="phantom height")
+    p.add_argument("--width", type=int, default=DatasetSpec.width, help="phantom width")
+    p.add_argument("--ellipses", type=int, default=DatasetSpec.n_ellipses,
                    help="ellipses per phantom")
     p.set_defaults(func=cmd_gen_data)
 
@@ -417,28 +411,31 @@ def build_parser() -> _Parser:
                        help="train a reconstruction model on synthetic phantoms")
     p.add_argument("--out", default=None,
                    help="output directory (checkpoint, history, summary)")
-    p.add_argument("--seed", type=int, default=0, help="run seed")
-    p.add_argument("--steps", type=int, default=200, help="gradient steps")
-    p.add_argument("--batch", type=int, default=4, help="batch size")
-    p.add_argument("--af", type=int, default=8, choices=CENTER_FRACTION_DEFAULTS,
-                   help="acceleration factor")
-    p.add_argument("--lr", type=float, default=2e-5, help="learning rate")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="run seed")
+    p.add_argument("--steps", type=int, default=TrainConfig.steps, help="gradient steps")
+    p.add_argument("--batch", type=int, default=TrainConfig.batch, help="batch size")
+    p.add_argument("--af", type=int, default=TrainConfig.af,
+                   choices=CENTER_FRACTION_DEFAULTS, help="acceleration factor")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr, help="learning rate")
     p.add_argument("--layer-kind", default="kron",
                    choices=("dense", "kron", "kronecker"), help="conv flavor")
     p.add_argument("--n", type=int, default=None,
                    help="hypercomplex dimension (default per kind: 1 for "
                         "dense, 2 for kron)")
-    p.add_argument("--base", type=int, default=8, help="base channel count")
+    p.add_argument("--base", type=int, default=UNetConfig.base_channels,
+                   help="base channel count")
     p.add_argument("--multiples", default="4,8,8",
                    help="comma-separated channel multiples")
-    p.add_argument("--size", type=int, default=64, help="phantom side length")
-    p.add_argument("--ellipses", type=int, default=6,
+    p.add_argument("--size", type=int, default=DatasetSpec.height,
+                   help="phantom side length")
+    p.add_argument("--ellipses", type=int, default=DatasetSpec.n_ellipses,
                    help="ellipses per phantom")
-    p.add_argument("--dataset-size", type=int, default=32,
+    p.add_argument("--dataset-size", type=int, default=TrainConfig.dataset_size,
                    help="training samples")
-    p.add_argument("--eval-every", type=int, default=0,
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every,
                    help="eval cadence in steps (0 = only at the end)")
-    p.add_argument("--eval-size", type=int, default=8, help="held-out samples")
+    p.add_argument("--eval-size", type=int, default=TrainConfig.eval_size,
+                   help="held-out samples")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reconstruct", formatter_class=_fmt,

@@ -46,7 +46,7 @@ class Adam:
     shared and advances on every step.
     """
 
-    def __init__(self, named_params, lr: float = 2e-5):
+    def __init__(self, named_params, lr: float):
         if not (np.isfinite(lr) and lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {lr}")
         self.lr = lr

@@ -135,9 +135,9 @@ class TestStructure:
         assert np.array_equal(qt.layer(i_unit)(
             Tensor(j_unit[None, :])).data[0], k_unit)
         assert np.array_equal(qt.product(i_unit, j_unit), k_unit)
-        check(4, rc.passed and rq.passed,
-              f"complex/quaternion deviations {rc.max_abs_deviation:.2e}/"
-              f"{rq.max_abs_deviation:.2e} over 1000 trials each at 1e-10; "
+        check(4, rc["passed"] and rq["passed"],
+              f"complex/quaternion deviations {rc['max_abs_deviation']:.2e}/"
+              f"{rq['max_abs_deviation']:.2e} over 1000 trials each at 1e-10; "
               f"(1+2i)(3+4i) = -5+10i and i*j = k exact")
 
 
@@ -149,8 +149,8 @@ class TestGradientsAndTransforms:
         for name, make in targets.items():
             f, params, tol = make()
             report = grad_check(f, params, h=1e-6, tol=tol)
-            all_passed = all_passed and report.passed
-            details.append(f"{name} {report.max_rel_err:.1e}@{tol:g}")
+            all_passed = all_passed and report["passed"]
+            details.append(f"{name} {report['max_rel_err']:.1e}@{tol:g}")
         check(5, all_passed, "max relative errors " + ", ".join(details))
 
     def test_criterion_06_transform_invariants(self):

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from kronmri import kspace
+from kronmri import cli, kspace
 from kronmri import tensor as T
 from kronmri.blocks import UNet, UNetConfig, build_unet
 from kronmri.losses import loss_total
@@ -180,6 +180,23 @@ def test_train_workload_times_the_programs_step(tmp_path):
                       dataset_size=workloads.DATASET_SIZE)
     history = train(ConsistentModel(workloads.desk_unet()), workloads.SPEC, cfg)
     assert losses == [rec["loss"] for rec in history]
+
+
+def test_train_workload_times_kronmri_trains_defaults(tmp_path):
+    """train-desk times the step `kronmri train` runs with no options: the
+    same U-Net (kind, n, multiples, base), phantoms, acceleration, batch,
+    dataset size and learning rate."""
+    args = cli.build_parser().parse_args(["train"])
+    wl = workloads.WORKLOADS["train-desk"](0, str(tmp_path))
+    wl.build()
+    assert wl.model.model.cfg == cli._unet_config_from_args(args) == UNetConfig(
+        channel_multiples=workloads.UNET_MULTIPLES, base_channels=workloads.UNET_BASE,
+        layer_kind="kronecker", n=2)
+    assert workloads.SPEC == DatasetSpec(height=args.size, width=args.size,
+                                         n_ellipses=args.ellipses)
+    assert (workloads.AF, workloads.BATCH, workloads.DATASET_SIZE) == (
+        args.af, args.batch, args.dataset_size)
+    assert wl.opt.lr == TrainConfig.lr == args.lr
 
 
 @pytest.mark.parametrize("with_backward", [False, True])

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from kronmri import tensor as T
 from kronmri.errors import ConfigError, NumericError, ShapeError, TapeError
 from kronmri.rng import Rng
-from kronmri.tensor import GradCheckReport, Tape, Tensor, backward, grad_check, mac_count
+from kronmri.tensor import Tape, Tensor, backward, grad_check, mac_count
 
 
 def kron_oracle(a, b):
@@ -381,7 +381,7 @@ class TestLinear:
         tx, tw, tb = leaf(x), leaf(w), leaf(b)
         r = Tensor(rng.uniform((bsz, o), -1, 1))
         report = grad_check(lambda: T.sum_(T.mul(T.linear(tx, tw, tb), r)), [tx, tw, tb])
-        assert report.passed, repr(report)
+        assert report["passed"], report
 
     @pytest.mark.parametrize("sx,sw,sb", [
         ((3,), (2, 3), (2,)),          # x not 2-D
@@ -529,7 +529,7 @@ class TestKronSum:
         ta, tb = leaf(a), leaf(b)
         w = Tensor(rng.uniform(want.shape, -1, 1))
         report = grad_check(lambda: T.sum_(T.mul(T.kron_sum(ta, tb), w)), [ta, tb])
-        assert report.passed, repr(report)
+        assert report["passed"], report
 
     def test_mac_count(self):
         m0 = mac_count()
@@ -631,7 +631,7 @@ class TestConv2d:
         mix = Tensor(nhwc(rng.uniform(expect.shape, -1, 1)))
         report = grad_check(lambda: T.sum_(T.mul(
             T.conv2d(tx, tw, tb, stride=stride, padding=padding), mix)), [tx, tw, tb])
-        assert report.passed, repr(report)
+        assert report["passed"], report
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(bsz=st.integers(1, 2), c=st.integers(1, 8), o=st.integers(1, 8),
@@ -1301,7 +1301,7 @@ class TestTapedJoins:
             return T.mul(T.mean_(T.mul(y, y)), 0.5)
 
         report = grad_check(f, [x, skip, w1, b1, w2])
-        assert report.passed, repr(report)
+        assert report["passed"], report
 
 
 def kron_weight_graph(case, dtype, keep_weight=False):
@@ -1576,15 +1576,15 @@ class TestGradCheck:
     def test_linear_function_near_zero_error(self):
         x = leaf(np.arange(3.0))
         report = grad_check(lambda: T.sum_(x), [x])
-        assert isinstance(report, GradCheckReport)
-        assert report.passed
-        assert report.max_rel_err < 1e-7
-        assert report.coords == 3
+        assert set(report) == {"max_rel_err", "tol", "coords", "passed"}
+        assert report["passed"]
+        assert report["max_rel_err"] < 1e-7
+        assert report["coords"] == 3
 
     def test_relu_away_from_kink(self):
         x = leaf(np.array([0.5, -0.5, 2.0]))
         report = grad_check(lambda: T.sum_(T.relu(x)), [x])
-        assert report.passed
+        assert report["passed"]
 
     def test_two_layer_composite(self):
         rng = Rng(30)
@@ -1597,7 +1597,7 @@ class TestGradCheck:
             return T.mean_(T.mul(h, h))
 
         report = grad_check(f, [w1, w2])
-        assert report.passed, repr(report)
+        assert report["passed"], report
 
     def test_reports_failure_for_wrong_gradient(self):
         # Routing part of the function through a detached copy hides it from
@@ -1609,7 +1609,7 @@ class TestGradCheck:
             return T.add(T.sum_(x), T.sum_(T.mul(detached, detached)))
 
         report = grad_check(f, [x])
-        assert not report.passed
+        assert not report["passed"]
 
 
 class TestMacCounting:

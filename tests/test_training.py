@@ -117,7 +117,7 @@ class TestAdam:
 
     def test_nan_gradient_names_parameter(self):
         p = Tensor(np.ones(2), requires_grad=True)
-        opt = Adam([("stem.conv1.bias", p)])
+        opt = Adam([("stem.conv1.bias", p)], lr=0.1)
         bad = Tensor(np.ones(2))
         bad.data[0] = np.nan
         with pytest.raises(NumericError, match="stem.conv1.bias"):
@@ -125,7 +125,7 @@ class TestAdam:
 
     def test_moment_shapes_match(self):
         p = Tensor(np.zeros((3, 4)), requires_grad=True)
-        opt = Adam([("p", p)])
+        opt = Adam([("p", p)], lr=0.1)
         assert opt.m[0].shape == (3, 4) and opt.v[0].shape == (3, 4)
 
     @pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
