@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,20 @@ ACT_GAIN = float(np.sqrt(6.0))
 
 @dataclass
 class UNetConfig:
+    """A U-Net's shape. `n` defaults to None, the kind's own n: 1 for a
+    dense build and 2 for a kronecker one. A given n is kept, so a dense
+    build with n other than 1 is a ConfigError."""
+
     channel_multiples: list[int] = field(default_factory=lambda: [1, 2])
     base_channels: int = 8
     layer_kind: str = "kronecker"
-    n: int = 2
+    n: int | None = None
     in_channels: int = 2
     out_channels: int = 2
 
     def __post_init__(self):
+        if self.n is None:
+            self.n = 1 if self.layer_kind == "dense" else 2
         if not self.channel_multiples:
             raise ConfigError("channel_multiples must be non-empty")
         for m in self.channel_multiples:
@@ -63,10 +69,7 @@ class UNetConfig:
         return len(self.channel_multiples)
 
     def to_dict(self) -> dict:
-        return {"channel_multiples": list(self.channel_multiples),
-                "base_channels": self.base_channels,
-                "layer_kind": self.layer_kind, "n": self.n,
-                "in_channels": self.in_channels, "out_channels": self.out_channels}
+        return asdict(self)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -64,13 +65,6 @@ def _parse_multiples(text: str) -> list[int]:
 
 def _normalize_kind(kind: str) -> str:
     return "kronecker" if kind == "kron" else kind
-
-
-def _default_n(kind: str) -> int:
-    """The n a U-Net of `kind` gets when none is given. A given n goes to
-    `UNetConfig` as it is, so a dense build with n other than 1 is a
-    ConfigError."""
-    return 1 if kind == "dense" else 2
 
 
 def _load_pair(path: str) -> np.ndarray:
@@ -158,20 +152,16 @@ def cmd_gen_mask(args) -> int:
 
 
 def _unet_config_from_args(args) -> UNetConfig:
-    kind = _normalize_kind(args.layer_kind)
     return UNetConfig(channel_multiples=_parse_multiples(args.multiples),
-                      base_channels=args.base, layer_kind=kind,
-                      n=_default_n(kind) if args.n is None else args.n)
+                      base_channels=args.base,
+                      layer_kind=_normalize_kind(args.layer_kind), n=args.n)
 
 
 def cmd_train(args) -> int:
     ucfg = _unet_config_from_args(args)
     spec = DatasetSpec(height=args.size, width=args.size,
                        n_ellipses=args.ellipses)
-    cfg = TrainConfig(steps=args.steps, batch=args.batch, seed=args.seed,
-                      af=args.af, dataset_size=args.dataset_size,
-                      eval_every=args.eval_every, eval_size=args.eval_size,
-                      lr=args.lr)
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     _emit(run(ucfg, spec, cfg, out=args.out))
     return 0
 
@@ -223,19 +213,13 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-_UNET_KEYS = {"channel_multiples", "base_channels", "layer_kind", "n",
-              "in_channels", "out_channels"}
-_ATTN_KEYS = {"embed_dim", "heads", "window", "n", "blocks", "mlp_hidden"}
-
-
 def _count_unet(config: dict):
     kw = {k: v for k, v in config.items()
           if k not in ("model", "layer_kind", "n")}
     kind = _normalize_kind(config.get("layer_kind", "kronecker"))
-    n = config.get("n", _default_n(kind))
-    dense = unet_param_counts(UNetConfig(**kw, layer_kind="dense", n=1))
-    rows = [(name, d, k) for (name, d), (_, k)
-            in zip(dense, unet_param_counts(UNetConfig(**kw, layer_kind=kind, n=n)))]
+    dense = unet_param_counts(UNetConfig(**kw, layer_kind="dense"))
+    rows = [(name, d, k) for (name, d), (_, k) in zip(dense, unet_param_counts(
+        UNetConfig(**kw, layer_kind=kind, n=config.get("n"))))]
     return rows, sum(r[1] for r in rows), sum(r[2] for r in rows)
 
 
@@ -266,10 +250,10 @@ def cmd_count_params(args) -> int:
     config = read_json_object(args.config)
     model = config.get("model", "unet")
     if model == "unet":
-        allowed = _UNET_KEYS
+        allowed = {f.name for f in fields(UNetConfig)}
         counter = _count_unet
     elif model == "attention":
-        allowed = _ATTN_KEYS
+        allowed = {f.name for f in fields(AttentionConfig)} | {"blocks", "mlp_hidden"}
         counter = _count_attention
     else:
         raise ConfigError(f"{args.config}: unknown model {model!r}")

@@ -46,10 +46,6 @@ class Rng:
         self.counter = self.counter + np.uint64(count)
         return out
 
-    def integers(self, count: int) -> np.ndarray:
-        """Next `count` raw uint64 values."""
-        return self._raw(count)
-
     def uniform(self, shape, low: float = 0.0, high: float = 1.0,
                 dtype=np.float64) -> np.ndarray:
         """Uniform floats in [low, high), drawn in row-major order.

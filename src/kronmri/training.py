@@ -124,6 +124,8 @@ class TrainConfig:
         if self.af not in CENTER_FRACTION_DEFAULTS:
             raise ConfigError(f"af must be one of {sorted(CENTER_FRACTION_DEFAULTS)}, "
                               f"got {self.af}")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -195,29 +197,26 @@ class ConsistentModel(Module):
 
 
 def evaluate(model, spec: DatasetSpec, af: int, seed: int, count: int) -> dict:
-    """Per-sample magnitude PSNR/SSIM with mean and population std.
+    """Magnitude PSNR/SSIM over `count` held-out samples: `psnr_mean`,
+    `psnr_std`, `ssim_mean` and `ssim_std`, the std the population one.
 
     `model` maps [B,2,H,W] to [B,2,H,W]; None evaluates the zero-filled
     baseline itself. data_range is each sample's own magnitude peak.
     """
     check_sizes(count=count)
-    records = []
+    ps, ss = np.empty(count), np.empty(count)
     for i in range(count):
         s = make_sample(spec, af, seed, i)
         xhat = s.zf if model is None else model(Tensor(s.zf[None])).data[0]
         mag_hat = complex_magnitude(xhat)
         mag_truth = complex_magnitude(s.truth)
         dr = float(mag_truth.max())
-        records.append({"sample_id": i,
-                        "psnr_db": psnr(mag_hat, mag_truth, dr),
-                        "ssim": ssim(mag_hat, mag_truth, dr)})
-    ps = np.array([r["psnr_db"] for r in records])
-    ss = np.array([r["ssim"] for r in records])
+        ps[i] = psnr(mag_hat, mag_truth, dr)
+        ss[i] = ssim(mag_hat, mag_truth, dr)
     # an infinite PSNR sentinel makes the spread undefined (nan), not an error
     with np.errstate(invalid="ignore"):
         return {"psnr_mean": float(ps.mean()), "psnr_std": float(ps.std()),
-                "ssim_mean": float(ss.mean()), "ssim_std": float(ss.std()),
-                "samples": records}
+                "ssim_mean": float(ss.mean()), "ssim_std": float(ss.std())}
 
 
 def step(model, opt: Adam, x: Tensor, y: Tensor) -> tuple[float, Tensor]:
@@ -268,8 +267,6 @@ def write_history(path: str, history: list[dict]) -> None:
     write_file(path, (json.dumps(rec, sort_keys=True).encode("ascii") + b"\n"
                       for rec in history))
 
-
-_SCORES = ("psnr_mean", "psnr_std", "ssim_mean", "ssim_std")
 
 # Where the CPU model is read (Linux); elsewhere it is recorded as None.
 _CPUINFO = "/proc/cpuinfo"
@@ -339,8 +336,8 @@ def run(ucfg: UNetConfig, spec: DatasetSpec, cfg: TrainConfig, out: str | None =
                           "batch": cfg.batch, "seed": cfg.seed, "af": cfg.af,
                           "lr": cfg.lr, "dataset_size": cfg.dataset_size,
                           "size": spec.height, "ellipses": spec.n_ellipses},
-               "zero_filled": {k: baseline[k] for k in _SCORES},
-               "final": {k: final[k] for k in _SCORES},
+               "zero_filled": baseline,
+               "final": final,
                "psnr_gain_db": final["psnr_mean"] - baseline["psnr_mean"],
                "final_loss": history[-1]["loss"],
                "environment": numeric_environment()}

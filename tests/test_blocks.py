@@ -38,6 +38,13 @@ class TestUNetConfig:
     def test_depth(self):
         assert UNetConfig(channel_multiples=[1, 2, 4, 8], base_channels=64).depth == 4
 
+    def test_n_defaults_per_kind(self):
+        """No n, or n=None, is the kind's own n: 1 dense, 2 kronecker."""
+        assert UNetConfig(layer_kind="dense").n == 1
+        assert UNetConfig().n == 2
+        assert UNetConfig(layer_kind="dense", n=None) == UNetConfig(layer_kind="dense", n=1)
+        assert UNetConfig(n=None).to_dict() == UNetConfig(n=2).to_dict()
+
     @pytest.mark.parametrize("bad", [
         dict(channel_multiples=[]),
         dict(channel_multiples=[1, 0]),

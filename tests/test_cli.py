@@ -1,6 +1,7 @@
 """Command-line contract: help snapshots, exit codes, and file outputs."""
 
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -622,6 +623,15 @@ class TestCountParams:
         assert (code, out) == (2, "")
         assert stderr_json(err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("kind", ["dense", "kron", "kronecker"])
+    def test_null_n_is_the_kinds_default(self, capsys, tmp_path, kind):
+        """`"n": null` means what an absent n means: the kind's default."""
+        shape = {"channel_multiples": [1, 2], "base_channels": 8, "layer_kind": kind}
+        absent, null = (run_cli(capsys, "count-params", "--config", self.write_cfg(tmp_path, cfg))
+                        for cfg in (shape, {**shape, "n": None}))
+        assert absent == null
+        assert absent[0] == 0 and parse_table(absent[1])[-1][0] == "total"
+
     def test_attention_n4_ratio_below_n2(self, capsys, tmp_path):
         ratios = {}
         for n in (2, 4):
@@ -1099,6 +1109,15 @@ class TestTrainCmd:
         assert (code, stdout) == (2, "")
         assert len(err.splitlines()) == 1
         assert stderr_json(err)["error"] == "ConfigError"
+
+    def test_parsed_arguments_name_every_train_config_field(self):
+        """`cmd_train` fills each `TrainConfig` field from the parsed
+        argument of that name, so a field without a flag fails here; the
+        flags' defaults are the config's."""
+        args = vars(build_parser().parse_args(["train"]))
+        names = [f.name for f in dataclasses.fields(training.TrainConfig)]
+        assert set(names) <= set(args)
+        assert training.TrainConfig(**{k: args[k] for k in names}) == training.TrainConfig()
 
     @pytest.mark.parametrize("n", ["4", "2"])
     def test_dense_kind_with_n_other_than_one_is_config_error(self, capsys, tmp_path, n):

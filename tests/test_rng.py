@@ -15,22 +15,22 @@ REFERENCE_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 class TestRawStream:
     def test_reference_vectors_seed0(self):
-        out = Rng(0).integers(3)
+        out = Rng(0)._raw(3)
         assert [int(v) for v in out] == REFERENCE_SEED0
 
     def test_batching_invariance(self):
-        a = Rng(31337).integers(64)
+        a = Rng(31337)._raw(64)
         r = Rng(31337)
-        b = np.concatenate([r.integers(n) for n in (1, 2, 3, 10, 48)])
+        b = np.concatenate([r._raw(n) for n in (1, 2, 3, 10, 48)])
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_distinct_streams(self):
-        assert not np.array_equal(Rng(1).integers(8), Rng(2).integers(8))
+        assert not np.array_equal(Rng(1)._raw(8), Rng(2)._raw(8))
 
     def test_counter_advances(self):
         r = Rng(7)
-        first = r.integers(4)
-        second = r.integers(4)
+        first = r._raw(4)
+        second = r._raw(4)
         assert not np.array_equal(first, second)
 
 
@@ -63,7 +63,7 @@ class TestForkShuffle:
     def test_fork_changes_stream(self):
         base = Rng(42)
         child = base.fork(0)
-        assert not np.array_equal(child.integers(4), Rng(42).integers(4))
+        assert not np.array_equal(child._raw(4), Rng(42)._raw(4))
 
     def test_fork_deterministic(self):
         a = Rng(42).fork(3, 17).uniform((8,))
@@ -71,8 +71,8 @@ class TestForkShuffle:
         assert np.array_equal(a, b)
 
     def test_fork_tags_independent(self):
-        assert not np.array_equal(Rng(42).fork(0).integers(4),
-                                  Rng(42).fork(1).integers(4))
+        assert not np.array_equal(Rng(42).fork(0)._raw(4),
+                                  Rng(42).fork(1)._raw(4))
 
     def test_shuffle_is_permutation(self):
         perm = Rng(11).shuffle(50)
